@@ -1,7 +1,8 @@
 """Command-line front end: enumerate MUSes of DIMACS instances, emit metrics CSV.
 
-Exit codes: 0 clean finish or budget stop, 2 unreadable/ill-formed input or
-bad flags, 3 satisfiable instance.
+Exit codes: 0 clean finish or budget stop, 1 output that cannot be written
+(the `solve --stats` CSV or the `gen -o` file), 2 unreadable/ill-formed input
+or bad flags, 3 satisfiable instance.
 """
 
 from __future__ import annotations

@@ -47,6 +47,10 @@ class CnfOracle(SatOracle):
     All subset checks run on one persistent incremental solver. Clause i is
     extended with the negated selector literal for constraint i, so a check
     only passes selector assumptions; learnt clauses stay valid across checks.
+    Selectors are assumed in constraint order, and the solver keeps the trail
+    of the selectors a check shares with the one before it, so checks that
+    differ late in that order (as consecutive shrink checks do) skip most of
+    the assumption propagation. Answers depend only on the subset.
     """
 
     def __init__(self, num_vars: int, clauses):

@@ -6,6 +6,20 @@ polarity. There are no restarts and learnt clauses are never discarded; the
 intended workload is many related solves over formulas with at most a few
 hundred variables.
 
+The trail is kept between calls. Assumption i is decided at level i + 1, and
+a solve keeps the levels of the longest common prefix of its assumption list
+and the previous call's, so those assumptions are not propagated again (as in
+Hickey & Bacchus, "Speeding Up Assumption-Based SAT", SAT 2019). A SAT answer
+backtracks only to the last assumption level and a failed assumption leaves
+the trail as it is. Clauses added above level 0 keep the trail when two of
+their literals are unfalsified.
+
+Model invariant: a SAT answer's model is the first model of the clauses and
+the assumptions in branching order, which tries variables from the lowest
+index up and prefers `default_phase`. Learnt clauses, the kept trail and the
+order of the assumptions never change which model that is, so callers may
+rely on the model being a function of the clause set and the assumption set.
+
 Variables are the integers 1..num_vars, literals are signed integers, and
 clauses are lists of literals.
 """
@@ -25,6 +39,7 @@ class SatSolver:
         self._trail: list[int] = []
         self._lim: list[int] = []  # trail length at the start of each decision level
         self._qhead = 0
+        self._assumed: list[int] = []  # assumption i was decided at level i + 1
         self._model_mask: int | None = None
         for _ in range(num_vars):
             self.new_var()
@@ -40,7 +55,7 @@ class SatSolver:
         return v
 
     def value(self, lit: int) -> int:
-        """Current value of a literal: 1 true, -1 false, 0 unassigned."""
+        """Value of a literal on the kept trail: 1 true, -1 false, 0 unassigned."""
         v = self._assign[lit if lit > 0 else -lit]
         return v if lit > 0 else -v
 
@@ -52,10 +67,15 @@ class SatSolver:
         return self._model_mask
 
     def add_clause(self, lits) -> None:
-        """Add a clause. Tautologies are dropped; level-0 false literals are stripped."""
+        """Add a clause. Tautologies are dropped; level-0 false literals are stripped.
+
+        A unit clause is asserted at level 0. Otherwise the clause is watched on
+        two literals, and above level 0 the trail is kept if two literals are
+        unfalsified; if not, it is backtracked just far enough to free two.
+        """
         if not self.ok:
             return
-        self._backtrack(0)
+        level = self._level
         seen = set()
         out = []
         for lit in lits:
@@ -66,9 +86,9 @@ class SatSolver:
             if lit in seen:
                 continue
             val = self.value(lit)
-            if val == 1:
-                return  # satisfied at level 0
-            if val == -1:
+            if val != 0 and level[abs(lit)] == 0:
+                if val == 1:
+                    return  # satisfied at level 0
                 continue  # permanently false literal
             seen.add(lit)
             out.append(lit)
@@ -76,26 +96,53 @@ class SatSolver:
             self.ok = False
             return
         if len(out) == 1:
+            self._backtrack(0)
             self._enqueue(out[0], None)
             if self._propagate() is not None:
                 self.ok = False
             return
+        if self._lim:
+            self._free_watches(out)
         self._watches[out[0]].append(out)
         self._watches[out[1]].append(out)
 
+    def _free_watches(self, clause) -> None:
+        """Move the two literals that stay unfalsified longest to the front.
+
+        Unfalsified literals rank above false ones, which rank by level. If the
+        second literal is false, backtrack to just below its level, which frees
+        both front literals.
+        """
+        level = self._level
+        free = len(self._lim) + 1
+        ranks = [level[abs(lit)] if self.value(lit) == -1 else free for lit in clause]
+        for pos in (0, 1):
+            best = max(range(pos, len(clause)), key=ranks.__getitem__)
+            clause[pos], clause[best] = clause[best], clause[pos]
+            ranks[pos], ranks[best] = ranks[best], ranks[pos]
+        if ranks[1] < free:
+            self._backtrack(ranks[1] - 1)
+
     def solve(self, assumptions=()) -> bool:
-        """Decide satisfiability under the given assumption literals."""
+        """Decide satisfiability under the given assumption literals.
+
+        The decision levels shared with the previous call's assumption prefix
+        are kept; see the module docstring for the model this returns.
+        """
         self._model_mask = None
         if not self.ok:
-            return False
-        self._backtrack(0)
-        if self._propagate() is not None:
-            self.ok = False
             return False
         assume = list(assumptions)
         for lit in assume:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise ValueError(f"assumption literal {lit} out of range")
+        kept = 0
+        common = min(len(self._lim), len(assume))
+        previous = self._assumed
+        while kept < common and previous[kept] == assume[kept]:
+            kept += 1
+        self._backtrack(kept)
+        self._assumed = assume
         assign = self._assign
         while True:
             conflict = self._propagate()
@@ -120,7 +167,6 @@ class SatSolver:
                     self._lim.append(len(self._trail))  # placeholder level
                     continue
                 if val == -1:
-                    self._backtrack(0)
                     return False
                 self._lim.append(len(self._trail))
                 self._enqueue(lit, None)
@@ -132,7 +178,7 @@ class SatSolver:
                     break
             if branch_var == 0:
                 self._save_model()
-                self._backtrack(0)
+                self._backtrack(len(assume))
                 return True
             self._lim.append(len(self._trail))
             self._enqueue(branch_var if self.default_phase else -branch_var, None)

@@ -25,6 +25,7 @@ class UnexploredMap:
         self.stats = None
         self._solver = SatSolver(n, default_phase=True)
         self._negative_masks: list[int] = []
+        self._outside: list[int] = []  # the last call's assumptions, in order
 
     def _require_same_universe(self, s: ConstraintSet) -> None:
         if s.n != self.n:
@@ -49,8 +50,25 @@ class UnexploredMap:
         self._solver.add_clause(clause)
 
     def _assumptions_outside(self, p_mask: int) -> list[int]:
-        # restriction to subsets of p is per-call; never encoded as clauses
-        return [-(i + 1) for i in range(self.n) if not p_mask >> i & 1]
+        # restriction to subsets of p is per-call; never encoded as clauses.
+        # The solver keeps the levels of the assumption prefix it saw last, so
+        # the last call's order is reused while its literals stay outside p; a
+        # remus child restricts to a subset of its parent's p, so the parent's
+        # prefix survives the descent and the return.
+        rest = ~p_mask & ((1 << self.n) - 1)
+        outside = []
+        for lit in self._outside:
+            bit = 1 << (-lit - 1)
+            if not rest & bit:
+                break
+            rest ^= bit
+            outside.append(lit)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            outside.append(-low.bit_length())
+        self._outside = outside
+        return outside
 
     def _count_solver_call(self) -> None:
         self.solver_calls += 1

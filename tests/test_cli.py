@@ -183,3 +183,8 @@ def test_run_in_process_matches_subprocess(example1_path, capsys, tmp_path):
 def test_write_stats_csv_unwritable_path(example1_path, tmp_path):
     code = run(["solve", example1_path, "--stats", str(tmp_path / "no" / "dir.csv")])
     assert code == 1
+
+
+def test_gen_unwritable_output_exits_1(tmp_path):
+    code = run(["gen", "--vars", "3", "--clauses", "4", "-o", str(tmp_path / "no" / "x.cnf")])
+    assert code == 1

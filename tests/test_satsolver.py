@@ -17,6 +17,18 @@ def brute_force_sat(num_vars, clauses, assumptions=()):
     return False
 
 
+def brute_force_first_model(num_vars, clauses, assumptions, default_phase):
+    """First model in branching order (variable 1 first, default phase first)."""
+    fixed = {abs(lit): lit > 0 for lit in assumptions}
+    phases = (default_phase, not default_phase)
+    for bits in itertools.product(phases, repeat=num_vars):
+        if any(bits[v - 1] != want for v, want in fixed.items()):
+            continue
+        if all(any((lit > 0) == bits[abs(lit) - 1] for lit in cl) for cl in clauses):
+            return sum(1 << v for v in range(num_vars) if bits[v])
+    return None
+
+
 def model_satisfies(mask, num_vars, clauses, assumptions):
     for lit in assumptions:
         if bool(mask >> (abs(lit) - 1) & 1) != (lit > 0):
@@ -55,6 +67,53 @@ def test_agrees_with_brute_force_incrementally():
                 extra = random_clause(rng, num_vars)
                 clauses.append(extra)
                 solver.add_clause(list(extra))
+
+
+def clause_against_trail(rng, solver, num_vars):
+    """A clause that is unit or fully falsified under the solver's kept trail."""
+    false_lits = [
+        lit
+        for v in range(1, num_vars + 1)
+        for lit in (v, -v)
+        if solver.value(lit) == -1
+    ]
+    clause = rng.sample(false_lits, rng.randint(0, min(3, len(false_lits))))
+    free = [v for v in range(1, num_vars + 1) if solver.value(v) == 0]
+    if free and (not clause or rng.random() < 0.5):
+        clause.append(rng.choice(free) * rng.choice((1, -1)))
+    rng.shuffle(clause)
+    return clause
+
+
+def test_kept_trail_returns_the_first_model_in_branching_order():
+    rng = random.Random(7)
+    kept_trail_clauses = 0
+    for _ in range(300):
+        num_vars = rng.randint(1, 8)
+        phase = rng.random() < 0.5
+        clauses = [random_clause(rng, num_vars) for _ in range(rng.randint(0, 12))]
+        solver = SatSolver(num_vars, default_phase=phase)
+        for cl in clauses:
+            solver.add_clause(list(cl))
+        literals = [v if rng.random() < 0.5 else -v for v in range(1, num_vars + 1)]
+        for _ in range(6):
+            if not solver.ok:
+                break
+            # reorder a random suffix, so consecutive calls share a prefix
+            cut = rng.randint(0, num_vars)
+            tail = literals[cut:]
+            rng.shuffle(tail)
+            literals[cut:] = [-lit if rng.random() < 0.3 else lit for lit in tail]
+            assumptions = literals[: rng.randint(0, num_vars)]
+            want = brute_force_first_model(num_vars, clauses, assumptions, phase)
+            assert solver.solve(assumptions) == (want is not None)
+            if want is not None:
+                assert solver.model_mask == want
+            extra = clause_against_trail(rng, solver, num_vars)
+            kept_trail_clauses += any(solver.value(lit) == -1 for lit in extra)
+            clauses.append(extra)
+            solver.add_clause(list(extra))
+    assert kept_trail_clauses > 300
 
 
 def test_default_phase_biases_model():
