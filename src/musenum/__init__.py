@@ -9,7 +9,6 @@ from .core import (
     MonotonicityError,
     MusError,
     MusRecord,
-    MusSnapshot,
     PreconditionError,
     ShrinkCall,
     UniverseMismatchError,
@@ -25,7 +24,7 @@ from .oracles import (
 )
 from .remus import choose_p, enumerate_remus
 from .session import BudgetReached, EnumerationResult, RemusConfig
-from .shrink import ShrinkConfig, shrink
+from .shrink import shrink
 from .unexplored import UnexploredMap
 
 __version__ = "0.1.0"
@@ -42,12 +41,10 @@ __all__ = [
     "MonotonicityError",
     "MusError",
     "MusRecord",
-    "MusSnapshot",
     "PreconditionError",
     "RemusConfig",
     "SatOracle",
     "ShrinkCall",
-    "ShrinkConfig",
     "TableOracle",
     "UniverseMismatchError",
     "UnexploredMap",

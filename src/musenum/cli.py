@@ -23,7 +23,6 @@ from .oracles import parse_dimacs
 from .reference import random_cnf, to_dimacs
 from .remus import enumerate_remus
 from .session import RemusConfig
-from .shrink import ShrinkConfig
 
 
 def _positive_int(text: str) -> int:
@@ -107,10 +106,10 @@ def write_stats_csv(stats: CheckStats, path: str) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["mus_index", "elapsed_s", "oracle_checks", "map_solver_calls", "depth"])
-        for snap in stats.per_mus:
+        for record in stats.per_mus:
             writer.writerow(
-                [snap.ordinal, f"{snap.elapsed_s:.6f}", snap.oracle_checks,
-                 snap.map_solver_calls, snap.depth]
+                [record.ordinal, f"{record.elapsed_s:.6f}", record.oracle_checks,
+                 record.map_solver_calls, record.depth]
             )
 
 
@@ -131,7 +130,7 @@ def _cmd_solve(args) -> int:
         reduction_factor=args.reduction_factor,
         mus_limit=args.mus_limit,
         time_limit=args.time_limit,
-        shrink_cfg=ShrinkConfig(feed_map=not args.no_shrink_feed),
+        feed_map=not args.no_shrink_feed,
     )
     out = sys.stdout
 
@@ -150,7 +149,7 @@ def _cmd_solve(args) -> int:
         return 3
     stats = result.stats
     out.write(
-        f"found={stats.muses_emitted} oracle_checks={stats.oracle_checks} "
+        f"found={len(stats.per_mus)} oracle_checks={stats.oracle_checks} "
         f"map_calls={stats.map_solver_calls} elapsed={stats.elapsed():.3f}s "
         f"complete={'yes' if result.complete else 'no'}\n"
     )

@@ -1,4 +1,4 @@
-"""Constraint-universe set algebra and the bookkeeping types shared by all modules."""
+"""Constraint-universe set algebra, the errors, and the run records: MusRecord, ShrinkCall, CheckStats."""
 
 from __future__ import annotations
 
@@ -158,13 +158,10 @@ class Instance:
     """A constraint universe bound to its satisfiability oracle."""
 
     oracle: object
-    labels: list[str] | None = None
 
     def __post_init__(self):
         if self.oracle.n < 1:
             raise PreconditionError("an instance needs at least one constraint")
-        if self.labels is not None and len(self.labels) != self.oracle.n:
-            raise PreconditionError("labels length must equal the constraint count")
 
     @property
     def n(self) -> int:
@@ -172,23 +169,14 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class MusSnapshot:
-    """Cumulative counters frozen at the moment one MUS was emitted."""
-
-    ordinal: int
-    elapsed_s: float
-    oracle_checks: int
-    map_solver_calls: int
-    depth: int
-
-
-@dataclass(frozen=True)
 class MusRecord:
-    """One emitted MUS together with its emission-time statistics."""
+    """One emitted MUS with the run's cumulative counters at its emission."""
 
     ordinal: int
     mus: ConstraintSet
-    snapshot: MusSnapshot
+    elapsed_s: float
+    oracle_checks: int
+    map_solver_calls: int
     depth: int
 
 
@@ -202,31 +190,17 @@ class ShrinkCall:
 
 
 class CheckStats:
-    """Cumulative oracle/map-solver counters plus one snapshot per emitted MUS.
+    """One run's records as they are made, and its counts, written when it ends.
 
-    Owned by a single enumeration session; the oracle and map mutate the
-    counters directly while bound to the session.
+    The final counts are copies, so they do not move if the oracle is queried again.
     """
 
     def __init__(self):
         self.oracle_checks = 0
         self.map_solver_calls = 0
-        self.muses_emitted = 0
         self.start_time = time.monotonic()
-        self.per_mus: list[MusSnapshot] = []
+        self.per_mus: list[MusRecord] = []
         self.shrink_log: list[ShrinkCall] = []
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start_time
-
-    def snapshot(self, depth: int) -> MusSnapshot:
-        self.muses_emitted += 1
-        snap = MusSnapshot(
-            ordinal=self.muses_emitted,
-            elapsed_s=self.elapsed(),
-            oracle_checks=self.oracle_checks,
-            map_solver_calls=self.map_solver_calls,
-            depth=depth,
-        )
-        self.per_mus.append(snap)
-        return snap

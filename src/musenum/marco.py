@@ -9,33 +9,23 @@ enumerator, so check-count comparisons isolate the seed-selection strategy.
 from __future__ import annotations
 
 from .core import ConstraintSet, Instance
-from .session import BudgetReached, EnumerationResult, RemusConfig, Session
+from .session import EnumerationResult, RemusConfig, Session, run_session
 
 
 def enumerate_marco(instance: Instance, config: RemusConfig | None = None, sink=None) -> EnumerationResult:
     """Enumerate MUSes by repeatedly shrinking maximal undetermined subsets."""
-    config = config or RemusConfig()
-    session = Session(instance, config, sink)
-    session.require_unsat_instance()
-    no_criticals = ConstraintSet.empty(instance.n)
-    complete = True
-    try:
-        while True:
-            session.check_budget()
-            s_max = session.map.max_unexplored_subset_of(session.full)
-            if s_max is None:
-                break
-            if session.oracle.is_sat(s_max):
-                # maximal undetermined + satisfiable == maximal satisfiable
-                session.map.block_down(s_max)
-            else:
-                mus, discoveries = session.run_shrink(s_max, no_criticals)
-                session.emit(mus, 0)
-                session.check_budget()
-                for sat_set in discoveries:
-                    session.map.block_down(sat_set)
-                session.map.block_up(mus)
-                session.map.block_down(mus)
-    except BudgetReached:
-        complete = False
-    return EnumerationResult(session.records, session.stats, complete, session.map.block_log)
+    return run_session(instance, config, sink, _search)
+
+
+def _search(session: Session) -> None:
+    no_criticals = ConstraintSet.empty(session.full.n)
+    while True:
+        session.check_budget()
+        s_max = session.map.max_unexplored_subset_of(session.full)
+        if s_max is None:
+            return
+        if session.oracle.is_sat(s_max):
+            # maximal undetermined + satisfiable == maximal satisfiable
+            session.map.block_down(s_max)
+        else:
+            session.shrink_and_emit(s_max, no_criticals, 0)

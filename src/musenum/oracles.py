@@ -18,14 +18,12 @@ class SatOracle:
     """Base for subset-satisfiability testers over a universe of n constraints.
 
     Implementations must be monotone: once a subset is unsatisfiable, every
-    superset is too. `checks` counts every query over the oracle's lifetime;
-    binding `stats` additionally mirrors the count into a session's CheckStats.
+    superset is too. `checks` counts every query over the oracle's lifetime.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.checks = 0
-        self.stats = None
 
     def is_sat(self, s: ConstraintSet) -> bool:
         if s.n != self.n:
@@ -33,8 +31,6 @@ class SatOracle:
                 f"set over universe {s.n}, oracle over universe {self.n}"
             )
         self.checks += 1
-        if self.stats is not None:
-            self.stats.oracle_checks += 1
         return self._solve(s)
 
     def _solve(self, s: ConstraintSet) -> bool:

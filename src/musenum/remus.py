@@ -13,7 +13,7 @@ import math
 import sys
 
 from .core import ConstraintSet, Instance, PreconditionError
-from .session import BudgetReached, EnumerationResult, RemusConfig, Session
+from .session import EnumerationResult, RemusConfig, Session, run_session
 
 # floor() on the float product; the epsilon undoes binary representation
 # error when the true product is integral
@@ -47,17 +47,12 @@ def enumerate_remus(instance: Instance, config: RemusConfig | None = None, sink=
     carries all records plus the check statistics. Raises
     InstanceSatisfiableError when the full set is satisfiable.
     """
-    config = config or RemusConfig()
-    session = Session(instance, config, sink)
-    session.require_unsat_instance()
-    # frame depth is bounded by roughly the universe size
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * instance.n + 1000))
-    complete = True
-    try:
+    def search(session: Session) -> None:
+        # frame depth is bounded by roughly the universe size
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * instance.n + 1000))
         _find_muses(session, session.full, ConstraintSet.empty(instance.n), 0)
-    except BudgetReached:
-        complete = False
-    return EnumerationResult(session.records, session.stats, complete, session.map.block_log)
+
+    return run_session(instance, config, sink, search)
 
 
 def _find_muses(session: Session, s: ConstraintSet, criticals: ConstraintSet, depth: int) -> None:
@@ -83,13 +78,7 @@ def _find_muses(session: Session, s: ConstraintSet, criticals: ConstraintSet, de
                 for c in s_mcs:
                     _find_muses(session, s_max.add(c), criticals.add(c), depth + 1)
         else:
-            mus, discoveries = session.run_shrink(s_max, criticals)
-            session.emit(mus, depth)
-            session.check_budget()
-            for sat_set in discoveries:
-                session.map.block_down(sat_set)
-            session.map.block_up(mus)
-            session.map.block_down(mus)
+            mus = session.shrink_and_emit(s_max, criticals, depth)
             if mus != s_max:
                 p = choose_p(mus, s_max, session.config.reduction_factor)
                 if p is not None:

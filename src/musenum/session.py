@@ -1,8 +1,12 @@
-"""Shared enumeration session: configuration, budgets, stats wiring, emission."""
+"""Shared enumeration session: configuration, budgets, emission, the run skeleton.
+
+Oracle checks and map calls are counted only by the oracle and the map; the
+session reads them there and copies the final counts into CheckStats once.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     CheckStats,
@@ -13,7 +17,7 @@ from .core import (
     PreconditionError,
     ShrinkCall,
 )
-from .shrink import ShrinkConfig, shrink
+from .shrink import shrink
 from .unexplored import UnexploredMap
 
 
@@ -22,16 +26,22 @@ class RemusConfig:
     """Budgets and tuning knobs honoured by both enumeration algorithms.
 
     reduction_factor sizes the reduced search space after each found MUS (only
-    the recursive algorithm uses it). All budgets are optional; check_limit is
-    a deterministic cap on cumulative oracle checks, useful where wall-clock
-    limits would make runs irreproducible.
+    the recursive algorithm uses it). feed_map blocks the satisfiable sets a
+    shrink meets, so later seeds skip them.
+
+    All budgets are optional and are checked between steps. check_limit caps
+    cumulative oracle checks deterministically, where wall-clock limits would
+    make runs irreproducible, but it may be overshot: the full-set check
+    always runs, and a shrink in flight is never cut. A run ends with at most
+    max(check_limit, 1) + max(0, k - 1) checks, where k is |seed \\ criticals|
+    of its last shrink.
     """
 
     reduction_factor: float = 0.9
     mus_limit: int | None = None
     time_limit: float | None = None
     check_limit: int | None = None
-    shrink_cfg: ShrinkConfig = field(default_factory=ShrinkConfig)
+    feed_map: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.reduction_factor < 1.0:
@@ -52,10 +62,13 @@ class EnumerationResult:
     replaying it against the oracle is the standard soundness check.
     """
 
-    records: list[MusRecord]
     stats: CheckStats
     complete: bool
-    block_log: list[tuple[str, int]] = field(default_factory=list)
+    block_log: list[tuple[str, int]]
+
+    @property
+    def records(self) -> list[MusRecord]:
+        return self.stats.per_mus
 
     @property
     def muses(self) -> list[ConstraintSet]:
@@ -75,37 +88,63 @@ class Session:
         self.sink = sink
         self.map = UnexploredMap(instance.n)
         self.stats = CheckStats()
-        self.records: list[MusRecord] = []
         self.full = ConstraintSet.full(instance.n)
-        self.oracle.stats = self.stats
-        self.map.stats = self.stats
+        self._checks_before = self.oracle.checks
 
-    def require_unsat_instance(self) -> None:
-        if self.oracle.is_sat(self.full):
-            raise InstanceSatisfiableError("the full constraint set is satisfiable")
+    def oracle_checks(self) -> int:
+        """Checks this session has made; the oracle may have served others before."""
+        return self.oracle.checks - self._checks_before
 
     def check_budget(self) -> None:
         cfg = self.config
         if cfg.time_limit is not None and self.stats.elapsed() >= cfg.time_limit:
             raise BudgetReached
-        if cfg.check_limit is not None and self.stats.oracle_checks >= cfg.check_limit:
+        if cfg.check_limit is not None and self.oracle_checks() >= cfg.check_limit:
             raise BudgetReached
 
-    def run_shrink(self, seed: ConstraintSet, criticals: ConstraintSet):
-        self.check_budget()
-        before = self.stats.oracle_checks
-        mus, discoveries = shrink(self.oracle, seed, criticals, self.config.shrink_cfg)
-        self.stats.shrink_log.append(
-            ShrinkCall(seed, criticals, self.stats.oracle_checks - before)
-        )
-        return mus, discoveries
-
     def emit(self, mus: ConstraintSet, depth: int) -> None:
-        snapshot = self.stats.snapshot(depth)
-        record = MusRecord(snapshot.ordinal, mus, snapshot, depth)
-        self.records.append(record)
+        per_mus = self.stats.per_mus
+        record = MusRecord(
+            len(per_mus) + 1, mus, self.stats.elapsed(), self.oracle_checks(),
+            self.map.solver_calls, depth,
+        )
+        per_mus.append(record)
         if self.sink is not None:
             self.sink(record)
         limit = self.config.mus_limit
-        if limit is not None and self.stats.muses_emitted >= limit:
+        if limit is not None and len(per_mus) >= limit:
             raise BudgetReached
+
+    def shrink_and_emit(self, seed: ConstraintSet, criticals: ConstraintSet, depth: int) -> ConstraintSet:
+        """Shrink an unsatisfiable seed, emit its MUS and block what was learnt (see feed_map)."""
+        self.check_budget()
+        before = self.oracle_checks()
+        mus, discoveries = shrink(self.oracle, seed, criticals)
+        self.stats.shrink_log.append(ShrinkCall(seed, criticals, self.oracle_checks() - before))
+        self.emit(mus, depth)
+        self.check_budget()
+        if self.config.feed_map:
+            for sat_set in discoveries:
+                self.map.block_down(sat_set)
+        self.map.block_up(mus)
+        self.map.block_down(mus)
+        return mus
+
+
+def run_session(instance: Instance, config: RemusConfig | None, sink, search) -> EnumerationResult:
+    """Run `search(session)` to its end or to a budget stop and collect the result.
+
+    Raises InstanceSatisfiableError when the full set is satisfiable.
+    """
+    session = Session(instance, config or RemusConfig(), sink)
+    if session.oracle.is_sat(session.full):
+        raise InstanceSatisfiableError("the full constraint set is satisfiable")
+    complete = True
+    try:
+        search(session)
+    except BudgetReached:
+        complete = False
+    stats = session.stats
+    stats.oracle_checks = session.oracle_checks()
+    stats.map_solver_calls = session.map.solver_calls
+    return EnumerationResult(stats, complete, session.map.block_log)

@@ -2,18 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import ConstraintSet, PreconditionError
 
 
-@dataclass
-class ShrinkConfig:
-    feed_map: bool = True  # report satisfiable sets met mid-shrink to the caller
-    verify_seed: bool = False  # debug: spend one check confirming the seed is unsat
-
-
-def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, cfg: ShrinkConfig | None = None):
+def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet):
     """Minimize an unsatisfiable seed without ever dropping known criticals.
 
     Candidates in seed \\ criticals are tried in ascending index order against
@@ -22,20 +14,16 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, cfg: ShrinkCon
     |seed \\ criticals| oracle checks.
 
     Returns (mus, sat_discoveries) where sat_discoveries lists every subset
-    found satisfiable along the way (empty when cfg.feed_map is off).
+    found satisfiable along the way.
     """
-    cfg = cfg or ShrinkConfig()
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
-    if cfg.verify_seed and oracle.is_sat(seed):
-        raise PreconditionError("shrink requires an unsatisfiable seed")
     work = seed
     discoveries: list[ConstraintSet] = []
     for candidate in seed - criticals:
         trial = work.remove(candidate)
         if oracle.is_sat(trial):
-            if cfg.feed_map:
-                discoveries.append(trial)
+            discoveries.append(trial)
         else:
             work = trial
     return work, discoveries

@@ -22,7 +22,6 @@ class UnexploredMap:
         self.block_log: list[tuple[str, int]] = []  # ("down"|"up", subset mask)
         self.solver_calls = 0
         self.grow_evals = 0  # clause evaluations spent growing models, diagnostics only
-        self.stats = None
         self._solver = SatSolver(n, default_phase=True)
         self._negative_masks: list[int] = []
         self._outside: list[int] = []  # the last call's assumptions, in order
@@ -70,17 +69,6 @@ class UnexploredMap:
         self._outside = outside
         return outside
 
-    def _count_solver_call(self) -> None:
-        self.solver_calls += 1
-        if self.stats is not None:
-            self.stats.map_solver_calls += 1
-
-    def has_unexplored_subset_of(self, p: ConstraintSet) -> bool:
-        """True iff some subset of p is still undetermined. One solver call."""
-        self._require_same_universe(p)
-        self._count_solver_call()
-        return self._solver.solve(self._assumptions_outside(p.mask))
-
     def max_unexplored_subset_of(self, p: ConstraintSet) -> ConstraintSet | None:
         """An undetermined subset of p maximal within p, or None if none remains.
 
@@ -91,7 +79,7 @@ class UnexploredMap:
         members, so this guarantees maximality without further solver calls.
         """
         self._require_same_universe(p)
-        self._count_solver_call()
+        self.solver_calls += 1
         if not self._solver.solve(self._assumptions_outside(p.mask)):
             return None
         grown = self._solver.model_mask & p.mask

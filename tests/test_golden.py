@@ -1,9 +1,11 @@
 """Golden enumeration runs: oracle checks, map calls and the MUS sequence.
 
-The figures were recorded before the solver kept its trail between solves.
-Oracle answers are semantic and the map's models are fixed by its clauses and
-assumption set (see musenum.satsolver), so a change to the solvers' search
-must leave every figure here as it is. A change that alters which model or
+The figures were recorded before the solver kept its trail between solves,
+and the budget stops and per-MUS counters before the session stopped
+mirroring its counters into CheckStats. Oracle answers are semantic and the
+map's models are fixed by its clauses and assumption set (see
+musenum.satsolver), so a change to the solvers' search must leave every
+figure here as it is. A change that alters which model or
 MUS is found on purpose re-records them and says why.
 """
 
@@ -31,10 +33,49 @@ GOLDEN = [
     ((20, 100, 1), 8, "marco", 795, 8, 8, "896d7ba410005ab2"),
 ]
 
+# sha256 prefix of each GOLDEN run's per-MUS counters, in GOLDEN's order
+GOLDEN_COUNTERS = [
+    "c8d49e61f79e6f2e",
+    "d2fa3e6b8617a997",
+    "ff59b076a5ba6317",
+    "b8b43d859a56e579",
+    "7159a6820f6806bf",
+    "7d27b34f119c8788",
+    "250618d8a15740cc",
+    "ca84236d1deb5f22",
+    "1a08434cb04413e7",
+    "6baca9e1a8ee962c",
+]
+
+# as GOLDEN, with a check limit in place of the MUS limit, plus the sha256
+# prefix of the per-MUS counters; every run stops on the check limit
+BUDGET_STOPS = [
+    ((5, 22, 3), 50, "remus", 50, 9, 2, "eaf83872a9d58553", "328a53247da838aa"),
+    ((5, 22, 3), 50, "marco", 68, 4, 3, "4af6a7654773b1f6", "bfc873a065bed7fe"),
+    ((5, 22, 3), 200, "remus", 200, 150, 12, "1060f50a6fe7e5f7", "db6fdf3e02e20be1"),
+    ((5, 22, 3), 200, "marco", 212, 14, 10, "3cc28dd4c591e4d5", "21eab1874c25f7b0"),
+    ((6, 24, 1), 50, "remus", 65, 3, 3, "f890fcd85f928693", "aa362176a92392f3"),
+    ((6, 24, 1), 50, "marco", 50, 2, 2, "29f02501f905770f", "d1cd7dcaf31eaf9d"),
+    ((6, 24, 1), 200, "remus", 200, 100, 9, "b8d48ca3a2de7814", "60f48422c673fb54"),
+    ((6, 24, 1), 200, "marco", 217, 12, 9, "502fa553e2383ffd", "5ee26ba220c3c8d9"),
+]
+
+
+def run(formula, algorithm, **config):
+    num_vars, num_clauses, seed = formula
+    oracle = CnfOracle(num_vars, random_cnf(num_vars, num_clauses, 3, seed))
+    return RUNNERS[algorithm](Instance(oracle), RemusConfig(**config))
+
 
 def sequence_digest(records) -> str:
     """sha256 prefix of the MUSes in emission order, "1 3 4;1 2;..." (1-based)."""
     text = ";".join(" ".join(map(str, r.mus.indices_1based())) for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def counters_digest(records) -> str:
+    """sha256 prefix of the per-MUS "oracle checks, map calls, depth", "6 1 0;10 2 0;..."."""
+    text = ";".join(f"{r.oracle_checks} {r.map_solver_calls} {r.depth}" for r in records)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -52,3 +93,28 @@ def test_enumeration_matches_the_recorded_run(
     assert result.stats.map_solver_calls == map_calls
     assert len(result.records) == muses
     assert sequence_digest(result.records) == digest
+
+
+@pytest.mark.parametrize(
+    "formula, mus_limit, algorithm, digest",
+    [(row[0], row[1], row[2], digest) for row, digest in zip(GOLDEN, GOLDEN_COUNTERS)],
+)
+def test_per_mus_counters_match_the_recorded_run(formula, mus_limit, algorithm, digest):
+    result = run(formula, algorithm, mus_limit=mus_limit)
+    assert counters_digest(result.records) == digest
+
+
+@pytest.mark.parametrize(
+    "formula, check_limit, algorithm, checks, map_calls, muses, digest, counters",
+    BUDGET_STOPS,
+)
+def test_budget_stop_matches_the_recorded_run(
+    formula, check_limit, algorithm, checks, map_calls, muses, digest, counters
+):
+    result = run(formula, algorithm, check_limit=check_limit)
+    assert not result.complete
+    assert result.stats.oracle_checks == checks
+    assert result.stats.map_solver_calls == map_calls
+    assert len(result.records) == muses
+    assert sequence_digest(result.records) == digest
+    assert counters_digest(result.records) == counters

@@ -11,6 +11,7 @@ from musenum import (
     RemusConfig,
     bruteforce_all_muses,
     choose_p,
+    enumerate_marco,
     enumerate_remus,
     is_mus,
     parse_dimacs,
@@ -18,6 +19,8 @@ from musenum import (
 from musenum.reference import random_antichain, random_cnf, table_from_antichain
 
 from helpers import EXAMPLE1_DIMACS, EXAMPLE1_MUSES, bitsets, cs, example1_table
+
+RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
 
 
 def test_example1_emits_both_muses_once():
@@ -110,6 +113,43 @@ def test_check_limit_budget():
     assert result.stats.oracle_checks == 1
 
 
+@pytest.mark.parametrize("limit", [0, 1, 7, 50, 120, 200, 400])
+@pytest.mark.parametrize("algorithm", ["remus", "marco"])
+@pytest.mark.parametrize("formula", [(5, 22, 3), (6, 24, 1)])
+def test_check_limit_overshoot_is_bounded(formula, algorithm, limit):
+    # a shrink in flight is never cut and the full-set check always runs
+    num_vars, num_clauses, seed = formula
+    oracle = CnfOracle(num_vars, random_cnf(num_vars, num_clauses, 3, seed))
+    result = RUNNERS[algorithm](Instance(oracle), RemusConfig(check_limit=limit))
+    checks = result.stats.oracle_checks
+    assert not result.complete and checks >= limit
+    last = result.stats.shrink_log[-1] if result.stats.shrink_log else None
+    in_flight = len(last.seed - last.criticals) if last else 0
+    assert checks <= max(limit, 1) + max(0, in_flight - 1)
+
+
+@pytest.mark.parametrize("algorithm", ["remus", "marco"])
+def test_feed_map_off_blocks_no_shrink_discovery(algorithm):
+    # unsatisfiable 2-CNF formulas with 4, 12 and 14 MUSes
+    for num_vars, num_clauses, seed in [(3, 8, 2), (4, 10, 0), (5, 14, 2)]:
+        clauses = random_cnf(num_vars, num_clauses, 2, seed)
+        extra_downs = {}
+        for feed in (True, False):
+            result = RUNNERS[algorithm](
+                Instance(CnfOracle(num_vars, clauses)), RemusConfig(feed_map=feed)
+            )
+            assert set(result.muses) == bruteforce_all_muses(CnfOracle(num_vars, clauses))
+            # one down-block per seed check (its MSS or its MUS), none per shrink find
+            seed_checks = (
+                result.stats.oracle_checks - 1
+                - sum(call.checks for call in result.stats.shrink_log)
+            )
+            downs = sum(kind == "down" for kind, _ in result.block_log)
+            extra_downs[feed] = downs - seed_checks
+        assert extra_downs[False] == 0
+        assert extra_downs[True] > 0
+
+
 def test_stats_snapshots_are_monotone():
     result = enumerate_remus(Instance(parse_dimacs(EXAMPLE1_DIMACS)))
     snaps = result.stats.per_mus
@@ -122,9 +162,15 @@ def test_stats_snapshots_are_monotone():
 
 def test_stats_reconcile_with_oracle_and_map():
     oracle = parse_dimacs(EXAMPLE1_DIMACS)
+    oracle.is_sat(ConstraintSet.full(4))  # checks made before the run are not its own
     result = enumerate_remus(Instance(oracle))
-    assert result.stats.oracle_checks == oracle.checks
-    assert result.stats.muses_emitted == len(result.records) == 2
+    stats = result.stats
+    assert stats.oracle_checks == oracle.checks - 1
+    assert stats.oracle_checks >= stats.per_mus[-1].oracle_checks
+    assert stats.map_solver_calls >= stats.per_mus[-1].map_solver_calls
+    assert result.records is stats.per_mus and len(stats.per_mus) == 2
+    oracle.is_sat(ConstraintSet.full(4))  # the finished result does not move
+    assert stats.oracle_checks == oracle.checks - 2
 
 
 def test_criticals_are_kept_and_sound():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from musenum import ConstraintSet, PreconditionError, ShrinkConfig, is_mus, parse_dimacs, shrink
+from musenum import ConstraintSet, PreconditionError, is_mus, parse_dimacs, shrink
 from musenum.reference import random_antichain, table_from_antichain
 
 from helpers import EXAMPLE1_DIMACS, cs, example1_table
@@ -34,25 +34,10 @@ def test_seed_that_is_already_minimal_with_all_criticals():
     assert found_sat == []
 
 
-def test_feed_map_off_suppresses_discoveries():
-    oracle = parse_dimacs(EXAMPLE1_DIMACS)
-    mus, found_sat = shrink(
-        oracle, ConstraintSet.full(4), ConstraintSet.empty(4), ShrinkConfig(feed_map=False)
-    )
-    assert mus == cs("1011")
-    assert found_sat == []
-
-
 def test_criticals_must_be_inside_seed():
     oracle = example1_table()
     with pytest.raises(PreconditionError):
         shrink(oracle, cs("1100"), cs("0010"))
-
-
-def test_verify_seed_debug_check():
-    oracle = example1_table()
-    with pytest.raises(PreconditionError):
-        shrink(oracle, cs("1010"), ConstraintSet.empty(4), ShrinkConfig(verify_seed=True))
 
 
 def test_shrink_properties_on_random_monotone_tables():

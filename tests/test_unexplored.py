@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from musenum import CheckStats, ConstraintSet, PreconditionError, UnexploredMap, UniverseMismatchError
+from musenum import ConstraintSet, PreconditionError, UnexploredMap, UniverseMismatchError
 from musenum.reference import enumerate_map_models, explicit_map_reference
 
 from helpers import cs
@@ -36,7 +36,7 @@ def apply_log(umap, log):
 def test_init_leaves_everything_unexplored():
     umap = UnexploredMap(4)
     assert len(enumerate_map_models(umap)) == 16
-    assert umap.has_unexplored_subset_of(ConstraintSet.full(4))
+    assert umap.max_unexplored_subset_of(ConstraintSet.full(4)) is not None
 
 
 def test_init_single_constraint():
@@ -72,7 +72,7 @@ def test_block_down_full_set_empties_map():
     umap = UnexploredMap(3)
     umap.block_down(ConstraintSet.full(3))
     assert enumerate_map_models(umap) == set()
-    assert not umap.has_unexplored_subset_of(ConstraintSet.full(3))
+    assert umap.max_unexplored_subset_of(ConstraintSet.full(3)) is None
 
 
 def test_block_down_empty_set_removes_only_empty():
@@ -99,14 +99,14 @@ def test_block_up_removes_exactly_the_supersets():
 
 def test_has_unexplored_subset_of_examples():
     fresh = UnexploredMap(4)
-    assert fresh.has_unexplored_subset_of(cs("0011"))
+    assert fresh.max_unexplored_subset_of(cs("0011")) is not None
 
     blocked = UnexploredMap(4)
     blocked.block_down(cs("0011"))
-    assert not blocked.has_unexplored_subset_of(cs("0011"))
+    assert blocked.max_unexplored_subset_of(cs("0011")) is None
 
     umap = example3_map()
-    assert not umap.has_unexplored_subset_of(cs("110"))  # every model needs c3
+    assert umap.max_unexplored_subset_of(cs("110")) is None  # every model needs c3
 
 
 def test_max_on_fresh_map_returns_full_restriction():
@@ -161,14 +161,12 @@ def test_max_satisfies_the_maximality_contract():
         got = umap.max_unexplored_subset_of(p)
         if not inside:
             assert got is None
-            assert not umap.has_unexplored_subset_of(p)
             continue
         assert got is not None
         assert got.mask in inside
         assert got.is_subset_of(p)
         for c in p - got:
             assert got.add(c).mask not in models
-        assert umap.has_unexplored_subset_of(p)
 
 
 def test_blocking_both_ways_removes_sup_and_sub_cones():
@@ -187,14 +185,12 @@ def test_blocking_both_ways_removes_sup_and_sub_cones():
         assert after == before - cone
 
 
-def test_solver_call_counting_and_stats_binding():
+def test_solver_call_counting():
     umap = UnexploredMap(3)
-    stats = CheckStats()
-    umap.stats = stats
-    umap.has_unexplored_subset_of(ConstraintSet.full(3))
-    umap.max_unexplored_subset_of(cs("110"))
-    assert umap.solver_calls == 2
-    assert stats.map_solver_calls == 2
+    umap.max_unexplored_subset_of(ConstraintSet.full(3))
+    umap.block_down(ConstraintSet.full(3))
+    assert umap.max_unexplored_subset_of(cs("110")) is None
+    assert umap.solver_calls == 2  # one per call, also when nothing is left
 
 
 def test_growth_work_is_counted_separately():
