@@ -47,6 +47,11 @@ class CnfOracle(SatOracle):
     of the selectors a check shares with the one before it, so checks that
     differ late in that order (as consecutive shrink checks do) skip most of
     the assumption propagation. Answers depend only on the subset.
+
+    A SAT answer may come without a solve: the oracle keeps the set of
+    clauses each model of its solver satisfies (an antichain, no set inside
+    another) and answers SAT for any subset inside one of them. UNSAT answers
+    always come from the solver, and every query still counts as a check.
     """
 
     def __init__(self, num_vars: int, clauses):
@@ -63,14 +68,37 @@ class CnfOracle(SatOracle):
         self._solver = SatSolver(num_vars + self.n)
         for i, cl in enumerate(clauses):
             self._solver.add_clause(cl + [-(num_vars + 1 + i)])
+        self._models: list[int] = []  # satisfied-clause masks of earlier models
+        self._satisfies: list[list[int]] = []  # per variable: [if true, if false]
 
     def _solve(self, s: ConstraintSet) -> bool:
-        base = self.num_vars + 1
         mask = s.mask
+        for m in self._models:
+            if mask & m == mask:
+                return True
+        base = self.num_vars + 1
         assumptions = [
             (base + i) if mask >> i & 1 else -(base + i) for i in range(self.n)
         ]
-        return self._solver.solve(assumptions)
+        if not self._solver.solve(assumptions):
+            return False
+        sat = self._satisfied_by(self._solver.model_mask)
+        self._models = [m for m in self._models if m & sat != m]
+        self._models.append(sat)
+        return True
+
+    def _satisfied_by(self, model: int) -> int:
+        """Mask of the clauses the model's values of the formula's variables satisfy."""
+        if not self._satisfies:  # built here, so constructing an oracle pays nothing for it
+            self._satisfies = [[0, 0] for _ in range(self.num_vars)]
+            for i, cl in enumerate(self.clauses):
+                for lit in cl:
+                    self._satisfies[abs(lit) - 1][lit < 0] |= 1 << i
+        sat = 0
+        for t, f in self._satisfies:
+            sat |= t if model & 1 else f
+            model >>= 1
+        return sat
 
 
 class TableOracle(SatOracle):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from musenum import (
     CnfOracle,
@@ -173,18 +174,81 @@ def test_cnf_monotonicity_on_random_instances():
 
 
 def test_selector_checks_agree_with_fresh_solves():
+    # SAT answers may come from earlier models' clause sets, so each formula is
+    # queried in ascending, descending and shuffled order on a new oracle each
+    # time, which interleaves answers from the cache and from the solver.
     rng = random.Random(73)
+    formulas = []
     for trial in range(15):
         num_vars = rng.randint(1, 5)
-        clauses = random_cnf(num_vars, rng.randint(1, 8), rng.choice([2, 3]), seed=trial + 100)
-        oracle = CnfOracle(num_vars, clauses)
-        n = oracle.n
+        formulas.append(
+            (num_vars, random_cnf(num_vars, rng.randint(1, 8), rng.choice([2, 3]), seed=trial + 100))
+        )
+    formulas += [
+        (3, [[1, 2], [], [-1], [2, 3]]),  # empty clause
+        (3, [[1, -1], [-2], [2, 3], [-3, -1]]),  # tautological clause
+        (3, [[1, 1, -2], [-1], [2, 2], [-3, 3, 1]]),  # repeated literals
+        (6, [[2, -5], [-2], [5, 2], [-5]]),  # variables 1, 3, 4 and 6 in no clause
+    ]
+    for num_vars, clauses in formulas:
+        n = len(clauses)
+        expected = []
         for mask in range(1 << n):
             fresh = SatSolver(num_vars)
             for i in range(n):
                 if mask >> i & 1:
                     fresh.add_clause(list(clauses[i]))
-            assert oracle.is_sat(ConstraintSet(n, mask)) == fresh.solve()
+            expected.append(fresh.solve())
+        shuffled = list(range(1 << n))
+        rng.shuffle(shuffled)
+        for order in (range(1 << n), range((1 << n) - 1, -1, -1), shuffled):
+            oracle = CnfOracle(num_vars, clauses)
+            for mask in order:
+                assert oracle.is_sat(ConstraintSet(n, mask)) == expected[mask], (clauses, mask)
+
+
+def test_cached_sat_answer_counts_as_a_check_without_a_solve(monkeypatch):
+    oracle = CnfOracle(3, [[1, 2], [-1], [-2, 3], [-3]])
+    solves = []
+    solve = oracle._solver.solve
+    monkeypatch.setattr(
+        oracle._solver, "solve", lambda assumptions: solves.append(1) or solve(assumptions)
+    )
+    assert oracle.is_sat(cs("1110"))
+    assert (oracle.checks, len(solves)) == (1, 1)
+    # the model of 1110 satisfies its clauses, so any subset is answered from it
+    for bits in ("1100", "0110", "0010", "0000", "1110"):
+        assert oracle.is_sat(cs(bits))
+    assert (oracle.checks, len(solves)) == (6, 1)
+    assert not oracle.is_sat(cs("1111"))  # UNSAT answers come from the solver
+    assert (oracle.checks, len(solves)) == (7, 2)
+
+
+@st.composite
+def cnf_and_queries(draw):
+    num_vars = draw(st.integers(1, 6))
+    literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, max_size=3), min_size=1, max_size=10))
+    queries = draw(st.lists(st.integers(0, (1 << len(clauses)) - 1), max_size=40))
+    return num_vars, clauses, queries
+
+
+@settings(deadline=None, derandomize=True)
+@given(cnf_and_queries())
+def test_cnf_oracle_answers_match_truth_tables(case):
+    num_vars, clauses, queries = case
+    n = len(clauses)
+    satisfied = set()  # clause masks satisfied by some assignment
+    for assignment in range(1 << num_vars):
+        satisfied.add(sum(
+            1 << i for i, cl in enumerate(clauses)
+            if any((assignment >> (abs(lit) - 1) & 1) == (lit > 0) for lit in cl)
+        ))
+    oracle = CnfOracle(num_vars, clauses)
+    for mask in queries:
+        truth = any(mask & sat == mask for sat in satisfied)
+        assert oracle.is_sat(ConstraintSet(n, mask)) == truth
+    assert oracle.checks == len(queries)
 
 
 def test_is_mus_predicate():
