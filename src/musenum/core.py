@@ -153,6 +153,41 @@ class ConstraintSet:
         return [i + 1 for i in self]
 
 
+class Antichain(dict):
+    """Subset masks of which none lies inside another, each mapped to a payload.
+
+    Adding a mask that lies inside a stored one stores nothing; adding any
+    other mask drops the stored masks inside it. The stored masks are thus the
+    maximal masks added so far, and a mask lies inside some added mask exactly
+    when it lies inside a stored one.
+    """
+
+    def covers(self, mask: int) -> bool:
+        """Whether mask lies inside a stored mask."""
+        for m in self:
+            if mask & m == mask:
+                return True
+        return False
+
+    def add(self, mask: int) -> list | None:
+        """Store mask with payload None unless it is covered (then return None).
+
+        Otherwise drop the stored masks inside mask and return their payloads.
+        One pass decides both, since in an antichain no mask lies inside one
+        stored mask and contains another.
+        """
+        inside = []
+        for m in self:
+            common = mask & m
+            if common == mask:
+                return None
+            if common == m:
+                inside.append(m)
+        dropped = [self.pop(m) for m in inside]
+        self[mask] = None
+        return dropped
+
+
 @dataclass
 class Instance:
     """A constraint universe bound to its satisfiability oracle."""

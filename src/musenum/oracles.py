@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .core import (
+    Antichain,
     ConstraintSet,
     DimacsParseError,
     MonotonicityError,
@@ -68,23 +69,20 @@ class CnfOracle(SatOracle):
         self._solver = SatSolver(num_vars + self.n)
         for i, cl in enumerate(clauses):
             self._solver.add_clause(cl + [-(num_vars + 1 + i)])
-        self._models: list[int] = []  # satisfied-clause masks of earlier models
+        self._models = Antichain()  # satisfied-clause masks of earlier models
         self._satisfies: list[list[int]] = []  # per variable: [if true, if false]
 
     def _solve(self, s: ConstraintSet) -> bool:
         mask = s.mask
-        for m in self._models:
-            if mask & m == mask:
-                return True
+        if self._models.covers(mask):
+            return True
         base = self.num_vars + 1
         assumptions = [
             (base + i) if mask >> i & 1 else -(base + i) for i in range(self.n)
         ]
         if not self._solver.solve(assumptions):
             return False
-        sat = self._satisfied_by(self._solver.model_mask)
-        self._models = [m for m in self._models if m & sat != m]
-        self._models.append(sat)
+        self._models.add(self._satisfied_by(self._solver.model_mask))
         return True
 
     def _satisfied_by(self, model: int) -> int:

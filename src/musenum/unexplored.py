@@ -1,52 +1,79 @@
 """Symbolic map of the constraint subsets whose satisfiability is still unknown.
 
-The map is a growing CNF formula over one indicator variable per constraint
+The map is a CNF formula over one indicator variable per constraint
 (variable i+1 for constraint index i); its models are exactly the
 undetermined subsets. Determined sets are removed by blocking clauses:
 all-positive clauses drop a satisfiable set together with its subsets,
 all-negative clauses drop an unsatisfiable set together with its supersets.
+A positive clause is removed again once a larger satisfiable set is blocked.
 """
 
 from __future__ import annotations
 
-from .core import ConstraintSet, PreconditionError, UniverseMismatchError
+from .core import Antichain, ConstraintSet, PreconditionError, UniverseMismatchError
 from .satsolver import SatSolver
 
 
 class UnexploredMap:
+    """The map over n constraints, on one incremental solver.
+
+    Down-blocks are kept as an antichain of maximal blocked sets: a block
+    inside a stored set adds no clause, and a block containing stored sets
+    removes their clauses from the solver, since its own clause implies them
+    (backward subsumption). Up-blocks are kept as they come; the enumerators
+    block up only MUSes, which form an antichain already. `clauses` holds only
+    the live clauses, and `block_log` every block in order.
+    """
+
     def __init__(self, n: int):
         if n < 1:
             raise PreconditionError("the universe must contain at least one constraint")
         self.n = n
-        self.clauses: list[list[int]] = []
         self.block_log: list[tuple[str, int]] = []  # ("down"|"up", subset mask)
         self.solver_calls = 0
         self.grow_evals = 0  # clause evaluations spent growing models, diagnostics only
         self._solver = SatSolver(n, default_phase=True)
         self._negative_masks: list[int] = []
+        self._down = Antichain()  # maximal down-blocked masks -> their solver clauses
         self._outside: list[int] = []  # the last call's assumptions, in order
 
     def _require_same_universe(self, s: ConstraintSet) -> None:
         if s.n != self.n:
             raise UniverseMismatchError(f"set over universe {s.n}, map over {self.n}")
 
+    def _down_clause(self, mask: int) -> list[int]:
+        return [i + 1 for i in range(self.n) if not mask >> i & 1]
+
+    def _up_clause(self, mask: int) -> list[int]:
+        return [-(i + 1) for i in range(self.n) if mask >> i & 1]
+
+    @property
+    def clauses(self) -> list[list[int]]:
+        """The live blocking clauses: the up-blocks in order, then the maximal down-blocks."""
+        return [self._up_clause(m) for m in self._negative_masks] + [
+            self._down_clause(m) for m in self._down
+        ]
+
     def block_down(self, sat_set: ConstraintSet) -> None:
         """Remove sat_set and all of its subsets from the map."""
         self._require_same_universe(sat_set)
         mask = sat_set.mask
-        clause = [i + 1 for i in range(self.n) if not mask >> i & 1]
-        self.clauses.append(clause)
         self.block_log.append(("down", mask))
-        self._solver.add_clause(clause)
+        dropped = self._down.add(mask)
+        if dropped is None:
+            return  # inside a down-blocked set already
+        solver = self._solver
+        self._down[mask] = solver.add_clause(self._down_clause(mask))
+        for clause in dropped:
+            if clause is not None:
+                solver.remove_clause(clause)
 
     def block_up(self, unsat_set: ConstraintSet) -> None:
         """Remove unsat_set and all of its supersets from the map."""
         self._require_same_universe(unsat_set)
-        clause = [-(i + 1) for i in unsat_set]
-        self.clauses.append(clause)
         self.block_log.append(("up", unsat_set.mask))
         self._negative_masks.append(unsat_set.mask)
-        self._solver.add_clause(clause)
+        self._solver.add_clause(self._up_clause(unsat_set.mask))
 
     def _assumptions_outside(self, p_mask: int) -> list[int]:
         # restriction to subsets of p is per-call; never encoded as clauses.

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from musenum import ConstraintSet, PreconditionError, UniverseMismatchError
+from musenum.core import Antichain
 
 from helpers import cs
 
@@ -113,3 +114,25 @@ def test_sets_are_hashable_and_immutable():
     assert {s, cs("1010")} == {s}
     with pytest.raises(AttributeError):
         s.mask = 3
+
+
+def test_antichain_keeps_the_maximal_masks():
+    rng = random.Random(11)
+    for _ in range(200):
+        chain = Antichain()
+        added = []
+        for _ in range(rng.randint(0, 12)):
+            mask = rng.randrange(1 << 6)
+            before = dict(chain)
+            dropped = chain.add(mask)
+            added.append(mask)
+            if dropped is None:
+                assert chain == before
+                assert any(mask & m == mask for m in before)
+                continue
+            chain[mask] = len(added)  # payload: the position of the add
+            assert sorted(dropped) == sorted(p for m, p in before.items() if m & mask == m)
+        maximal = {m for m in added if not any(m & o == m and m != o for o in added)}
+        assert set(chain) == maximal
+        for probe in range(1 << 6):
+            assert chain.covers(probe) == any(probe & m == probe for m in added)
