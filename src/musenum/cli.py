@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--no-shrink-feed", action="store_true",
-        help="do not feed satisfiable sets found mid-shrink back into the map",
+        help="do not block the witnesses of satisfiable sets found mid-shrink in the map",
     )
     solve.add_argument(
         "--stats", metavar="PATH", default=None,

@@ -162,12 +162,12 @@ class Antichain(dict):
     when it lies inside a stored one.
     """
 
-    def covers(self, mask: int) -> bool:
-        """Whether mask lies inside a stored mask."""
+    def covers(self, mask: int) -> int | None:
+        """The first stored mask that mask lies inside, or None if there is none."""
         for m in self:
             if mask & m == mask:
-                return True
-        return False
+                return m
+        return None
 
     def add(self, mask: int) -> list | None:
         """Store mask with payload None unless it is covered (then return None).

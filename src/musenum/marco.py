@@ -25,7 +25,7 @@ def _search(session: Session) -> None:
         if s_max is None:
             return
         if session.oracle.is_sat(s_max):
-            # maximal undetermined + satisfiable == maximal satisfiable
-            session.map.block_down(s_max)
+            # maximal undetermined + satisfiable == maximal satisfiable == witness
+            session.map.block_down(session.oracle.witness)
         else:
             session.shrink_and_emit(s_max, no_criticals, 0)

@@ -20,11 +20,17 @@ class SatOracle:
 
     Implementations must be monotone: once a subset is unsatisfiable, every
     superset is too. `checks` counts every query over the oracle's lifetime.
+
+    After each query, `witness` is a satisfiable superset of the query when it
+    was satisfiable (the query itself unless the domain knows a larger one),
+    and None when it was not. Blocking the witness rather than the query is
+    sound, and lets an enumerator skip the larger set as well.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.checks = 0
+        self.witness: ConstraintSet | None = None
 
     def is_sat(self, s: ConstraintSet) -> bool:
         if s.n != self.n:
@@ -32,9 +38,12 @@ class SatOracle:
                 f"set over universe {s.n}, oracle over universe {self.n}"
             )
         self.checks += 1
-        return self._solve(s)
+        mask = self._solve(s)
+        self.witness = None if mask is None else ConstraintSet(self.n, mask)
+        return mask is not None
 
-    def _solve(self, s: ConstraintSet) -> bool:
+    def _solve(self, s: ConstraintSet) -> int | None:
+        """The mask of a satisfiable superset of s, or None if s is unsatisfiable."""
         raise NotImplementedError
 
 
@@ -53,6 +62,8 @@ class CnfOracle(SatOracle):
     clauses each model of its solver satisfies (an antichain, no set inside
     another) and answers SAT for any subset inside one of them. UNSAT answers
     always come from the solver, and every query still counts as a check.
+    The witness of a SAT answer is such a clause set: the stored one that
+    covers the query, or the one the new model satisfies.
     """
 
     def __init__(self, num_vars: int, clauses):
@@ -72,18 +83,20 @@ class CnfOracle(SatOracle):
         self._models = Antichain()  # satisfied-clause masks of earlier models
         self._satisfies: list[list[int]] = []  # per variable: [if true, if false]
 
-    def _solve(self, s: ConstraintSet) -> bool:
+    def _solve(self, s: ConstraintSet) -> int | None:
         mask = s.mask
-        if self._models.covers(mask):
-            return True
+        cover = self._models.covers(mask)
+        if cover is not None:
+            return cover
         base = self.num_vars + 1
         assumptions = [
             (base + i) if mask >> i & 1 else -(base + i) for i in range(self.n)
         ]
         if not self._solver.solve(assumptions):
-            return False
-        self._models.add(self._satisfied_by(self._solver.model_mask))
-        return True
+            return None
+        satisfied = self._satisfied_by(self._solver.model_mask)
+        self._models.add(satisfied)
+        return satisfied
 
     def _satisfied_by(self, model: int) -> int:
         """Mask of the clauses the model's values of the formula's variables satisfy."""
@@ -129,8 +142,8 @@ class TableOracle(SatOracle):
         super().__init__(n)
         self._table = table
 
-    def _solve(self, s: ConstraintSet) -> bool:
-        return self._table[s.mask]
+    def _solve(self, s: ConstraintSet) -> int | None:
+        return s.mask if self._table[s.mask] else None
 
 
 def parse_dimacs(text) -> CnfOracle:

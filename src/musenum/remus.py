@@ -68,7 +68,9 @@ def _find_muses(session: Session, s: ConstraintSet, criticals: ConstraintSet, de
         if s_max is None:
             return
         if session.oracle.is_sat(s_max):
-            session.map.block_down(s_max)
+            # the witness meets s in s_max, since every larger subset of s is
+            # up-blocked; beyond s it spares sibling frames and later seeds
+            session.map.block_down(session.oracle.witness)
             s_mcs = s - s_max
             if len(s_mcs) == 1:
                 criticals = criticals | s_mcs

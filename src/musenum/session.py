@@ -26,8 +26,8 @@ class RemusConfig:
     """Budgets and tuning knobs honoured by both enumeration algorithms.
 
     reduction_factor sizes the reduced search space after each found MUS (only
-    the recursive algorithm uses it). feed_map blocks the satisfiable sets a
-    shrink meets, so later seeds skip them.
+    the recursive algorithm uses it). feed_map blocks the oracle's witnesses
+    of the satisfiable sets a shrink meets, so later seeds skip them.
 
     All budgets are optional and are checked between steps. check_limit caps
     cumulative oracle checks deterministically, where wall-clock limits would
@@ -59,7 +59,9 @@ class EnumerationResult:
     """Everything a finished (or budget-stopped) enumeration run produced.
 
     block_log is the map's chronological ("down"|"up", subset mask) record;
-    replaying it against the oracle is the standard soundness check.
+    replaying it against the oracle is the standard soundness check. Each
+    down-block is an emitted MUS or an oracle witness, a satisfiable superset
+    of a set found satisfiable.
     """
 
     stats: CheckStats

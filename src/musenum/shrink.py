@@ -13,8 +13,9 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet):
     constraint is dropped, otherwise it is critical and kept. Uses at most
     |seed \\ criticals| oracle checks.
 
-    Returns (mus, sat_discoveries) where sat_discoveries lists every subset
-    found satisfiable along the way.
+    Returns (mus, sat_discoveries) where sat_discoveries holds, for every
+    trial found satisfiable along the way, the oracle's witness: a satisfiable
+    superset of the trial.
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
@@ -23,7 +24,7 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet):
     for candidate in seed - criticals:
         trial = work.remove(candidate)
         if oracle.is_sat(trial):
-            discoveries.append(trial)
+            discoveries.append(oracle.witness)
         else:
             work = trial
     return work, discoveries

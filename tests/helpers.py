@@ -1,6 +1,9 @@
 """Frozen ground truth and helpers shared across the test suite."""
 
-from musenum import ConstraintSet, TableOracle
+import random
+
+from musenum import CnfOracle, ConstraintSet, TableOracle
+from musenum.reference import random_cnf
 
 # the four-constraint demo system over two variables:
 #   c1 = a, c2 = not a, c3 = b, c4 = (not a or not b)
@@ -37,3 +40,37 @@ def example1_table() -> TableOracle:
         statuses[cs(bits).mask] = sat
     assert None not in statuses
     return TableOracle(statuses)
+
+
+def small_unsat_cnfs(count: int, seed: int) -> list[tuple[int, list[list[int]]]]:
+    """(num_vars, clauses) of `count` unsatisfiable random 2- and 3-CNF formulas, n <= 14."""
+    rng = random.Random(seed)
+    formulas = []
+    while len(formulas) < count:
+        num_vars = rng.randint(2, 5)
+        clauses = random_cnf(num_vars, rng.randint(4, 14), rng.choice([2, 3]), rng.randrange(1 << 30))
+        if not CnfOracle(num_vars, clauses).is_sat(ConstraintSet.full(len(clauses))):
+            formulas.append((num_vars, clauses))
+    return formulas
+
+
+def assert_block_log_replays(result, verifier) -> None:
+    """Replay a run's block log against a fresh oracle.
+
+    Nothing may leave the map unless its status is implied by a completed
+    check: up-blocks are unsatisfiable sets; down-blocks are satisfiable sets
+    (the oracle's witnesses, which may reach beyond the sets it was asked
+    about), except a just-emitted MUS, whose proper subsets are all
+    satisfiable by minimality.
+    """
+    n = verifier.n
+    mus_masks = {m.mask for m in result.muses}
+    assert result.block_log
+    for kind, mask in result.block_log:
+        blocked = ConstraintSet(n, mask)
+        if kind == "up":
+            assert not verifier.is_sat(blocked)
+        elif mask in mus_masks:
+            assert all(verifier.is_sat(blocked.remove(i)) for i in blocked)
+        else:
+            assert verifier.is_sat(blocked)

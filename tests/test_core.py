@@ -135,4 +135,8 @@ def test_antichain_keeps_the_maximal_masks():
         maximal = {m for m in added if not any(m & o == m and m != o for o in added)}
         assert set(chain) == maximal
         for probe in range(1 << 6):
-            assert chain.covers(probe) == any(probe & m == probe for m in added)
+            cover = chain.covers(probe)
+            if cover is None:
+                assert not any(probe & m == probe for m in added)
+            else:
+                assert cover in chain and probe & cover == probe

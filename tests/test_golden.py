@@ -7,6 +7,13 @@ map's models are fixed by its clauses and assumption set (see
 musenum.satsolver), so a change to the solvers' search must leave every
 figure here as it is. A change that alters which model or
 MUS is found on purpose re-records them and says why.
+
+Each run is recorded twice. GOLDEN, GOLDEN_COUNTERS and BUDGET_STOPS run
+on an oracle whose witness is the query itself, as for any oracle that
+knows no larger satisfiable set (TableOracle), so the enumerators block
+only the sets they asked about. The WITNESS_ tables run on CnfOracle,
+which blocks the clause set of a model; they were recorded when the
+enumerators began to block the oracle's witness.
 """
 
 import hashlib
@@ -18,8 +25,17 @@ from musenum.reference import random_cnf
 
 RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
 
+
+class QueryWitnessCnfOracle(CnfOracle):
+    """CnfOracle whose witness is the query, not the clause set of a model."""
+
+    def _solve(self, s):
+        return None if super()._solve(s) is None else s.mask
+
+
 # (vars, clauses, seed) of random_cnf, MUS limit, algorithm,
-# oracle checks, map calls, MUSes, sha256 prefix of the MUS sequence
+# oracle checks, map calls, MUSes, sha256 prefix of the MUS sequence;
+# on QueryWitnessCnfOracle
 GOLDEN = [
     ((4, 16, 5), None, "remus", 641, 430, 48, "9665394022921e74"),
     ((4, 16, 5), None, "marco", 681, 57, 48, "704af43cea276b91"),
@@ -60,10 +76,48 @@ BUDGET_STOPS = [
     ((6, 24, 1), 200, "marco", 217, 12, 9, "502fa553e2383ffd", "5ee26ba220c3c8d9"),
 ]
 
+# as GOLDEN, GOLDEN_COUNTERS and BUDGET_STOPS, on CnfOracle
+WITNESS_GOLDEN = [
+    ((4, 16, 5), None, "remus", 598, 57, 48, "a9e97e57b99e26c7"),
+    ((4, 16, 5), None, "marco", 673, 49, 48, "704af43cea276b91"),
+    ((5, 22, 3), None, "remus", 883, 110, 56, "adcdd87974ae2ce6"),
+    ((5, 22, 3), None, "marco", 1037, 59, 56, "c54e9940f9d69e96"),
+    ((6, 24, 1), None, "remus", 590, 75, 34, "72afe07185a556eb"),
+    ((6, 24, 1), None, "marco", 724, 38, 34, "1d58988ed702b392"),
+    ((16, 80, 2), 8, "remus", 434, 32, 8, "c18b58218213fa94"),
+    ((16, 80, 2), 8, "marco", 637, 8, 8, "4981a1ae72c95929"),
+    ((20, 100, 1), 8, "remus", 514, 31, 8, "44e00e79275b9f33"),
+    ((20, 100, 1), 8, "marco", 795, 8, 8, "896d7ba410005ab2"),
+]
 
-def run(formula, algorithm, **config):
+WITNESS_GOLDEN_COUNTERS = [
+    "1c6aeadd3b50d8f5",
+    "b63c90e58111a065",
+    "ccc19c872af3ae94",
+    "f9244d087879bbf2",
+    "8547dc77b5cb72b1",
+    "8abb1a132a936719",
+    "04c88df36f600892",
+    "ca84236d1deb5f22",
+    "894c373446f66df2",
+    "6baca9e1a8ee962c",
+]
+
+WITNESS_BUDGET_STOPS = [
+    ((5, 22, 3), 50, "remus", 50, 10, 2, "eaf83872a9d58553", "328a53247da838aa"),
+    ((5, 22, 3), 50, "marco", 68, 4, 3, "4af6a7654773b1f6", "bfc873a065bed7fe"),
+    ((5, 22, 3), 200, "remus", 200, 33, 12, "41315fa973ffe464", "a5cf5cf8f106f1ca"),
+    ((5, 22, 3), 200, "marco", 209, 11, 10, "3cc28dd4c591e4d5", "eb1e5514c6f95316"),
+    ((6, 24, 1), 50, "remus", 65, 3, 3, "f890fcd85f928693", "aa362176a92392f3"),
+    ((6, 24, 1), 50, "marco", 50, 2, 2, "29f02501f905770f", "d1cd7dcaf31eaf9d"),
+    ((6, 24, 1), 200, "remus", 209, 26, 11, "f6b560c1fc15736c", "11c473e021d8500d"),
+    ((6, 24, 1), 200, "marco", 216, 11, 9, "502fa553e2383ffd", "8f7dd6c841262955"),
+]
+
+
+def run(formula, algorithm, oracle_class=QueryWitnessCnfOracle, **config):
     num_vars, num_clauses, seed = formula
-    oracle = CnfOracle(num_vars, random_cnf(num_vars, num_clauses, 3, seed))
+    oracle = oracle_class(num_vars, random_cnf(num_vars, num_clauses, 3, seed))
     return RUNNERS[algorithm](Instance(oracle), RemusConfig(**config))
 
 
@@ -79,20 +133,31 @@ def counters_digest(records) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def assert_enumeration(result, mus_limit, checks, map_calls, muses, digest):
+    assert result.complete == (mus_limit is None)
+    assert result.stats.oracle_checks == checks
+    assert result.stats.map_solver_calls == map_calls
+    assert len(result.records) == muses
+    assert sequence_digest(result.records) == digest
+
+
+def assert_budget_stop(result, checks, map_calls, muses, digest, counters):
+    assert not result.complete
+    assert result.stats.oracle_checks == checks
+    assert result.stats.map_solver_calls == map_calls
+    assert len(result.records) == muses
+    assert sequence_digest(result.records) == digest
+    assert counters_digest(result.records) == counters
+
+
 @pytest.mark.parametrize(
     "formula, mus_limit, algorithm, checks, map_calls, muses, digest", GOLDEN
 )
 def test_enumeration_matches_the_recorded_run(
     formula, mus_limit, algorithm, checks, map_calls, muses, digest
 ):
-    num_vars, num_clauses, seed = formula
-    oracle = CnfOracle(num_vars, random_cnf(num_vars, num_clauses, 3, seed))
-    result = RUNNERS[algorithm](Instance(oracle), RemusConfig(mus_limit=mus_limit))
-    assert result.complete == (mus_limit is None)
-    assert result.stats.oracle_checks == checks
-    assert result.stats.map_solver_calls == map_calls
-    assert len(result.records) == muses
-    assert sequence_digest(result.records) == digest
+    result = run(formula, algorithm, mus_limit=mus_limit)
+    assert_enumeration(result, mus_limit, checks, map_calls, muses, digest)
 
 
 @pytest.mark.parametrize(
@@ -112,9 +177,37 @@ def test_budget_stop_matches_the_recorded_run(
     formula, check_limit, algorithm, checks, map_calls, muses, digest, counters
 ):
     result = run(formula, algorithm, check_limit=check_limit)
-    assert not result.complete
-    assert result.stats.oracle_checks == checks
-    assert result.stats.map_solver_calls == map_calls
-    assert len(result.records) == muses
-    assert sequence_digest(result.records) == digest
-    assert counters_digest(result.records) == counters
+    assert_budget_stop(result, checks, map_calls, muses, digest, counters)
+
+
+@pytest.mark.parametrize(
+    "formula, mus_limit, algorithm, checks, map_calls, muses, digest", WITNESS_GOLDEN
+)
+def test_witness_enumeration_matches_the_recorded_run(
+    formula, mus_limit, algorithm, checks, map_calls, muses, digest
+):
+    result = run(formula, algorithm, CnfOracle, mus_limit=mus_limit)
+    assert_enumeration(result, mus_limit, checks, map_calls, muses, digest)
+
+
+@pytest.mark.parametrize(
+    "formula, mus_limit, algorithm, digest",
+    [
+        (row[0], row[1], row[2], digest)
+        for row, digest in zip(WITNESS_GOLDEN, WITNESS_GOLDEN_COUNTERS)
+    ],
+)
+def test_witness_per_mus_counters_match_the_recorded_run(formula, mus_limit, algorithm, digest):
+    result = run(formula, algorithm, CnfOracle, mus_limit=mus_limit)
+    assert counters_digest(result.records) == digest
+
+
+@pytest.mark.parametrize(
+    "formula, check_limit, algorithm, checks, map_calls, muses, digest, counters",
+    WITNESS_BUDGET_STOPS,
+)
+def test_witness_budget_stop_matches_the_recorded_run(
+    formula, check_limit, algorithm, checks, map_calls, muses, digest, counters
+):
+    result = run(formula, algorithm, CnfOracle, check_limit=check_limit)
+    assert_budget_stop(result, checks, map_calls, muses, digest, counters)

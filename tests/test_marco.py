@@ -15,7 +15,7 @@ from musenum import (
 )
 from musenum.reference import random_antichain, random_cnf, table_from_antichain
 
-from helpers import EXAMPLE1_DIMACS, EXAMPLE1_MUSES, bitsets
+from helpers import EXAMPLE1_DIMACS, EXAMPLE1_MUSES, assert_block_log_replays, bitsets, small_unsat_cnfs
 
 
 def test_example1_emits_both_muses_once():
@@ -83,13 +83,7 @@ def test_block_log_soundness():
         n = rng.randint(2, 8)
         antichain = random_antichain(n, rng)
         result = enumerate_marco(Instance(table_from_antichain(n, antichain)))
-        verifier = table_from_antichain(n, antichain)
-        mus_masks = {m.mask for m in result.muses}
-        for kind, mask in result.block_log:
-            blocked = ConstraintSet(n, mask)
-            if kind == "up":
-                assert not verifier.is_sat(blocked)
-            elif mask in mus_masks:
-                assert all(verifier.is_sat(blocked.remove(i)) for i in blocked)
-            else:
-                assert verifier.is_sat(blocked)
+        assert_block_log_replays(result, table_from_antichain(n, antichain))
+    for num_vars, clauses in small_unsat_cnfs(15, 913):
+        result = enumerate_marco(Instance(CnfOracle(num_vars, clauses)))
+        assert_block_log_replays(result, CnfOracle(num_vars, clauses))

@@ -102,6 +102,8 @@ def test_table_oracle_reproduces_example1():
     table = example1_table()
     for bits, expected in EXAMPLE1_STATUSES.items():
         assert table.is_sat(cs(bits)) == expected, bits
+        # a table knows no larger satisfiable set than the query
+        assert table.witness == (cs(bits) if expected else None), bits
 
 
 def test_all_sat_table_is_valid():
@@ -216,12 +218,17 @@ def test_cached_sat_answer_counts_as_a_check_without_a_solve(monkeypatch):
     )
     assert oracle.is_sat(cs("1110"))
     assert (oracle.checks, len(solves)) == (1, 1)
-    # the model of 1110 satisfies its clauses, so any subset is answered from it
+    stored = oracle.witness
+    assert cs("1110").is_subset_of(stored) and list(oracle._models) == [stored.mask]
+    # the model of 1110 satisfies its clauses, so any subset is answered from
+    # it, and the stored mask is the witness of each answer
     for bits in ("1100", "0110", "0010", "0000", "1110"):
         assert oracle.is_sat(cs(bits))
+        assert oracle.witness == stored
     assert (oracle.checks, len(solves)) == (6, 1)
     assert not oracle.is_sat(cs("1111"))  # UNSAT answers come from the solver
     assert (oracle.checks, len(solves)) == (7, 2)
+    assert oracle.witness is None
 
 
 @st.composite
@@ -248,6 +255,13 @@ def test_cnf_oracle_answers_match_truth_tables(case):
     for mask in queries:
         truth = any(mask & sat == mask for sat in satisfied)
         assert oracle.is_sat(ConstraintSet(n, mask)) == truth
+        # the witness is a satisfiable superset of a satisfiable query, else None
+        witness = oracle.witness
+        if not truth:
+            assert witness is None
+        else:
+            assert witness.n == n and mask & witness.mask == mask
+            assert any(witness.mask & sat == witness.mask for sat in satisfied)
     assert oracle.checks == len(queries)
 
 

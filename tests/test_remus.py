@@ -18,7 +18,15 @@ from musenum import (
 )
 from musenum.reference import random_antichain, random_cnf, table_from_antichain
 
-from helpers import EXAMPLE1_DIMACS, EXAMPLE1_MUSES, bitsets, cs, example1_table
+from helpers import (
+    EXAMPLE1_DIMACS,
+    EXAMPLE1_MUSES,
+    assert_block_log_replays,
+    bitsets,
+    cs,
+    example1_table,
+    small_unsat_cnfs,
+)
 
 RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
 
@@ -194,26 +202,27 @@ def test_criticals_are_kept_and_sound():
 
 
 def test_map_block_log_replays_soundly_against_the_oracle():
-    # nothing may leave the map unless its status is implied by a completed
-    # check: up-blocks are unsatisfiable sets; down-blocks are satisfiable
-    # sets, except a just-emitted MUS, whose proper subsets are all
-    # satisfiable by minimality
+    # a table's witness is the query itself; a CNF formula's witness is the
+    # clause set of a model, so its down-blocks reach beyond the queried sets
     rng = random.Random(821)
     for trial in range(25):
         n = rng.randint(2, 8)
         antichain = random_antichain(n, rng)
         result = enumerate_remus(Instance(table_from_antichain(n, antichain)))
-        verifier = table_from_antichain(n, antichain)
-        mus_masks = {m.mask for m in result.muses}
-        assert result.block_log
-        for kind, mask in result.block_log:
-            blocked = ConstraintSet(n, mask)
-            if kind == "up":
-                assert not verifier.is_sat(blocked)
-            elif mask in mus_masks:
-                assert all(verifier.is_sat(blocked.remove(i)) for i in blocked)
-            else:
-                assert verifier.is_sat(blocked)
+        assert_block_log_replays(result, table_from_antichain(n, antichain))
+    for num_vars, clauses in small_unsat_cnfs(15, 824):
+        result = enumerate_remus(Instance(CnfOracle(num_vars, clauses)))
+        assert_block_log_replays(result, CnfOracle(num_vars, clauses))
+
+
+@pytest.mark.parametrize("seed", [12, 13, 19, 46, 52])
+def test_remus_and_marco_agree_beyond_brute_force(seed):
+    # 30 clauses put brute force out of reach; each of these has 90-442 MUSes
+    clauses = random_cnf(7, 30, 3, seed)
+    results = [run(Instance(CnfOracle(7, clauses))) for run in RUNNERS.values()]
+    assert all(result.complete for result in results)
+    remus, marco = (set(result.muses) for result in results)
+    assert remus == marco and len(remus) == len(results[0].muses)
 
 
 def test_emitted_muses_match_bruteforce_on_random_corpora():

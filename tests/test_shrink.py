@@ -23,7 +23,8 @@ def test_known_critical_skips_its_check():
     mus, found_sat = shrink(oracle, cs("1100"), cs("1000"))
     assert mus == cs("1100")
     assert oracle.checks == 1  # only c2 was a candidate
-    assert found_sat == [cs("1000")]
+    # the witness of 1000: the clauses its model (a true, b false) satisfies
+    assert found_sat == [cs("1001")]
 
 
 def test_seed_that_is_already_minimal_with_all_criticals():
