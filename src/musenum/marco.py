@@ -28,4 +28,4 @@ def _search(session: Session) -> None:
             # maximal undetermined + satisfiable == maximal satisfiable == witness
             session.map.block_down(session.oracle.witness)
         else:
-            session.shrink_and_emit(s_max, no_criticals, 0)
+            session.shrink_and_emit(s_max, no_criticals, session.oracle.core, 0)

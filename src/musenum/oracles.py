@@ -25,12 +25,18 @@ class SatOracle:
     was satisfiable (the query itself unless the domain knows a larger one),
     and None when it was not. Blocking the witness rather than the query is
     sound, and lets an enumerator skip the larger set as well.
+
+    Dually, `core` is an unsatisfiable subset of the query when it was
+    unsatisfiable (the query itself unless the domain knows a smaller one),
+    and None when it was not. Every unsatisfiable subset of a set keeps that
+    set's critical constraints, so a shrink may continue from the core.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.checks = 0
         self.witness: ConstraintSet | None = None
+        self.core: ConstraintSet | None = None
 
     def is_sat(self, s: ConstraintSet) -> bool:
         if s.n != self.n:
@@ -38,12 +44,14 @@ class SatOracle:
                 f"set over universe {s.n}, oracle over universe {self.n}"
             )
         self.checks += 1
-        mask = self._solve(s)
-        self.witness = None if mask is None else ConstraintSet(self.n, mask)
-        return mask is not None
+        sat, mask = self._solve(s)
+        found = ConstraintSet(self.n, mask)
+        self.witness = found if sat else None
+        self.core = None if sat else found
+        return sat
 
-    def _solve(self, s: ConstraintSet) -> int | None:
-        """The mask of a satisfiable superset of s, or None if s is unsatisfiable."""
+    def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
+        """(True, mask of a satisfiable superset of s) or (False, mask of an unsatisfiable subset)."""
         raise NotImplementedError
 
 
@@ -63,7 +71,10 @@ class CnfOracle(SatOracle):
     another) and answers SAT for any subset inside one of them. UNSAT answers
     always come from the solver, and every query still counts as a check.
     The witness of a SAT answer is such a clause set: the stored one that
-    covers the query, or the one the new model satisfies.
+    covers the query, or the one the new model satisfies. The core of an
+    UNSAT answer is the set of clauses whose selectors are among the solver's
+    failed assumptions; no clause holds a selector positively, so only
+    assumed-true selectors can occur there.
     """
 
     def __init__(self, num_vars: int, clauses):
@@ -83,20 +94,24 @@ class CnfOracle(SatOracle):
         self._models = Antichain()  # satisfied-clause masks of earlier models
         self._satisfies: list[list[int]] = []  # per variable: [if true, if false]
 
-    def _solve(self, s: ConstraintSet) -> int | None:
+    def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
         mask = s.mask
         cover = self._models.covers(mask)
         if cover is not None:
-            return cover
+            return True, cover
         base = self.num_vars + 1
         assumptions = [
             (base + i) if mask >> i & 1 else -(base + i) for i in range(self.n)
         ]
         if not self._solver.solve(assumptions):
-            return None
+            core = 0
+            for lit in self._solver.failed_assumptions():
+                if lit > 0:
+                    core |= 1 << (lit - base)
+            return False, core
         satisfied = self._satisfied_by(self._solver.model_mask)
         self._models.add(satisfied)
-        return satisfied
+        return True, satisfied
 
     def _satisfied_by(self, model: int) -> int:
         """Mask of the clauses the model's values of the formula's variables satisfy."""
@@ -142,8 +157,8 @@ class TableOracle(SatOracle):
         super().__init__(n)
         self._table = table
 
-    def _solve(self, s: ConstraintSet) -> int | None:
-        return s.mask if self._table[s.mask] else None
+    def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
+        return self._table[s.mask], s.mask
 
 
 def parse_dimacs(text) -> CnfOracle:

@@ -80,7 +80,7 @@ def _find_muses(session: Session, s: ConstraintSet, criticals: ConstraintSet, de
                 for c in s_mcs:
                     _find_muses(session, s_max.add(c), criticals.add(c), depth + 1)
         else:
-            mus = session.shrink_and_emit(s_max, criticals, depth)
+            mus = session.shrink_and_emit(s_max, criticals, session.oracle.core, depth)
             if mus != s_max:
                 p = choose_p(mus, s_max, session.config.reduction_factor)
                 if p is not None:

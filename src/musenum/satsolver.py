@@ -14,6 +14,12 @@ backtracks only to the last assumption level and a failed assumption leaves
 the trail as it is. Clauses added above level 0 keep the trail when two of
 their literals are unfalsified.
 
+Failed assumptions: after a solve answers UNSAT, `failed_assumptions()`
+names assumptions whose conjunction with the clauses is already UNSAT, found
+by walking the kept trail back from the falsified assumption along reason
+clauses (MiniSat's analyzeFinal). It is computed on demand, so callers that
+do not ask pay nothing, and is valid until the next `solve` or `add_clause`.
+
 Model invariant: a SAT answer's model is the first model of the clauses and
 the assumptions in branching order, which tries variables from the lowest
 index up and prefers `default_phase`. Learnt clauses, the kept trail and the
@@ -43,6 +49,7 @@ class SatSolver:
         self._qhead = 0
         self._assumed: list[int] = []  # assumption i was decided at level i + 1
         self._model_mask: int | None = None
+        self._failed: int | None = None  # after UNSAT: the false assumption, or 0
         for _ in range(num_vars):
             self.new_var()
 
@@ -78,6 +85,7 @@ class SatSolver:
         nothing was stored (a unit, a tautology, a clause satisfied at level 0,
         an empty clause, or a solver that is already unsat).
         """
+        self._failed = None
         if not self.ok:
             return None
         level = self._level
@@ -152,6 +160,7 @@ class SatSolver:
         are kept; see the module docstring for the model this returns.
         """
         self._model_mask = None
+        self._failed = 0
         if not self.ok:
             return False
         assume = list(assumptions)
@@ -190,6 +199,7 @@ class SatSolver:
                     self._lim.append(len(self._trail))  # placeholder level
                     continue
                 if val == -1:
+                    self._failed = lit
                     return False
                 self._lim.append(len(self._trail))
                 self._enqueue(lit, None)
@@ -197,11 +207,48 @@ class SatSolver:
             try:
                 branch_var = assign.index(0, 1)
             except ValueError:  # no variable is free
+                self._failed = None
                 self._save_model()
                 self._backtrack(len(assume))
                 return True
             self._lim.append(len(self._trail))
             self._enqueue(branch_var if self.default_phase else -branch_var, None)
+
+    def failed_assumptions(self) -> list[int]:
+        """A subset of the last solve's assumptions that the clauses refute on their own.
+
+        Valid after an UNSAT answer until the next `solve` or `add_clause`. The
+        list holds the assumption found false and every assumption its
+        negation was derived from; it is empty when the clauses are UNSAT
+        without assumptions.
+        """
+        failed = self._failed
+        if failed is None:
+            raise RuntimeError("no failed assumptions; last solve was sat or never ran")
+        if not failed:
+            return []
+        out = [failed]
+        level = self._level
+        if level[abs(failed)] == 0:
+            return out
+        reason = self._reason
+        trail = self._trail
+        seen = bytearray(self.num_vars + 1)
+        seen[abs(failed)] = 1
+        for idx in range(len(trail) - 1, self._lim[0] - 1, -1):
+            lit = trail[idx]
+            v = lit if lit > 0 else -lit
+            if not seen[v]:
+                continue
+            clause = reason[v]
+            if clause is None:  # every decision so far is an assumption
+                out.append(lit)
+                continue
+            for other in clause[1:]:
+                w = other if other > 0 else -other
+                if level[w] > 0:
+                    seen[w] = 1
+        return out
 
     def _enqueue(self, lit: int, reason) -> None:
         v = lit if lit > 0 else -lit

@@ -117,11 +117,18 @@ class Session:
         if limit is not None and len(per_mus) >= limit:
             raise BudgetReached
 
-    def shrink_and_emit(self, seed: ConstraintSet, criticals: ConstraintSet, depth: int) -> ConstraintSet:
-        """Shrink an unsatisfiable seed, emit its MUS and block what was learnt (see feed_map)."""
+    def shrink_and_emit(
+        self, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet, depth: int
+    ) -> ConstraintSet:
+        """Shrink an unsatisfiable seed, emit its MUS and block what was learnt (see feed_map).
+
+        The seed is the set the enumerator chose and found unsatisfiable, and
+        the shrink log records it; `core` is the oracle's core of that check,
+        the unsatisfiable subset of the seed that the shrink starts from.
+        """
         self.check_budget()
         before = self.oracle_checks()
-        mus, discoveries = shrink(self.oracle, seed, criticals)
+        mus, discoveries = shrink(self.oracle, seed, criticals, core)
         self.stats.shrink_log.append(ShrinkCall(seed, criticals, self.oracle_checks() - before))
         self.emit(mus, depth)
         self.check_budget()

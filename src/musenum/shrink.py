@@ -5,13 +5,19 @@ from __future__ import annotations
 from .core import ConstraintSet, PreconditionError
 
 
-def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet):
+def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet | None = None):
     """Minimize an unsatisfiable seed without ever dropping known criticals.
 
-    Candidates in seed \\ criticals are tried in ascending index order against
-    the current working set: if removal leaves the set unsatisfiable the
-    constraint is dropped, otherwise it is critical and kept. Uses at most
-    |seed \\ criticals| oracle checks.
+    The working set starts as `core`, the unsatisfiable subset of the seed
+    that the caller's own check of the seed returned (the seed itself when
+    None). Its members outside the criticals are tried in ascending index
+    order, skipping those no longer in the working set: if removal leaves the
+    set satisfiable the constraint is critical and kept, otherwise the working
+    set jumps to the oracle's core of that trial (clause-set refinement),
+    which may drop several candidates at once. A core keeps every critical,
+    since removing a critical leaves a satisfiable set, so the result is a
+    MUS of the seed. Uses at most |core \\ criticals| <= |seed \\ criticals|
+    oracle checks.
 
     Returns (mus, sat_discoveries) where sat_discoveries holds, for every
     trial found satisfiable along the way, the oracle's witness: a satisfiable
@@ -19,12 +25,13 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet):
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
-    work = seed
+    work = seed if core is None else core
     discoveries: list[ConstraintSet] = []
-    for candidate in seed - criticals:
-        trial = work.remove(candidate)
-        if oracle.is_sat(trial):
+    for candidate in work - criticals:
+        if candidate not in work:
+            continue
+        if oracle.is_sat(work.remove(candidate)):
             discoveries.append(oracle.witness)
         else:
-            work = trial
+            work = oracle.core
     return work, discoveries

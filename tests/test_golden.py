@@ -8,12 +8,18 @@ musenum.satsolver), so a change to the solvers' search must leave every
 figure here as it is. A change that alters which model or
 MUS is found on purpose re-records them and says why.
 
-Each run is recorded twice. GOLDEN, GOLDEN_COUNTERS and BUDGET_STOPS run
-on an oracle whose witness is the query itself, as for any oracle that
-knows no larger satisfiable set (TableOracle), so the enumerators block
-only the sets they asked about. The WITNESS_ tables run on CnfOracle,
-which blocks the clause set of a model; they were recorded when the
-enumerators began to block the oracle's witness.
+Each run is recorded three times, on oracles that know more and more
+beyond the query. GOLDEN, GOLDEN_COUNTERS and BUDGET_STOPS run on an oracle
+whose witness and core are the query itself, as for any oracle that knows
+no larger satisfiable and no smaller unsatisfiable set (TableOracle), so
+the enumerators block only the sets they asked about and shrink deletes one
+constraint at a time. The WITNESS_ tables run on an oracle whose witness is
+the clause set of a model and whose core is the query; they were recorded
+when the enumerators began to block the oracle's witness. The CORE_ tables
+run on CnfOracle itself, whose core is the set of clauses in the solver's
+failed assumptions; they were recorded when shrink began to jump to cores,
+and their test ids name the run, not its figures, so that a re-recording
+keeps them.
 """
 
 import hashlib
@@ -26,16 +32,24 @@ from musenum.reference import random_cnf
 RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
 
 
-class QueryWitnessCnfOracle(CnfOracle):
-    """CnfOracle whose witness is the query, not the clause set of a model."""
+class QueryCnfOracle(CnfOracle):
+    """CnfOracle that knows only the query: its witness and its core are the query."""
 
     def _solve(self, s):
-        return None if super()._solve(s) is None else s.mask
+        return super()._solve(s)[0], s.mask
+
+
+class QueryCoreCnfOracle(CnfOracle):
+    """CnfOracle whose core is the query; its witness is still a model's clause set."""
+
+    def _solve(self, s):
+        sat, mask = super()._solve(s)
+        return sat, mask if sat else s.mask
 
 
 # (vars, clauses, seed) of random_cnf, MUS limit, algorithm,
 # oracle checks, map calls, MUSes, sha256 prefix of the MUS sequence;
-# on QueryWitnessCnfOracle
+# on QueryCnfOracle
 GOLDEN = [
     ((4, 16, 5), None, "remus", 641, 430, 48, "9665394022921e74"),
     ((4, 16, 5), None, "marco", 681, 57, 48, "704af43cea276b91"),
@@ -76,7 +90,7 @@ BUDGET_STOPS = [
     ((6, 24, 1), 200, "marco", 217, 12, 9, "502fa553e2383ffd", "5ee26ba220c3c8d9"),
 ]
 
-# as GOLDEN, GOLDEN_COUNTERS and BUDGET_STOPS, on CnfOracle
+# as GOLDEN, GOLDEN_COUNTERS and BUDGET_STOPS, on QueryCoreCnfOracle
 WITNESS_GOLDEN = [
     ((4, 16, 5), None, "remus", 598, 57, 48, "a9e97e57b99e26c7"),
     ((4, 16, 5), None, "marco", 673, 49, 48, "704af43cea276b91"),
@@ -114,8 +128,38 @@ WITNESS_BUDGET_STOPS = [
     ((6, 24, 1), 200, "marco", 216, 11, 9, "502fa553e2383ffd", "8f7dd6c841262955"),
 ]
 
+# as GOLDEN plus the per-MUS counters digest, and as BUDGET_STOPS, on CnfOracle
+CORE_GOLDEN = [
+    ((4, 16, 5), None, "remus", 529, 58, 48, "e33ed99513b3601d", "6c16a657c89c7c63"),
+    ((4, 16, 5), None, "marco", 529, 49, 48, "c50e2570b530a0f6", "a9b9bf87b57ea16d"),
+    ((5, 22, 3), None, "remus", 615, 113, 56, "1c5b59fed9f3b032", "32b1866cf3fb8b20"),
+    ((5, 22, 3), None, "marco", 642, 60, 56, "bd69c2a37d8c2143", "5e2c00bafee4d194"),
+    ((6, 24, 1), None, "remus", 400, 83, 34, "6f8366757f420e80", "2ec2c499d9826d7c"),
+    ((6, 24, 1), None, "marco", 464, 40, 34, "8e3748c14ba99f89", "d57d029d6915f54f"),
+    ((16, 80, 2), 8, "remus", 230, 29, 8, "35d9a894d3b52ca7", "b99de650ed29c868"),
+    ((16, 80, 2), 8, "marco", 268, 9, 8, "e4ed43ff8ee15e7c", "b683fb73325e4fd4"),
+    ((20, 100, 1), 8, "remus", 267, 42, 8, "a2877bfa15f50c6f", "1728f0fc0417e635"),
+    ((20, 100, 1), 8, "marco", 285, 9, 8, "5d20894308f5e5b6", "2fccb9a013fa6fdb"),
+]
 
-def run(formula, algorithm, oracle_class=QueryWitnessCnfOracle, **config):
+CORE_BUDGET_STOPS = [
+    ((5, 22, 3), 50, "remus", 58, 12, 5, "ea26f11faf68cf74", "37fcea4eea50ba2b"),
+    ((5, 22, 3), 50, "marco", 57, 7, 5, "1c0a3bdaca0eac3b", "8afabf70146e7faf"),
+    ((5, 22, 3), 200, "remus", 204, 35, 19, "3e8ce3d93669fb8c", "02e148acdb293422"),
+    ((5, 22, 3), 200, "marco", 202, 21, 18, "867aa97a19feca90", "cfe7fddb62c3adae"),
+    ((6, 24, 1), 50, "remus", 56, 11, 5, "84efd2841ad45743", "a93d446296f35bbf"),
+    ((6, 24, 1), 50, "marco", 59, 8, 4, "6f542b4d6a1ccedc", "d559947535c18c51"),
+    ((6, 24, 1), 200, "remus", 200, 46, 19, "26bdf7eab6cb4a9c", "2758385fd0c1db61"),
+    ((6, 24, 1), 200, "marco", 208, 19, 15, "547a39bc26c306bf", "18f02ae8c1aa0163"),
+]
+
+
+def run_id(row) -> str:
+    """Test id from a row's formula, limit and algorithm: "5-22-3-200-marco"."""
+    return "-".join(map(str, (*row[0], row[1], row[2])))
+
+
+def run(formula, algorithm, oracle_class=QueryCnfOracle, **config):
     num_vars, num_clauses, seed = formula
     oracle = oracle_class(num_vars, random_cnf(num_vars, num_clauses, 3, seed))
     return RUNNERS[algorithm](Instance(oracle), RemusConfig(**config))
@@ -186,7 +230,7 @@ def test_budget_stop_matches_the_recorded_run(
 def test_witness_enumeration_matches_the_recorded_run(
     formula, mus_limit, algorithm, checks, map_calls, muses, digest
 ):
-    result = run(formula, algorithm, CnfOracle, mus_limit=mus_limit)
+    result = run(formula, algorithm, QueryCoreCnfOracle, mus_limit=mus_limit)
     assert_enumeration(result, mus_limit, checks, map_calls, muses, digest)
 
 
@@ -198,7 +242,7 @@ def test_witness_enumeration_matches_the_recorded_run(
     ],
 )
 def test_witness_per_mus_counters_match_the_recorded_run(formula, mus_limit, algorithm, digest):
-    result = run(formula, algorithm, CnfOracle, mus_limit=mus_limit)
+    result = run(formula, algorithm, QueryCoreCnfOracle, mus_limit=mus_limit)
     assert counters_digest(result.records) == digest
 
 
@@ -207,6 +251,31 @@ def test_witness_per_mus_counters_match_the_recorded_run(formula, mus_limit, alg
     WITNESS_BUDGET_STOPS,
 )
 def test_witness_budget_stop_matches_the_recorded_run(
+    formula, check_limit, algorithm, checks, map_calls, muses, digest, counters
+):
+    result = run(formula, algorithm, QueryCoreCnfOracle, check_limit=check_limit)
+    assert_budget_stop(result, checks, map_calls, muses, digest, counters)
+
+
+@pytest.mark.parametrize(
+    "formula, mus_limit, algorithm, checks, map_calls, muses, digest, counters",
+    CORE_GOLDEN,
+    ids=map(run_id, CORE_GOLDEN),
+)
+def test_core_enumeration_matches_the_recorded_run(
+    formula, mus_limit, algorithm, checks, map_calls, muses, digest, counters
+):
+    result = run(formula, algorithm, CnfOracle, mus_limit=mus_limit)
+    assert_enumeration(result, mus_limit, checks, map_calls, muses, digest)
+    assert counters_digest(result.records) == counters
+
+
+@pytest.mark.parametrize(
+    "formula, check_limit, algorithm, checks, map_calls, muses, digest, counters",
+    CORE_BUDGET_STOPS,
+    ids=map(run_id, CORE_BUDGET_STOPS),
+)
+def test_core_budget_stop_matches_the_recorded_run(
     formula, check_limit, algorithm, checks, map_calls, muses, digest, counters
 ):
     result = run(formula, algorithm, CnfOracle, check_limit=check_limit)

@@ -102,8 +102,9 @@ def test_table_oracle_reproduces_example1():
     table = example1_table()
     for bits, expected in EXAMPLE1_STATUSES.items():
         assert table.is_sat(cs(bits)) == expected, bits
-        # a table knows no larger satisfiable set than the query
+        # a table knows no larger satisfiable and no smaller unsatisfiable set
         assert table.witness == (cs(bits) if expected else None), bits
+        assert table.core == (None if expected else cs(bits)), bits
 
 
 def test_all_sat_table_is_valid():
@@ -178,7 +179,8 @@ def test_cnf_monotonicity_on_random_instances():
 def test_selector_checks_agree_with_fresh_solves():
     # SAT answers may come from earlier models' clause sets, so each formula is
     # queried in ascending, descending and shuffled order on a new oracle each
-    # time, which interleaves answers from the cache and from the solver.
+    # time, which interleaves answers from the cache and from the solver; the
+    # solver keeps its trail across them, from which each core is read.
     rng = random.Random(73)
     formulas = []
     for trial in range(15):
@@ -206,7 +208,12 @@ def test_selector_checks_agree_with_fresh_solves():
         for order in (range(1 << n), range((1 << n) - 1, -1, -1), shuffled):
             oracle = CnfOracle(num_vars, clauses)
             for mask in order:
-                assert oracle.is_sat(ConstraintSet(n, mask)) == expected[mask], (clauses, mask)
+                sat = oracle.is_sat(ConstraintSet(n, mask))
+                assert sat == expected[mask], (clauses, mask)
+                # an UNSAT answer's core lies inside the query and is UNSAT
+                core = oracle.core
+                assert (core is None) == sat
+                assert sat or (core.mask & mask == core.mask and not expected[core.mask])
 
 
 def test_cached_sat_answer_counts_as_a_check_without_a_solve(monkeypatch):
@@ -235,12 +242,14 @@ def test_cached_sat_answer_counts_as_a_check_without_a_solve(monkeypatch):
 def cnf_and_queries(draw):
     num_vars = draw(st.integers(1, 6))
     literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from((v, -v)))
-    clauses = draw(st.lists(st.lists(literal, max_size=3), min_size=1, max_size=10))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3), min_size=1, max_size=10))
     queries = draw(st.lists(st.integers(0, (1 << len(clauses)) - 1), max_size=40))
     return num_vars, clauses, queries
 
 
-@settings(deadline=None, derandomize=True)
+# clauses are non-empty and examples many, so that UNSAT queries fail above
+# decision level 0 (about 120 do) and reach the solver's core analysis
+@settings(deadline=None, derandomize=True, max_examples=300)
 @given(cnf_and_queries())
 def test_cnf_oracle_answers_match_truth_tables(case):
     num_vars, clauses, queries = case
@@ -255,11 +264,15 @@ def test_cnf_oracle_answers_match_truth_tables(case):
     for mask in queries:
         truth = any(mask & sat == mask for sat in satisfied)
         assert oracle.is_sat(ConstraintSet(n, mask)) == truth
-        # the witness is a satisfiable superset of a satisfiable query, else None
-        witness = oracle.witness
+        # the witness is a satisfiable superset of a satisfiable query, else
+        # None; the core is an unsatisfiable subset of an unsatisfiable one
+        witness, core = oracle.witness, oracle.core
         if not truth:
             assert witness is None
+            assert core.n == n and core.mask & mask == core.mask
+            assert not any(core.mask & sat == core.mask for sat in satisfied)
         else:
+            assert core is None
             assert witness.n == n and mask & witness.mask == mask
             assert any(witness.mask & sat == witness.mask for sat in satisfied)
     assert oracle.checks == len(queries)

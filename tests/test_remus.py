@@ -56,13 +56,13 @@ def test_satisfiable_instance_is_rejected():
 
 
 def test_first_shrink_starts_from_the_full_universe():
-    # fresh map: the first maximal undetermined subset is the whole set, the
-    # found MUS has 3 of 4 constraints, so the reduction step cannot recurse
+    # fresh map: the first maximal undetermined subset is the whole set; the
+    # core of its check is {c1, c2}, already a MUS, so shrink starts there
     result = enumerate_remus(Instance(parse_dimacs(EXAMPLE1_DIMACS)))
     first = result.stats.shrink_log[0]
     assert first.seed == ConstraintSet.full(4)
     assert first.criticals == ConstraintSet.empty(4)
-    assert result.records[0].mus == cs("1011")
+    assert result.records[0].mus == cs("1100")
     assert result.records[0].depth == 0
 
 

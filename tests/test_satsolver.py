@@ -89,6 +89,7 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
     rng = random.Random(7)
     kept_trail_clauses = 0
     removed = 0
+    cores = smaller = 0
     for _ in range(300):
         num_vars = rng.randint(1, 8)
         phase = rng.random() < 0.5
@@ -111,6 +112,13 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
             assert solver.solve(assumptions) == (want is not None)
             if want is not None:
                 assert solver.model_mask == want
+            else:
+                # the failed assumptions alone refute the live clauses
+                failed = solver.failed_assumptions()
+                assert set(failed) <= set(assumptions)
+                assert not brute_force_sat(num_vars, clauses, failed)
+                cores += 1
+                smaller += len(set(failed)) < len(set(assumptions))
             removable = [k for k, (_, handle) in enumerate(stored) if handle is not None]
             if removable and rng.random() < 0.5:
                 # replace a stored clause by a clause made of some of its literals
@@ -129,6 +137,7 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
             stored.append((extra, solver.add_clause(list(extra))))
     assert kept_trail_clauses > 300
     assert removed > 200
+    assert cores > 300 and smaller > 250
 
 
 def test_default_phase_biases_model():
@@ -141,8 +150,9 @@ def test_default_phase_biases_model():
 def test_empty_clause_is_permanent_unsat():
     solver = SatSolver(3)
     solver.add_clause([])
-    assert not solver.solve()
+    assert not solver.solve([1])
     assert not solver.ok
+    assert solver.failed_assumptions() == []
 
 
 def test_tautology_and_duplicate_literals():
@@ -192,3 +202,7 @@ def test_model_unavailable_after_unsat():
     assert not solver.solve([-1])
     with pytest.raises(RuntimeError):
         _ = solver.model_mask
+    assert solver.failed_assumptions() == [-1]  # refuted by a level-0 unit
+    assert solver.solve()
+    with pytest.raises(RuntimeError):
+        solver.failed_assumptions()

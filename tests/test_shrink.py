@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from musenum import ConstraintSet, PreconditionError, is_mus, parse_dimacs, shrink
+from musenum import CnfOracle, ConstraintSet, PreconditionError, is_mus, parse_dimacs, shrink
 from musenum.reference import random_antichain, table_from_antichain
 
 from helpers import EXAMPLE1_DIMACS, cs, example1_table
@@ -25,6 +25,25 @@ def test_known_critical_skips_its_check():
     assert oracle.checks == 1  # only c2 was a candidate
     # the witness of 1000: the clauses its model (a true, b false) satisfies
     assert found_sat == [cs("1001")]
+
+
+def test_unsat_trial_jumps_to_its_core():
+    # MUSes {c1,c2,c4}, {c1,c3,c5}, {c1,c6,c7}; c1 is critical for the full set
+    oracle = CnfOracle(4, [[1], [-1, 2], [-1, 3], [-2], [-3], [-1, 4], [-4]])
+    seed, criticals = ConstraintSet.full(7), cs("1000000")
+    mus, found_sat = shrink(oracle, seed, criticals)
+    # dropping c2 leaves c3 and c5 refuting a, so the trial's core drops
+    # c4, c6 and c7 with it; only c3 and c5 are tried after that
+    assert mus == cs("1010100")
+    assert criticals.is_subset_of(mus)
+    assert oracle.checks == 3 < len(seed - criticals)
+    assert len(found_sat) == 2
+    # started from the core of the seed's own check, shrink tries only its members
+    assert not oracle.is_sat(seed)
+    assert oracle.core == cs("1101000")
+    mus, _ = shrink(oracle, seed, criticals, oracle.core)
+    assert mus == cs("1101000")
+    assert oracle.checks == 4 + 2
 
 
 def test_seed_that_is_already_minimal_with_all_criticals():
