@@ -30,6 +30,12 @@ class SatOracle:
     unsatisfiable (the query itself unless the domain knows a smaller one),
     and None when it was not. Every unsatisfiable subset of a set keeps that
     set's critical constraints, so a shrink may continue from the core.
+
+    After a SAT answer to `work - {critical}` where `work` is unsatisfiable,
+    `rotate(work, critical)` may name further constraints of `work` that the
+    same answer proves critical, each with a satisfiable superset of `work`
+    without it. It evaluates constraints under what the answer already
+    found and makes no check; the base class names none.
     """
 
     def __init__(self, n: int):
@@ -54,6 +60,17 @@ class SatOracle:
         """(True, mask of a satisfiable superset of s) or (False, mask of an unsatisfiable subset)."""
         raise NotImplementedError
 
+    def rotate(
+        self, work: ConstraintSet, critical: int, known: ConstraintSet | None = None
+    ) -> list[tuple[int, ConstraintSet]]:
+        """Pairs (d, witness): d in work is critical for it, witness is satisfiable and holds work - {d}.
+
+        Valid right after a SAT answer to `work - {critical}`, with work
+        unsatisfiable. Neither `critical` nor a member of `known` (constraints
+        the caller already knows to be critical) is named.
+        """
+        return []
+
 
 class CnfOracle(SatOracle):
     """Boolean-CNF domain: constraint i is the i-th clause of a CNF formula.
@@ -75,6 +92,18 @@ class CnfOracle(SatOracle):
     UNSAT answer is the set of clauses whose selectors are among the solver's
     failed assumptions; no clause holds a selector positively, so only
     assumed-true selectors can occur there.
+
+    Each stored clause set keeps its model (the formula's variables only), so
+    every SAT answer, cached or solved, has one. Rotation (recursive model
+    rotation; Belov & Marques-Silva, FMCAD 2011) starts from that model M,
+    which satisfies work - {c} and falsifies c. Flipping one variable of c
+    satisfies c; if it falsifies exactly one clause d of work, d is critical
+    and the flipped model's clause set is its witness, and rotation goes on
+    from there. It goes on through clauses already known to be critical
+    (Wieringa, CP 2012) without naming them, visits each clause at most once
+    per call, and stops once every other clause of work is named or known.
+    One pass over the variables per model finds the clauses with at least
+    one and with at least two true literals; every flip is read from those.
     """
 
     def __init__(self, num_vars: int, clauses):
@@ -91,13 +120,15 @@ class CnfOracle(SatOracle):
         self._solver = SatSolver(num_vars + self.n)
         for i, cl in enumerate(clauses):
             self._solver.add_clause(cl + [-(num_vars + 1 + i)])
-        self._models = Antichain()  # satisfied-clause masks of earlier models
+        self._models = Antichain()  # satisfied-clause masks of earlier models -> the models
+        self._model = 0  # the model of the last SAT answer
         self._satisfies: list[list[int]] = []  # per variable: [if true, if false]
 
     def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
         mask = s.mask
         cover = self._models.covers(mask)
         if cover is not None:
+            self._model = self._models[cover]
             return True, cover
         base = self.num_vars + 1
         assumptions = [
@@ -109,22 +140,52 @@ class CnfOracle(SatOracle):
                 if lit > 0:
                     core |= 1 << (lit - base)
             return False, core
-        satisfied = self._satisfied_by(self._solver.model_mask)
-        self._models.add(satisfied)
+        model = self._solver.model_mask & ((1 << self.num_vars) - 1)
+        satisfied, _ = self._true_in(model)
+        self._models.add(satisfied)  # no stored set covers it, since none covers the query
+        self._models[satisfied] = self._model = model
         return True, satisfied
 
-    def _satisfied_by(self, model: int) -> int:
-        """Mask of the clauses the model's values of the formula's variables satisfy."""
+    def _true_in(self, model: int) -> tuple[int, int]:
+        """Masks of the clauses with at least one, and with at least two, variables true under the model."""
         if not self._satisfies:  # built here, so constructing an oracle pays nothing for it
             self._satisfies = [[0, 0] for _ in range(self.num_vars)]
             for i, cl in enumerate(self.clauses):
                 for lit in cl:
                     self._satisfies[abs(lit) - 1][lit < 0] |= 1 << i
-        sat = 0
+        once = twice = 0
         for t, f in self._satisfies:
-            sat |= t if model & 1 else f
+            true = t if model & 1 else f
+            twice |= once & true
+            once |= true
             model >>= 1
-        return sat
+        return once, twice
+
+    def rotate(
+        self, work: ConstraintSet, critical: int, known: ConstraintSet | None = None
+    ) -> list[tuple[int, ConstraintSet]]:
+        n = self.n
+        wanted = work.mask & ~(1 << critical) & ~(known.mask if known else 0)
+        found = []
+        seen = 1 << critical
+        stack = [(self._model, critical)]
+        while stack and wanted & ~seen:
+            model, c = stack.pop()
+            once, twice = self._true_in(model)
+            for lit in self.clauses[c]:
+                v = abs(lit) - 1
+                t, f = self._satisfies[v]
+                now, flipped = (t, f) if model >> v & 1 else (f, t)
+                lost = now & ~(twice | flipped)  # clauses whose only true variable is v
+                falsified = work.mask & lost
+                if falsified & (falsified - 1) or not falsified & ~seen:
+                    continue  # not exactly one clause of work, or one seen already
+                seen |= falsified
+                d = falsified.bit_length() - 1
+                if falsified & wanted:
+                    found.append((d, ConstraintSet(n, once & ~lost | flipped)))
+                stack.append((model ^ (1 << v), d))
+        return found
 
 
 class TableOracle(SatOracle):

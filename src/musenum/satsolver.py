@@ -29,7 +29,10 @@ A caller removes only clauses implied by the clauses that stay, so removal
 leaves the set of models, and with it every later model, unchanged.
 
 Variables are the integers 1..num_vars, literals are signed integers, and
-clauses are lists of literals.
+clauses are lists of literals. Values are stored per literal in one list
+laid out as [0, v1..vn, -vn..-v1], so Python's negative indexing finds a
+negative literal's entry and `_val[lit]` is the literal's value with no sign
+test; assigning a variable writes both of its literals.
 """
 
 from __future__ import annotations
@@ -37,36 +40,27 @@ from __future__ import annotations
 
 class SatSolver:
     def __init__(self, num_vars: int = 0, default_phase: bool = False):
-        self.num_vars = 0
+        self.num_vars = num_vars
         self.default_phase = default_phase
         self.ok = True  # becomes False once the formula is unsat without assumptions
-        self._assign: list[int] = [0]  # per variable: 0 free, 1 true, -1 false
-        self._level: list[int] = [0]
-        self._reason: list = [None]
+        # per literal: 1 true, -1 false, 0 unassigned; layout [0, v1..vn, -vn..-v1]
+        self._val: list[int] = [0] * (2 * num_vars + 1)
+        self._level: list[int] = [0] * (num_vars + 1)
+        self._reason: list = [None] * (num_vars + 1)
         self._watches: dict[int, list] = {}
+        for v in range(1, num_vars + 1):
+            self._watches[v] = []
+            self._watches[-v] = []
         self._trail: list[int] = []
         self._lim: list[int] = []  # trail length at the start of each decision level
         self._qhead = 0
         self._assumed: list[int] = []  # assumption i was decided at level i + 1
         self._model_mask: int | None = None
         self._failed: int | None = None  # after UNSAT: the false assumption, or 0
-        for _ in range(num_vars):
-            self.new_var()
-
-    def new_var(self) -> int:
-        self.num_vars += 1
-        v = self.num_vars
-        self._assign.append(0)
-        self._level.append(0)
-        self._reason.append(None)
-        self._watches[v] = []
-        self._watches[-v] = []
-        return v
 
     def value(self, lit: int) -> int:
         """Value of a literal on the kept trail: 1 true, -1 false, 0 unassigned."""
-        v = self._assign[lit if lit > 0 else -lit]
-        return v if lit > 0 else -v
+        return self._val[lit]
 
     @property
     def model_mask(self) -> int:
@@ -175,7 +169,7 @@ class SatSolver:
             kept += 1
         self._backtrack(kept)
         self._assumed = assume
-        assign = self._assign
+        val = self._val
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -194,18 +188,17 @@ class SatSolver:
             level = len(self._lim)
             if level < len(assume):
                 lit = assume[level]
-                val = self.value(lit)
-                if val == 1:
+                if val[lit] == 1:
                     self._lim.append(len(self._trail))  # placeholder level
                     continue
-                if val == -1:
+                if val[lit] == -1:
                     self._failed = lit
                     return False
                 self._lim.append(len(self._trail))
                 self._enqueue(lit, None)
                 continue
             try:
-                branch_var = assign.index(0, 1)
+                branch_var = val.index(0, 1, n + 1)
             except ValueError:  # no variable is free
                 self._failed = None
                 self._save_model()
@@ -251,8 +244,9 @@ class SatSolver:
         return out
 
     def _enqueue(self, lit: int, reason) -> None:
+        self._val[lit] = 1
+        self._val[-lit] = -1
         v = lit if lit > 0 else -lit
-        self._assign[v] = 1 if lit > 0 else -1
         self._level[v] = len(self._lim)
         self._reason[v] = reason
         self._trail.append(lit)
@@ -261,16 +255,17 @@ class SatSolver:
         if len(self._lim) <= level:
             return
         head = self._lim[level]
-        assign = self._assign
+        val = self._val
         for lit in self._trail[head:]:
-            assign[lit if lit > 0 else -lit] = 0
+            val[lit] = 0
+            val[-lit] = 0
         del self._trail[head:]
         del self._lim[level:]
         self._qhead = head
 
     def _propagate(self):
         """Two-watched-literal unit propagation; returns a conflict clause or None."""
-        assign = self._assign
+        val = self._val
         watches = self._watches
         trail = self._trail
         while self._qhead < len(trail):
@@ -287,14 +282,14 @@ class SatSolver:
                     clause[0] = clause[1]
                     clause[1] = false_lit
                 first = clause[0]
-                first_val = assign[first] if first > 0 else -assign[-first]
+                first_val = val[first]
                 if first_val == 1:
                     ws[j] = clause
                     j += 1
                     continue
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    if (assign[other] if other > 0 else -assign[-other]) != -1:
+                    if val[other] != -1:
                         clause[1] = other
                         clause[k] = false_lit
                         watches[other].append(clause)
@@ -357,8 +352,8 @@ class SatSolver:
 
     def _save_model(self) -> None:
         mask = 0
-        assign = self._assign
+        val = self._val
         for v in range(1, self.num_vars + 1):
-            if assign[v] == 1:
+            if val[v] == 1:
                 mask |= 1 << (v - 1)
         self._model_mask = mask

@@ -16,22 +16,33 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     set jumps to the oracle's core of that trial (clause-set refinement),
     which may drop several candidates at once. A core keeps every critical,
     since removing a critical leaves a satisfiable set, so the result is a
-    MUS of the seed. Uses at most |core \\ criticals| <= |seed \\ criticals|
-    oracle checks.
+    MUS of the seed.
+
+    After each satisfiable trial the oracle's `rotate` may prove further
+    members of the working set critical without a check; they are skipped
+    like the given criticals, and stay critical in every later working set,
+    which is a subset holding them. Uses at most
+    |core \\ criticals| <= |seed \\ criticals| oracle checks.
 
     Returns (mus, sat_discoveries) where sat_discoveries holds, for every
-    trial found satisfiable along the way, the oracle's witness: a satisfiable
-    superset of the trial.
+    trial found satisfiable along the way, the oracle's witness (a
+    satisfiable superset of the trial), and for every member that rotation
+    proved critical, the satisfiable set it came with.
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
     work = seed if core is None else core
+    proven = criticals.mask
     discoveries: list[ConstraintSet] = []
     for candidate in work - criticals:
-        if candidate not in work:
+        if candidate not in work or proven >> candidate & 1:
             continue
         if oracle.is_sat(work.remove(candidate)):
+            proven |= 1 << candidate
             discoveries.append(oracle.witness)
+            for d, witness in oracle.rotate(work, candidate, ConstraintSet(work.n, proven)):
+                proven |= 1 << d
+                discoveries.append(witness)
         else:
             work = oracle.core
     return work, discoveries

@@ -42,6 +42,32 @@ def example1_table() -> TableOracle:
     return TableOracle(statuses)
 
 
+class CoreCnfOracle(CnfOracle):
+    """CnfOracle that rotates no model: shrink learns a constraint is critical only by a check."""
+
+    def rotate(self, work, critical, known=None):
+        return []
+
+
+def pigeonhole(holes: int) -> tuple[int, list[list[int]]]:
+    """(num_vars, clauses) of PHP(holes + 1, holes), which is its own only MUS.
+
+    The first holes + 1 clauses put each pigeon in a hole; the rest forbid
+    two pigeons in one hole.
+    """
+    pigeons = holes + 1
+
+    def var(p: int, h: int) -> int:
+        return p * holes + h + 1
+
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p in range(pigeons):
+            for q in range(p + 1, pigeons):
+                clauses.append([-var(p, h), -var(q, h)])
+    return pigeons * holes, clauses
+
+
 def small_unsat_cnfs(count: int, seed: int) -> list[tuple[int, list[list[int]]]]:
     """(num_vars, clauses) of `count` unsatisfiable random 2- and 3-CNF formulas, n <= 14."""
     rng = random.Random(seed)

@@ -16,10 +16,14 @@ the enumerators block only the sets they asked about and shrink deletes one
 constraint at a time. The WITNESS_ tables run on an oracle whose witness is
 the clause set of a model and whose core is the query; they were recorded
 when the enumerators began to block the oracle's witness. The CORE_ tables
-run on CnfOracle itself, whose core is the set of clauses in the solver's
-failed assumptions; they were recorded when shrink began to jump to cores,
-and their test ids name the run, not its figures, so that a re-recording
-keeps them.
+run on an oracle whose witness and core are CnfOracle's, the core being the
+set of clauses in the solver's failed assumptions; they were recorded when
+shrink began to jump to cores. None of these oracles rotates models, so
+shrink proves a constraint critical only by a check. The ROTATION_ tables
+run on CnfOracle itself, whose rotation proves constraints critical from the
+models of satisfiable trials; they were recorded when shrink began to skip
+those. The CORE_ and ROTATION_ test ids name the run, not its figures, so
+that a re-recording keeps them.
 """
 
 import hashlib
@@ -29,18 +33,20 @@ import pytest
 from musenum import CnfOracle, Instance, RemusConfig, enumerate_marco, enumerate_remus
 from musenum.reference import random_cnf
 
+from helpers import CoreCnfOracle
+
 RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
 
 
-class QueryCnfOracle(CnfOracle):
-    """CnfOracle that knows only the query: its witness and its core are the query."""
+class QueryCnfOracle(CoreCnfOracle):
+    """CoreCnfOracle that knows only the query: its witness and its core are the query."""
 
     def _solve(self, s):
         return super()._solve(s)[0], s.mask
 
 
-class QueryCoreCnfOracle(CnfOracle):
-    """CnfOracle whose core is the query; its witness is still a model's clause set."""
+class QueryCoreCnfOracle(CoreCnfOracle):
+    """CoreCnfOracle whose core is the query; its witness is still a model's clause set."""
 
     def _solve(self, s):
         sat, mask = super()._solve(s)
@@ -128,7 +134,7 @@ WITNESS_BUDGET_STOPS = [
     ((6, 24, 1), 200, "marco", 216, 11, 9, "502fa553e2383ffd", "8f7dd6c841262955"),
 ]
 
-# as GOLDEN plus the per-MUS counters digest, and as BUDGET_STOPS, on CnfOracle
+# as GOLDEN plus the per-MUS counters digest, and as BUDGET_STOPS, on CoreCnfOracle
 CORE_GOLDEN = [
     ((4, 16, 5), None, "remus", 529, 58, 48, "e33ed99513b3601d", "6c16a657c89c7c63"),
     ((4, 16, 5), None, "marco", 529, 49, 48, "c50e2570b530a0f6", "a9b9bf87b57ea16d"),
@@ -151,6 +157,32 @@ CORE_BUDGET_STOPS = [
     ((6, 24, 1), 50, "marco", 59, 8, 4, "6f542b4d6a1ccedc", "d559947535c18c51"),
     ((6, 24, 1), 200, "remus", 200, 46, 19, "26bdf7eab6cb4a9c", "2758385fd0c1db61"),
     ((6, 24, 1), 200, "marco", 208, 19, 15, "547a39bc26c306bf", "18f02ae8c1aa0163"),
+]
+
+# as CORE_GOLDEN and CORE_BUDGET_STOPS, on CnfOracle; with rotation the
+# (5, 22, 3) and (6, 24, 1) runs end before 200 checks, so they stop at 120
+ROTATION_GOLDEN = [
+    ((4, 16, 5), None, "remus", 97, 58, 48, "f849c1dc78fb14eb", "da0e8157f828bb8c"),
+    ((4, 16, 5), None, "marco", 97, 49, 48, "d928b4da110fd66b", "5478a40109f34903"),
+    ((5, 22, 3), None, "remus", 165, 108, 56, "35d8a10b0c7c5d47", "b2c524c3bcbb547b"),
+    ((5, 22, 3), None, "marco", 175, 57, 56, "f50dd9695bf21198", "dc154ce8fbf8a8de"),
+    ((6, 24, 1), None, "remus", 130, 73, 34, "83cdc8137742f32f", "53d97814ffad4661"),
+    ((6, 24, 1), None, "marco", 132, 38, 34, "340bd9fd2d6b6161", "4036c52718739036"),
+    ((16, 80, 2), 8, "remus", 116, 32, 8, "01e9c91e1e65e5a3", "7b8eb1f394051fe1"),
+    ((16, 80, 2), 8, "marco", 106, 9, 8, "bcfa20fb058c0a3a", "c381d1738b41c2ab"),
+    ((20, 100, 1), 8, "remus", 116, 28, 8, "27288d2ebc30230a", "9fbba141270d6c27"),
+    ((20, 100, 1), 8, "marco", 108, 11, 8, "97922bb6242ecdfb", "9eff699a203f3616"),
+]
+
+ROTATION_BUDGET_STOPS = [
+    ((5, 22, 3), 50, "remus", 50, 28, 15, "10d19fb4467d4547", "bbb44e9e7efd9cd3"),
+    ((5, 22, 3), 50, "marco", 52, 15, 15, "9558b8b1307803ed", "c3ed4af1a93aa98b"),
+    ((5, 22, 3), 120, "remus", 120, 77, 41, "62a98ca45f5691c7", "be69e955f9b50b60"),
+    ((5, 22, 3), 120, "marco", 121, 38, 38, "8cdda2f028a3d2f0", "dbfc11a5be7e0043"),
+    ((6, 24, 1), 50, "remus", 50, 28, 13, "b6c65515d55966dd", "d7dee70cf6402d0a"),
+    ((6, 24, 1), 50, "marco", 52, 15, 12, "4c8d191dd28cb32a", "4772a1edd4bf232c"),
+    ((6, 24, 1), 120, "remus", 125, 67, 32, "e14c87ef59953c2f", "74e4e08ab30f6000"),
+    ((6, 24, 1), 120, "marco", 122, 34, 31, "25956a9c405d4e24", "674d1c2a16065508"),
 ]
 
 
@@ -265,7 +297,7 @@ def test_witness_budget_stop_matches_the_recorded_run(
 def test_core_enumeration_matches_the_recorded_run(
     formula, mus_limit, algorithm, checks, map_calls, muses, digest, counters
 ):
-    result = run(formula, algorithm, CnfOracle, mus_limit=mus_limit)
+    result = run(formula, algorithm, CoreCnfOracle, mus_limit=mus_limit)
     assert_enumeration(result, mus_limit, checks, map_calls, muses, digest)
     assert counters_digest(result.records) == counters
 
@@ -276,6 +308,31 @@ def test_core_enumeration_matches_the_recorded_run(
     ids=map(run_id, CORE_BUDGET_STOPS),
 )
 def test_core_budget_stop_matches_the_recorded_run(
+    formula, check_limit, algorithm, checks, map_calls, muses, digest, counters
+):
+    result = run(formula, algorithm, CoreCnfOracle, check_limit=check_limit)
+    assert_budget_stop(result, checks, map_calls, muses, digest, counters)
+
+
+@pytest.mark.parametrize(
+    "formula, mus_limit, algorithm, checks, map_calls, muses, digest, counters",
+    ROTATION_GOLDEN,
+    ids=map(run_id, ROTATION_GOLDEN),
+)
+def test_rotation_enumeration_matches_the_recorded_run(
+    formula, mus_limit, algorithm, checks, map_calls, muses, digest, counters
+):
+    result = run(formula, algorithm, CnfOracle, mus_limit=mus_limit)
+    assert_enumeration(result, mus_limit, checks, map_calls, muses, digest)
+    assert counters_digest(result.records) == counters
+
+
+@pytest.mark.parametrize(
+    "formula, check_limit, algorithm, checks, map_calls, muses, digest, counters",
+    ROTATION_BUDGET_STOPS,
+    ids=map(run_id, ROTATION_BUDGET_STOPS),
+)
+def test_rotation_budget_stop_matches_the_recorded_run(
     formula, check_limit, algorithm, checks, map_calls, muses, digest, counters
 ):
     result = run(formula, algorithm, CnfOracle, check_limit=check_limit)

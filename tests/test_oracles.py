@@ -238,6 +238,18 @@ def test_cached_sat_answer_counts_as_a_check_without_a_solve(monkeypatch):
     assert oracle.witness is None
 
 
+def test_rotation_after_a_cached_answer_starts_from_its_model():
+    oracle = parse_dimacs(EXAMPLE1_DIMACS)
+    assert oracle.is_sat(cs("1000"))  # solved: a true, b false satisfies 1001
+    assert oracle.is_sat(cs("0110"))  # solved: a false, b true satisfies 0111
+    assert oracle.is_sat(cs("1000"))  # from the stored clause set 1001
+    assert oracle.witness == cs("1001")
+    # a true, b false falsifies only c2 of 1100; flipping a falsifies only c1,
+    # and a false, b false satisfies c2 and c4
+    assert oracle.rotate(cs("1100"), 1) == [(0, cs("0101"))]
+    assert oracle.checks == 3
+
+
 @st.composite
 def cnf_and_queries(draw):
     num_vars = draw(st.integers(1, 6))
@@ -260,21 +272,45 @@ def test_cnf_oracle_answers_match_truth_tables(case):
             1 << i for i, cl in enumerate(clauses)
             if any((assignment >> (abs(lit) - 1) & 1) == (lit > 0) for lit in cl)
         ))
+    def is_sat(m):
+        return any(m & sat == m for sat in satisfied)
+
     oracle = CnfOracle(num_vars, clauses)
+    table = TableOracle([is_sat(m) for m in range(1 << n)])
     for mask in queries:
-        truth = any(mask & sat == mask for sat in satisfied)
+        truth = is_sat(mask)
         assert oracle.is_sat(ConstraintSet(n, mask)) == truth
+        assert table.is_sat(ConstraintSet(n, mask)) == truth
         # the witness is a satisfiable superset of a satisfiable query, else
         # None; the core is an unsatisfiable subset of an unsatisfiable one
         witness, core = oracle.witness, oracle.core
         if not truth:
             assert witness is None
             assert core.n == n and core.mask & mask == core.mask
-            assert not any(core.mask & sat == core.mask for sat in satisfied)
-        else:
-            assert core is None
-            assert witness.n == n and mask & witness.mask == mask
-            assert any(witness.mask & sat == witness.mask for sat in satisfied)
+            assert not is_sat(core.mask)
+            continue
+        assert core is None
+        assert witness.n == n and mask & witness.mask == mask
+        assert is_sat(witness.mask)
+        # the query is work - {c} for each c whose addition makes it UNSAT; every
+        # constraint d that rotation names is critical for work, and its witness
+        # is a satisfiable set holding work - {d} but not d
+        for c in range(n):
+            work = mask | 1 << c
+            if work == mask or is_sat(work):
+                continue
+            assert table.rotate(ConstraintSet(n, work), c) == []
+            pairs = oracle.rotate(ConstraintSet(n, work), c)
+            for d, rotated in pairs:
+                assert d != c and work >> d & 1
+                assert rotated.n == n and not rotated.mask >> d & 1
+                assert work & ~(1 << d) & ~rotated.mask == 0
+                assert is_sat(rotated.mask)
+            # constraints known to be critical are passed through, not named
+            known = ConstraintSet(n, work & 0x5555)
+            assert oracle.rotate(ConstraintSet(n, work), c, known) == [
+                (d, rotated) for d, rotated in pairs if d not in known
+            ]
     assert oracle.checks == len(queries)
 
 

@@ -123,7 +123,7 @@ def test_check_limit_budget():
 
 @pytest.mark.parametrize("limit", [0, 1, 7, 50, 120, 200, 400])
 @pytest.mark.parametrize("algorithm", ["remus", "marco"])
-@pytest.mark.parametrize("formula", [(5, 22, 3), (6, 24, 1)])
+@pytest.mark.parametrize("formula", [(16, 80, 2), (20, 100, 1)])
 def test_check_limit_overshoot_is_bounded(formula, algorithm, limit):
     # a shrink in flight is never cut and the full-set check always runs
     num_vars, num_clauses, seed = formula

@@ -5,11 +5,12 @@ import pytest
 from musenum import CnfOracle, ConstraintSet, PreconditionError, is_mus, parse_dimacs, shrink
 from musenum.reference import random_antichain, table_from_antichain
 
-from helpers import EXAMPLE1_DIMACS, cs, example1_table
+from helpers import EXAMPLE1_DIMACS, CoreCnfOracle, cs, example1_table, pigeonhole
 
 
 def test_full_seed_deletion_trace():
-    oracle = parse_dimacs(EXAMPLE1_DIMACS)
+    parsed = parse_dimacs(EXAMPLE1_DIMACS)
+    oracle = CoreCnfOracle(parsed.num_vars, parsed.clauses)  # one check per critical
     seed = ConstraintSet.full(4)
     mus, found_sat = shrink(oracle, seed, ConstraintSet.empty(4))
     assert mus == cs("1011")
@@ -29,7 +30,7 @@ def test_known_critical_skips_its_check():
 
 def test_unsat_trial_jumps_to_its_core():
     # MUSes {c1,c2,c4}, {c1,c3,c5}, {c1,c6,c7}; c1 is critical for the full set
-    oracle = CnfOracle(4, [[1], [-1, 2], [-1, 3], [-2], [-3], [-1, 4], [-4]])
+    oracle = CoreCnfOracle(4, [[1], [-1, 2], [-1, 3], [-2], [-3], [-1, 4], [-4]])
     seed, criticals = ConstraintSet.full(7), cs("1000000")
     mus, found_sat = shrink(oracle, seed, criticals)
     # dropping c2 leaves c3 and c5 refuting a, so the trial's core drops
@@ -44,6 +45,34 @@ def test_unsat_trial_jumps_to_its_core():
     mus, _ = shrink(oracle, seed, criticals, oracle.core)
     assert mus == cs("1101000")
     assert oracle.checks == 4 + 2
+
+
+def test_rotation_proves_the_rest_of_example1_critical():
+    # the model of 0011 (a false, b true) falsifies only c1; flipping a
+    # falsifies only c4, and flipping b from there falsifies only c3
+    oracle = parse_dimacs(EXAMPLE1_DIMACS)
+    mus, found_sat = shrink(oracle, cs("1011"), ConstraintSet.empty(4))
+    assert mus == cs("1011")
+    assert oracle.checks == 1
+    assert found_sat == [cs("0111"), cs("1010"), cs("1001")]
+
+
+@pytest.mark.parametrize("holes, checks", [(3, 4), (4, 7)])
+def test_rotation_spares_most_checks_on_a_pigeonhole_formula(holes, checks):
+    # every clause of PHP(holes + 1, holes) is critical; rotation proves most
+    # of them from the models of a few satisfiable trials
+    num_vars, clauses = pigeonhole(holes)
+    oracle = CnfOracle(num_vars, clauses)
+    seed = ConstraintSet.full(len(clauses))
+    mus, found_sat = shrink(oracle, seed, ConstraintSet.empty(len(clauses)))
+    assert mus == seed
+    assert oracle.checks == checks < len(seed)
+    # one witness per clause: from its own trial or from the rotation that proved it
+    assert len(found_sat) == len(seed)
+    verifier = CoreCnfOracle(num_vars, clauses)
+    for s in found_sat:
+        assert verifier.is_sat(s)
+    assert all(verifier.is_sat(seed.remove(i)) for i in seed)
 
 
 def test_seed_that_is_already_minimal_with_all_criticals():
