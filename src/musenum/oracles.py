@@ -78,10 +78,14 @@ class CnfOracle(SatOracle):
     All subset checks run on one persistent incremental solver. Clause i is
     extended with the negated selector literal for constraint i, so a check
     only passes selector assumptions; learnt clauses stay valid across checks.
-    Selectors are assumed in constraint order, and the solver keeps the trail
+    The solver is told where the selectors start: it assumes them in
+    constraint order, true for the queried constraints, and keeps the trail
     of the selectors a check shares with the one before it, so checks that
     differ late in that order (as consecutive shrink checks do) skip most of
-    the assumption propagation. Answers depend only on the subset.
+    the assumption propagation. It also keeps long runs of negated selectors
+    out of its learnt clauses, in guards (see musenum.satsolver), which makes
+    an UNSAT proof over many constraints cheaper. Verdicts, models and
+    witnesses depend only on the subset.
 
     A SAT answer may come without a solve: the oracle keeps the set of
     clauses each model of its solver satisfies (an antichain, no set inside
@@ -91,7 +95,8 @@ class CnfOracle(SatOracle):
     covers the query, or the one the new model satisfies. The core of an
     UNSAT answer is the set of clauses whose selectors are among the solver's
     failed assumptions; no clause holds a selector positively, so only
-    assumed-true selectors can occur there.
+    assumed-true selectors can occur there. Which ones do depends on the
+    solver's derivation, and so on the checks before, not only on the query.
 
     Each stored clause set keeps its model (the formula's variables only), so
     every SAT answer, cached or solved, has one. Rotation (recursive model
@@ -117,7 +122,7 @@ class CnfOracle(SatOracle):
         super().__init__(len(clauses))
         self.num_vars = num_vars
         self.clauses = clauses
-        self._solver = SatSolver(num_vars + self.n)
+        self._solver = SatSolver(num_vars + self.n, first_selector=num_vars + 1)
         for i, cl in enumerate(clauses):
             self._solver.add_clause(cl + [-(num_vars + 1 + i)])
         self._models = Antichain()  # satisfied-clause masks of earlier models -> the models
@@ -130,11 +135,8 @@ class CnfOracle(SatOracle):
         if cover is not None:
             self._model = self._models[cover]
             return True, cover
-        base = self.num_vars + 1
-        assumptions = [
-            (base + i) if mask >> i & 1 else -(base + i) for i in range(self.n)
-        ]
-        if not self._solver.solve(assumptions):
+        if not self._solver.solve(selected=mask):
+            base = self.num_vars + 1
             core = 0
             for lit in self._solver.failed_assumptions():
                 if lit > 0:

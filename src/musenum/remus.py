@@ -48,9 +48,14 @@ def enumerate_remus(instance: Instance, config: RemusConfig | None = None, sink=
     InstanceSatisfiableError when the full set is satisfiable.
     """
     def search(session: Session) -> None:
-        # frame depth is bounded by roughly the universe size
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * instance.n + 1000))
-        _find_muses(session, session.full, ConstraintSet.empty(instance.n), 0)
+        # frame depth is bounded by roughly the universe size; the caller's
+        # limit comes back however the search ends
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 4 * instance.n + 1000))
+        try:
+            _find_muses(session, session.full, ConstraintSet.empty(instance.n), 0)
+        finally:
+            sys.setrecursionlimit(limit)
 
     return run_session(instance, config, sink, search)
 

@@ -19,14 +19,39 @@ names assumptions whose conjunction with the clauses is already UNSAT, found
 by walking the kept trail back from the falsified assumption along reason
 clauses (MiniSat's analyzeFinal). It is computed on demand, so callers that
 do not ask pay nothing, and is valid until the next `solve` or `add_clause`.
+Which assumptions the walk meets depends on the derivation, that is on the
+watch order and the learnt clauses, not only on the assumptions: a change to
+the search may move these cores, though each stays UNSAT.
+
+Selectors and guards: the variables from `first_selector` on may be declared
+selectors. They occur in clauses only negated, and every solve assumes each
+of them first, in variable order, as `selected` says, so level i + 1 decides
+selector i and the selectors assumed true up to level L are the low L bits of
+`selected`. Learnt clauses over many selectors are factored as in Lagniez &
+Biere, "Factoring Out Assumptions to Speed Up MUS Extraction" (SAT 2013):
+when at least GUARD_MIN negated selectors lie below the conflict level, they
+leave the learnt clause's literal list for an integer mask, its guard, except
+the one assumed last, which stays a literal so that the clause still wakes up
+when it is assumed. The clause still means its literals or the negation of any
+guard selector. When the watch scan of a guarded clause finds no other
+literal to watch, the clause is unit or conflicting only if every guard
+selector is assumed true at the current level. If not, one guard selector
+that is not assumed true moves back into the literal list as the new watch
+("parking"), preferably one this solve assumes false, which satisfies the
+clause. Conflict analysis and the failed-assumption walk take in the guards
+of the clauses they pass. Guards live in a dict keyed by the clause's id, so
+that clauses stay exact lists, which CPython indexes fastest.
 
 Model invariant: a SAT answer's model is the first model of the clauses and
 the assumptions in branching order, which tries variables from the lowest
 index up and prefers `default_phase`. Learnt clauses, the kept trail and the
 order of the assumptions never change which model that is, so callers may
 rely on the model being a function of the clause set and the assumption set.
-A caller removes only clauses implied by the clauses that stay, so removal
-leaves the set of models, and with it every later model, unchanged.
+A guard is another way to store a learnt clause: the clause is still implied
+by the others, and it propagates only when all of its literals are false, so
+it prunes no model either, and guards add no variable. A caller removes only
+clauses implied by the clauses that stay, so removal leaves the set of
+models, and with it every later model, unchanged.
 
 Variables are the integers 1..num_vars, literals are signed integers, and
 clauses are lists of literals. Values are stored per literal in one list
@@ -37,11 +62,23 @@ test; assigning a variable writes both of its literals.
 
 from __future__ import annotations
 
+# A learnt clause keeps its negated selectors in a guard only when it has at
+# least this many. A guard saves scanning its false selectors, but each time
+# its clause runs out of literals to watch it costs a lookup, a mask test and
+# often parking; with fewer selectors than this, that cost was the larger.
+GUARD_MIN = 16
+
 
 class SatSolver:
-    def __init__(self, num_vars: int = 0, default_phase: bool = False):
+    def __init__(self, num_vars: int = 0, default_phase: bool = False, first_selector: int | None = None):
         self.num_vars = num_vars
         self.default_phase = default_phase
+        # variables from here on are selectors; the guard bit of variable v is v - _selector
+        self._selector = num_vars + 1 if first_selector is None else first_selector
+        if not 1 <= self._selector <= num_vars + 1:
+            raise ValueError(f"first selector {first_selector} outside 1..{num_vars + 1}")
+        self._selected = 0  # the selectors the last solve assumed true, as a guard mask
+        self._guards: dict[int, int] = {}  # id of a learnt clause -> its guard, if not 0
         self.ok = True  # becomes False once the formula is unsat without assumptions
         # per literal: 1 true, -1 false, 0 unassigned; layout [0, v1..vn, -vn..-v1]
         self._val: list[int] = [0] * (2 * num_vars + 1)
@@ -147,18 +184,24 @@ class SatSolver:
         if ranks[1] < free:
             self._backtrack(ranks[1] - 1)
 
-    def solve(self, assumptions=()) -> bool:
+    def solve(self, assumptions=(), selected: int = 0) -> bool:
         """Decide satisfiability under the given assumption literals.
 
-        The decision levels shared with the previous call's assumption prefix
+        A solver with selectors first assumes each selector, in variable
+        order: first_selector + i is assumed true if bit i of `selected` is
+        set and false if not. The assumption literals come after them. The
+        decision levels shared with the previous call's assumption prefix
         are kept; see the module docstring for the model this returns.
         """
         self._model_mask = None
         self._failed = 0
         if not self.ok:
             return False
-        assume = list(assumptions)
         n = self.num_vars
+        base = self._selector
+        self._selected = selected & ((1 << (n + 1 - base)) - 1)
+        assume = [base + i if selected >> i & 1 else -(base + i) for i in range(n + 1 - base)]
+        assume += assumptions
         if assume and (0 in assume or max(assume) > n or min(assume) < -n):
             bad = next(lit for lit in assume if lit == 0 or abs(lit) > n)
             raise ValueError(f"assumption literal {bad} out of range")
@@ -212,7 +255,8 @@ class SatSolver:
 
         Valid after an UNSAT answer until the next `solve` or `add_clause`. The
         list holds the assumption found false and every assumption its
-        negation was derived from; it is empty when the clauses are UNSAT
+        negation was derived from, including the selectors in the guards of
+        the clauses it was derived by; it is empty when the clauses are UNSAT
         without assumptions.
         """
         failed = self._failed
@@ -226,6 +270,8 @@ class SatSolver:
             return out
         reason = self._reason
         trail = self._trail
+        guards = self._guards
+        guard = 0
         seen = bytearray(self.num_vars + 1)
         seen[abs(failed)] = 1
         for idx in range(len(trail) - 1, self._lim[0] - 1, -1):
@@ -241,6 +287,11 @@ class SatSolver:
                 w = other if other > 0 else -other
                 if level[w] > 0:
                     seen[w] = 1
+            if guards:
+                guard |= guards.get(id(clause), 0)
+        if guard:  # the selectors met only in guards
+            base = self._selector
+            out += [base + i for i in range(guard.bit_length()) if guard >> i & 1 and not seen[base + i]]
         return out
 
     def _enqueue(self, lit: int, reason) -> None:
@@ -264,26 +315,31 @@ class SatSolver:
         self._qhead = head
 
     def _propagate(self):
-        """Two-watched-literal unit propagation; returns a conflict clause or None."""
+        """Two-watched-literal unit propagation; returns a conflict clause or None.
+
+        A guarded clause with no literal left to watch is unit or conflicting
+        only if all of its guard is assumed true; if not, it parks a selector.
+        """
         val = self._val
         watches = self._watches
         trail = self._trail
+        guards = self._guards
+        assumed = -1  # the selectors assumed true at this level, once a guard needs them
         while self._qhead < len(trail):
-            prop = trail[self._qhead]
+            false_lit = -trail[self._qhead]
             self._qhead += 1
-            false_lit = -prop
             ws = watches[false_lit]
-            i = j = 0
-            count = len(ws)
-            while i < count:
-                clause = ws[i]
-                i += 1
-                if clause[0] == false_lit:
-                    clause[0] = clause[1]
-                    clause[1] = false_lit
+            if not ws:
+                continue
+            j = 0  # ws[:j] holds the clauses visited so far that keep watching false_lit
+            visiting = iter(ws)
+            for clause in visiting:
                 first = clause[0]
-                first_val = val[first]
-                if first_val == 1:
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if val[first] == 1:
                     ws[j] = clause
                     j += 1
                     continue
@@ -295,13 +351,31 @@ class SatSolver:
                         watches[other].append(clause)
                         break
                 else:
+                    guard = guards.get(id(clause), 0) if guards else 0
+                    if guard:
+                        if assumed < 0:  # level i decided selector i - 1
+                            assumed = self._selected & ((1 << len(self._lim)) - 1)
+                        missing = guard & ~assumed
+                        if missing:
+                            # park a selector that is not assumed true as the new watch,
+                            # preferring one this solve assumes false
+                            top = (missing & ~self._selected or missing).bit_length() - 1
+                            sel = -(self._selector + top)
+                            clause[1] = sel
+                            clause.append(false_lit)
+                            watches[sel].append(clause)
+                            guard ^= 1 << top
+                            if guard:
+                                guards[id(clause)] = guard
+                            else:
+                                del guards[id(clause)]
+                            continue
                     ws[j] = clause
                     j += 1
-                    if first_val == -1:  # conflict
-                        while i < count:
-                            ws[j] = ws[i]
+                    if val[first] == -1:  # conflict; keep the clauses not visited
+                        for rest in visiting:
+                            ws[j] = rest
                             j += 1
-                            i += 1
                         del ws[j:]
                         self._qhead = len(trail)
                         return clause
@@ -310,13 +384,21 @@ class SatSolver:
         return None
 
     def _analyze(self, conflict):
-        """First-UIP conflict analysis; returns (learnt clause, backjump level)."""
+        """First-UIP conflict analysis; returns (learnt clause, backjump level).
+
+        When at least GUARD_MIN negated selectors lie below the conflict
+        level, they go into the learnt clause's guard, all but the one
+        assumed last, which stays a literal.
+        """
         level = self._level
         reason = self._reason
         trail = self._trail
+        guards = self._guards
+        base = self._selector
         current = len(self._lim)
         seen = bytearray(self.num_vars + 1)
         learnt = [0]
+        guard = listed = 0  # selectors below this level: all of them, those among the literals
         counter = 0
         pivot = 0
         idx = len(trail) - 1
@@ -330,6 +412,16 @@ class SatSolver:
                         counter += 1
                     else:
                         learnt.append(lit)
+                        if v >= base:
+                            listed |= 1 << (v - base)
+            if guards:
+                walked = guards.get(id(conflict), 0)
+                if walked >> (current - 1) & 1:  # the selector decided at this level
+                    walked ^= 1 << (current - 1)
+                    if not seen[base + current - 1]:
+                        seen[base + current - 1] = 1
+                        counter += 1
+                guard |= walked
             while not seen[abs(trail[idx])]:
                 idx -= 1
             pivot = trail[idx]
@@ -341,6 +433,17 @@ class SatSolver:
                 break
             conflict = reason[pv]
         learnt[0] = -pivot
+        guard |= listed
+        if guard.bit_count() >= GUARD_MIN:
+            # the selector assumed last stays a literal, so the clause still
+            # fires when it is assumed; the others leave the literal list
+            top = guard.bit_length() - 1
+            learnt[1:] = [lit for lit in learnt[1:] if lit > -base]
+            learnt.append(-(base + top))
+            guards[id(learnt)] = guard ^ 1 << top
+        elif guard != listed:  # add the selectors the walked clauses held only in their guards
+            guard &= ~listed
+            learnt += [-(base + i) for i in range(guard.bit_length()) if guard >> i & 1]
         if len(learnt) == 1:
             return learnt, 0
         deepest = 1

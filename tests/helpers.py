@@ -2,7 +2,7 @@
 
 import random
 
-from musenum import CnfOracle, ConstraintSet, TableOracle
+from musenum import CnfOracle, ConstraintSet, PreconditionError, TableOracle, UnexploredMap
 from musenum.reference import random_cnf
 
 # the four-constraint demo system over two variables:
@@ -100,3 +100,81 @@ def assert_block_log_replays(result, verifier) -> None:
             assert all(verifier.is_sat(blocked.remove(i)) for i in blocked)
         else:
             assert verifier.is_sat(blocked)
+
+
+REFERENCE_MAX_N = 12
+
+
+def explicit_map_reference(n: int, block_log) -> set[int]:
+    """Explicitly maintained mirror of the symbolic unexplored map (n <= 12).
+
+    block_log is a sequence of ("down"|"up", subset mask) pairs, as recorded
+    by UnexploredMap.block_log. Returns the masks of all subsets the log
+    leaves undetermined.
+    """
+    if n > REFERENCE_MAX_N:
+        raise PreconditionError(f"explicit reference refused for n={n} > {REFERENCE_MAX_N}")
+    alive = set(range(1 << n))
+    for kind, mask in block_log:
+        if kind == "down":
+            alive = {m for m in alive if m & ~mask}
+        elif kind == "up":
+            alive = {m for m in alive if m & mask != mask}
+        else:
+            raise PreconditionError(f"unknown block kind {kind!r}")
+    return alive
+
+
+def enumerate_map_models(umap: UnexploredMap) -> set[int]:
+    """All models of a map's clause set by direct clause evaluation (n <= 16)."""
+    n = umap.n
+    if n > 16:
+        raise PreconditionError(f"model enumeration refused for n={n} > 16")
+    positive: list[int] = []
+    negative: list[int] = []
+    for clause in umap.clauses:
+        mask = 0
+        for lit in clause:
+            mask |= 1 << (abs(lit) - 1)
+        if clause and clause[0] < 0:
+            negative.append(mask)
+        else:
+            positive.append(mask)  # an empty clause lands here and kills all models
+    models = set()
+    for m in range(1 << n):
+        if all(m & p for p in positive) and all(m & q != q for q in negative):
+            models.add(m)
+    return models
+
+
+def random_antichain(n: int, rng: random.Random) -> list[int]:
+    """Sample a non-empty antichain of non-empty subset masks over n constraints."""
+    count = rng.randint(1, max(2, min(n, 5)))
+    candidates = []
+    for _ in range(count):
+        size = rng.randint(1, n)
+        candidates.append(sum(1 << i for i in rng.sample(range(n), size)))
+    candidates.sort(key=lambda m: m.bit_count())
+    kept: list[int] = []
+    for mask in candidates:
+        if not any(k & mask == k for k in kept):
+            kept.append(mask)
+    return kept
+
+
+def table_from_antichain(n: int, antichain) -> TableOracle:
+    """Monotone table whose unsatisfiable sets are the up-closure of the antichain.
+
+    With a proper antichain the minimal unsatisfiable sets are exactly its
+    members; an empty antichain yields the all-satisfiable table.
+    """
+    statuses = [not any(m & a == a for a in antichain) for m in range(1 << n)]
+    return TableOracle(statuses)
+
+
+def random_monotone_table(n: int, seed: int) -> TableOracle:
+    """Seeded monotone table oracle with an unsatisfiable full set (1 <= n <= 12)."""
+    if not 1 <= n <= REFERENCE_MAX_N:
+        raise PreconditionError(f"n must lie in 1..{REFERENCE_MAX_N}")
+    rng = random.Random(seed)
+    return table_from_antichain(n, random_antichain(n, rng))

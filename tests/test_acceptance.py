@@ -27,14 +27,9 @@ from musenum import (
     enumerate_remus,
     is_mus,
 )
-from musenum.reference import (
-    enumerate_map_models,
-    explicit_map_reference,
-    random_antichain,
-    random_cnf,
-    table_from_antichain,
-    to_dimacs,
-)
+from musenum.reference import random_cnf, to_dimacs
+
+from helpers import enumerate_map_models, explicit_map_reference, random_antichain, table_from_antichain
 
 import random
 

@@ -13,9 +13,17 @@ from musenum import (
     is_mus,
     parse_dimacs,
 )
-from musenum.reference import random_antichain, random_cnf, table_from_antichain
+from musenum.reference import random_cnf
 
-from helpers import EXAMPLE1_DIMACS, EXAMPLE1_MUSES, assert_block_log_replays, bitsets, small_unsat_cnfs
+from helpers import (
+    EXAMPLE1_DIMACS,
+    EXAMPLE1_MUSES,
+    assert_block_log_replays,
+    bitsets,
+    random_antichain,
+    small_unsat_cnfs,
+    table_from_antichain,
+)
 
 
 def test_example1_emits_both_muses_once():

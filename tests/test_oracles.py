@@ -18,7 +18,15 @@ from musenum import (
 from musenum.satsolver import SatSolver
 from musenum.reference import random_cnf
 
-from helpers import EXAMPLE1_DIMACS, EXAMPLE1_MUSES, EXAMPLE1_STATUSES, bitsets, cs, example1_table
+from helpers import (
+    EXAMPLE1_DIMACS,
+    EXAMPLE1_MUSES,
+    EXAMPLE1_STATUSES,
+    bitsets,
+    cs,
+    example1_table,
+    pigeonhole,
+)
 
 
 def test_parse_example1():
@@ -221,7 +229,7 @@ def test_cached_sat_answer_counts_as_a_check_without_a_solve(monkeypatch):
     solves = []
     solve = oracle._solver.solve
     monkeypatch.setattr(
-        oracle._solver, "solve", lambda assumptions: solves.append(1) or solve(assumptions)
+        oracle._solver, "solve", lambda **query: solves.append(1) or solve(**query)
     )
     assert oracle.is_sat(cs("1110"))
     assert (oracle.checks, len(solves)) == (1, 1)
@@ -255,12 +263,30 @@ def cnf_and_queries(draw):
     num_vars = draw(st.integers(1, 6))
     literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from((v, -v)))
     clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3), min_size=1, max_size=10))
-    queries = draw(st.lists(st.integers(0, (1 << len(clauses)) - 1), max_size=40))
-    return num_vars, clauses, queries
+    n = len(clauses)
+    # (mask, None) queries the mask; (mask, k) queries a MUS grown from it
+    # without its k-th member, a satisfiable set one constraint short of an
+    # unsatisfiable one, which is where rotation starts
+    query = st.tuples(st.integers(0, (1 << n) - 1), st.none() | st.integers(0, n - 1))
+    return num_vars, clauses, draw(st.lists(query, min_size=4, max_size=40))
+
+
+def one_short_of_a_mus(mask, k, n, is_sat):
+    """A MUS inside mask (or inside all n constraints if mask is satisfiable) without its k-th member."""
+    work = mask if not is_sat(mask) else (1 << n) - 1
+    if is_sat(work):
+        return mask  # the formula is satisfiable
+    for i in range(n):
+        if work >> i & 1 and not is_sat(work & ~(1 << i)):
+            work &= ~(1 << i)
+    members = [i for i in range(n) if work >> i & 1]
+    return work & ~(1 << members[k % len(members)])
 
 
 # clauses are non-empty and examples many, so that UNSAT queries fail above
-# decision level 0 (about 120 do) and reach the solver's core analysis
+# decision level 0 (about 120 do) and reach the solver's core analysis; about
+# half the queries are one constraint short of a MUS, so that rotation runs
+# (about 500 rotate calls)
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(cnf_and_queries())
 def test_cnf_oracle_answers_match_truth_tables(case):
@@ -277,7 +303,9 @@ def test_cnf_oracle_answers_match_truth_tables(case):
 
     oracle = CnfOracle(num_vars, clauses)
     table = TableOracle([is_sat(m) for m in range(1 << n)])
-    for mask in queries:
+    for mask, k in queries:
+        if k is not None:
+            mask = one_short_of_a_mus(mask, k, n, is_sat)
         truth = is_sat(mask)
         assert oracle.is_sat(ConstraintSet(n, mask)) == truth
         assert table.is_sat(ConstraintSet(n, mask)) == truth
@@ -312,6 +340,77 @@ def test_cnf_oracle_answers_match_truth_tables(case):
                 (d, rotated) for d, rotated in pairs if d not in known
             ]
     assert oracle.checks == len(queries)
+
+
+def guarded_formulas(count):
+    """PHP(4,3), PHP(5,4) and unsatisfiable random 3-CNFs with 8-10 variables and 40-60 clauses.
+
+    Their UNSAT proofs learn clauses over many selectors, which the solver
+    keeps in guards.
+    """
+    formulas = [pigeonhole(3), pigeonhole(4)]
+    rng = random.Random(74)
+    while len(formulas) < count:
+        num_vars = rng.randint(8, 10)
+        clauses = random_cnf(num_vars, rng.randint(40, 60), 3, rng.randrange(1 << 30))
+        if not CnfOracle(num_vars, clauses).is_sat(ConstraintSet.full(len(clauses))):
+            formulas.append((num_vars, clauses))
+    return formulas
+
+
+GUARDED_FORMULAS = guarded_formulas(12)
+
+
+def answer_like_fresh_oracles(num_vars, clauses, seed) -> int:
+    """Drive one oracle through shrink-shaped and seeded random queries; returns the guards it made.
+
+    The shrink-shaped queries are the full set, then the full set without
+    each constraint in turn. Every answer must match a fresh oracle's.
+    """
+    n = len(clauses)
+    full = (1 << n) - 1
+    rng = random.Random(seed)
+    queries = [full] + [full & ~(1 << i) for i in range(n)]
+    for _ in range(60):
+        keep = rng.choice((0.5, 0.8, 0.95))
+        queries.append(sum(1 << i for i in range(n) if rng.random() < keep))
+    oracle = CnfOracle(num_vars, clauses)
+    guards = set()
+    for mask in queries:
+        query = ConstraintSet(n, mask)
+        cached = oracle._models.covers(mask) is not None
+        sat = oracle.is_sat(query)
+        guards.update(oracle._solver._guards)
+        fresh = CnfOracle(num_vars, clauses)
+        assert fresh.is_sat(query) == sat, mask
+        if sat:
+            # a solved answer's witness comes from the first model in branching
+            # order, which learnt clauses do not move; a cached one is a stored
+            # satisfiable superset
+            if cached:
+                assert query.is_subset_of(oracle.witness)
+                assert CnfOracle(num_vars, clauses).is_sat(oracle.witness)
+            else:
+                assert oracle.witness == fresh.witness, mask
+            continue
+        # the core is read from the failed assumptions, which are positive selectors
+        failed = oracle._solver.failed_assumptions()
+        assert sorted(failed) == [num_vars + 1 + i for i in oracle.core]
+        assert oracle.core.is_subset_of(query)
+        assert not CnfOracle(num_vars, clauses).is_sat(oracle.core), mask
+    return len(guards)
+
+
+@pytest.mark.parametrize("formula", range(len(GUARDED_FORMULAS)))
+def test_factored_learnts_keep_every_answer(formula):
+    num_vars, clauses = GUARDED_FORMULAS[formula]
+    answer_like_fresh_oracles(num_vars, clauses, formula)
+
+
+def test_factored_learnts_are_exercised():
+    # a run that never kept a guard would check nothing
+    guards = [answer_like_fresh_oracles(*f, k) for k, f in enumerate(GUARDED_FORMULAS)]
+    assert sum(guards) >= 40 and sum(1 for g in guards if g) >= len(guards) // 2
 
 
 def test_is_mus_predicate():

@@ -3,17 +3,17 @@ import random
 import pytest
 
 from musenum import ConstraintSet, PreconditionError, UnexploredMap, bruteforce_all_muses, parse_dimacs
-from musenum.reference import (
+from musenum.reference import random_cnf, to_dimacs
+
+from helpers import (
+    EXAMPLE1_STATUSES,
+    cs,
     enumerate_map_models,
     explicit_map_reference,
     random_antichain,
-    random_cnf,
     random_monotone_table,
     table_from_antichain,
-    to_dimacs,
 )
-
-from helpers import EXAMPLE1_STATUSES, cs
 
 
 def test_reference_example3_log():

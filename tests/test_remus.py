@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -16,7 +17,7 @@ from musenum import (
     is_mus,
     parse_dimacs,
 )
-from musenum.reference import random_antichain, random_cnf, table_from_antichain
+from musenum.reference import random_cnf
 
 from helpers import (
     EXAMPLE1_DIMACS,
@@ -25,7 +26,9 @@ from helpers import (
     bitsets,
     cs,
     example1_table,
+    random_antichain,
     small_unsat_cnfs,
+    table_from_antichain,
 )
 
 RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
@@ -102,6 +105,36 @@ def test_mus_limit_stops_cleanly():
     assert len(result.records) == 1
     assert not result.complete
     assert result.muses[0].bits() in EXAMPLE1_MUSES
+
+
+@pytest.fixture
+def recursion_limit():
+    """A recursion limit below what remus raises it to on example 1 (4 * 4 + 1000)."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield 1000
+    sys.setrecursionlimit(saved)
+
+
+@pytest.mark.parametrize("config", [RemusConfig(), RemusConfig(mus_limit=1)], ids=["complete", "mus-limit"])
+def test_recursion_limit_is_restored(recursion_limit, config):
+    during = []
+    result = enumerate_remus(
+        Instance(parse_dimacs(EXAMPLE1_DIMACS)), config,
+        sink=lambda record: during.append(sys.getrecursionlimit()),
+    )
+    assert result.complete == (config.mus_limit is None)
+    assert during and set(during) == {1016}  # raised while searching
+    assert sys.getrecursionlimit() == recursion_limit
+
+
+def test_recursion_limit_is_restored_after_an_exception(recursion_limit):
+    def sink(record):
+        raise KeyError("sink failed")
+
+    with pytest.raises(KeyError):
+        enumerate_remus(Instance(parse_dimacs(EXAMPLE1_DIMACS)), sink=sink)
+    assert sys.getrecursionlimit() == recursion_limit
 
 
 def test_time_limit_zero_stops_before_any_emission():

@@ -3,9 +3,15 @@ import random
 import pytest
 
 from musenum import CnfOracle, ConstraintSet, PreconditionError, is_mus, parse_dimacs, shrink
-from musenum.reference import random_antichain, table_from_antichain
-
-from helpers import EXAMPLE1_DIMACS, CoreCnfOracle, cs, example1_table, pigeonhole
+from helpers import (
+    EXAMPLE1_DIMACS,
+    CoreCnfOracle,
+    cs,
+    example1_table,
+    pigeonhole,
+    random_antichain,
+    table_from_antichain,
+)
 
 
 def test_full_seed_deletion_trace():

@@ -3,9 +3,7 @@ import random
 import pytest
 
 from musenum import ConstraintSet, PreconditionError, UnexploredMap, UniverseMismatchError
-from musenum.reference import enumerate_map_models, explicit_map_reference
-
-from helpers import cs
+from helpers import cs, enumerate_map_models, explicit_map_reference
 
 
 def example3_map():
