@@ -1,7 +1,8 @@
 """Command-line front end: enumerate MUSes of DIMACS instances, emit metrics CSV.
 
 Exit codes: 0 clean finish or budget stop, 1 output that cannot be written
-(the `solve --stats` CSV or the `gen -o` file), 2 unreadable/ill-formed input
+(the `solve --stats` CSV or the `gen -o` file, or `solve`'s stdout once its
+reader has gone: the run stops there, quietly), 2 unreadable/ill-formed input
 or bad flags, 3 satisfiable instance.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from .core import (
@@ -40,8 +42,8 @@ def _nonnegative_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be non-negative")
+    if not value >= 0:  # NaN too
+        raise argparse.ArgumentTypeError("value must be a non-negative number")
     return value
 
 
@@ -144,16 +146,23 @@ def _cmd_solve(args) -> int:
     runner = enumerate_remus if args.algorithm == "remus" else enumerate_marco
     try:
         result = runner(instance, config, sink)
+        stats = result.stats
+        out.write(
+            f"found={len(stats.per_mus)} oracle_checks={stats.oracle_checks} "
+            f"map_calls={stats.map_solver_calls} elapsed={stats.elapsed():.3f}s "
+            f"complete={'yes' if result.complete else 'no'}\n"
+        )
+        out.flush()
     except InstanceSatisfiableError:
         print("instance is satisfiable", file=sys.stderr)
         return 3
-    stats = result.stats
-    out.write(
-        f"found={len(stats.per_mus)} oracle_checks={stats.oracle_checks} "
-        f"map_calls={stats.map_solver_calls} elapsed={stats.elapsed():.3f}s "
-        f"complete={'yes' if result.complete else 'no'}\n"
-    )
-    out.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away; what is still buffered can never be
+        # delivered, so discard it rather than fail again at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 1
     if args.stats:
         try:
             write_stats_csv(stats, args.stats)

@@ -1,16 +1,17 @@
-"""Recursive online MUS enumeration with MCS-based critical mining.
+"""remus: online MUS enumeration with MCS-based critical mining.
 
 Each found MUS restricts the next seed search to a set strictly between the
 MUS and its seed, so successive seeds shrink; satisfiable maximal subsets
 yield their correction sets, whose members are critical constraints that
-speed up later shrinks. The map of undetermined subsets is global across all
-recursion frames, so nothing is ever examined twice.
+speed up later shrinks. The paper's recursion runs on an explicit stack of
+frames, so depth is bounded by memory, not by the interpreter's recursion
+limit. The map of undetermined subsets is global across all frames, so
+nothing is ever examined twice.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 from .core import ConstraintSet, Instance, PreconditionError
 from .session import EnumerationResult, RemusConfig, Session, run_session
@@ -41,52 +42,44 @@ def choose_p(s_mus: ConstraintSet, s_max: ConstraintSet, factor: float) -> Const
 
 
 def enumerate_remus(instance: Instance, config: RemusConfig | None = None, sink=None) -> EnumerationResult:
-    """Run the recursive enumerator to completion or budget exhaustion.
+    """Run remus to completion or budget exhaustion.
 
     Every MUS is handed to `sink` the moment it is found; the result also
     carries all records plus the check statistics. Raises
     InstanceSatisfiableError when the full set is satisfiable.
     """
-    def search(session: Session) -> None:
-        # frame depth is bounded by roughly the universe size; the caller's
-        # limit comes back however the search ends
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 4 * instance.n + 1000))
-        try:
-            _find_muses(session, session.full, ConstraintSet.empty(instance.n), 0)
-        finally:
-            sys.setrecursionlimit(limit)
-
-    return run_session(instance, config, sink, search)
+    return run_session(instance, config, sink, _search)
 
 
-def _find_muses(session: Session, s: ConstraintSet, criticals: ConstraintSet, depth: int) -> None:
-    """Emit every not-yet-emitted MUS of the unsatisfiable set s.
+def _search(session: Session) -> None:
+    """Emit every MUS, running each FindMUSes call of the paper as a frame.
 
-    criticals must be critical constraints for s; the set is extended locally
-    when a singleton correction set is found, and recursive calls receive
-    fresh extended copies.
+    A frame (s, criticals, depth) emits every not-yet-emitted MUS of the
+    unsatisfiable set s, given constraints critical for s. Children depend
+    only on their parent's state at the answer that spawns them and leave it
+    unchanged, so one answer pushes all of them, the first on top.
     """
-    while True:
+    stack = [(session.full, ConstraintSet.empty(session.full.n), 0)]
+    while stack:
         session.check_budget()
+        s, criticals, depth = stack[-1]
         s_max = session.map.max_unexplored_subset_of(s)
         if s_max is None:
-            return
-        if session.oracle.is_sat(s_max):
+            stack.pop()
+        elif session.oracle.is_sat(s_max):
             # the witness meets s in s_max, since every larger subset of s is
             # up-blocked; beyond s it spares sibling frames and later seeds
             session.map.block_down(session.oracle.witness)
             s_mcs = s - s_max
             if len(s_mcs) == 1:
-                criticals = criticals | s_mcs
+                stack[-1] = (s, criticals | s_mcs, depth)
             else:
                 # each c is critical for s_max + {c}; the shared map lets later
                 # siblings skip whatever earlier ones already resolved
-                for c in s_mcs:
-                    _find_muses(session, s_max.add(c), criticals.add(c), depth + 1)
+                stack.extend((s_max.add(c), criticals.add(c), depth + 1) for c in reversed(list(s_mcs)))
         else:
             mus = session.shrink_and_emit(s_max, criticals, session.oracle.core, depth)
             if mus != s_max:
                 p = choose_p(mus, s_max, session.config.reduction_factor)
                 if p is not None:
-                    _find_muses(session, p, criticals, depth + 1)
+                    stack.append((p, criticals, depth + 1))

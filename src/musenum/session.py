@@ -48,8 +48,8 @@ class RemusConfig:
             raise PreconditionError("reduction_factor must lie strictly between 0 and 1")
         if self.mus_limit is not None and self.mus_limit < 1:
             raise PreconditionError("mus_limit must be at least 1")
-        if self.time_limit is not None and self.time_limit < 0:
-            raise PreconditionError("time_limit must be non-negative")
+        if self.time_limit is not None and not self.time_limit >= 0:  # NaN too
+            raise PreconditionError("time_limit must be a non-negative number")
         if self.check_limit is not None and self.check_limit < 0:
             raise PreconditionError("check_limit must be non-negative")
 

@@ -22,7 +22,9 @@ class UnexploredMap:
     removes their clauses from the solver, since its own clause implies them
     (backward subsumption). Up-blocks are kept as they come; the enumerators
     block up only MUSes, which form an antichain already. `clauses` holds only
-    the live clauses, and `block_log` every block in order.
+    the live clauses, and `block_log` every block in order. A query's answer
+    is the solver's model itself, maximal because of the order in which the
+    solver branches.
     """
 
     def __init__(self, n: int):
@@ -31,7 +33,8 @@ class UnexploredMap:
         self.n = n
         self.block_log: list[tuple[str, int]] = []  # ("down"|"up", subset mask)
         self.solver_calls = 0
-        self.grow_evals = 0  # clause evaluations spent growing models, diagnostics only
+        # always 0, as answers need no grow pass; kept because bench/tracing.py reads it
+        self.grow_evals = 0
         self._solver = SatSolver(n, default_phase=True)
         self._negative_masks: list[int] = []
         self._down = Antichain()  # maximal down-blocked masks -> their solver clauses
@@ -99,28 +102,19 @@ class UnexploredMap:
     def max_unexplored_subset_of(self, p: ConstraintSet) -> ConstraintSet | None:
         """An undetermined subset of p maximal within p, or None if none remains.
 
-        One solver call; the solver's all-true branching bias already yields a
-        large model, then a deterministic pass adds each remaining constraint
-        of p (ascending index) whose inclusion keeps every all-negative clause
-        satisfied. All-positive clauses cannot lose satisfaction by adding
-        members, so this guarantees maximality without further solver calls.
+        One solver call, whose model is the answer. The solver branches with
+        `default_phase=True`, so by the model invariant in `satsolver.py` its
+        model M is the first in branching order: the lexicographically
+        greatest model, variable 1 most significant. For a member x of p
+        outside M, M + {x} still satisfies every down-block clause (all
+        positive) and every assumption (only constraints outside p are
+        assumed false). Were it to satisfy every up-block clause too, it would
+        be a model greater than M; so M + {x} contains an up-blocked set, and
+        M is maximal within p. A branching order other than this one would
+        need a pass that grows the model.
         """
         self._require_same_universe(p)
         self.solver_calls += 1
         if not self._solver.solve(self._assumptions_outside(p.mask)):
             return None
-        grown = self._solver.model_mask & p.mask
-        rest = p.mask & ~grown
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            candidate = grown | low
-            blocked = False
-            for neg in self._negative_masks:
-                self.grow_evals += 1
-                if candidate & neg == neg:
-                    blocked = True
-                    break
-            if not blocked:
-                grown = candidate
-        return ConstraintSet(self.n, grown)
+        return ConstraintSet(self.n, self._solver.model_mask & p.mask)

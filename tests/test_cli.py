@@ -52,6 +52,22 @@ def test_solve_mus_limit_stops_cleanly(example1_path):
     assert proc.stdout.splitlines()[-1].endswith("complete=no")
 
 
+def test_solve_into_a_closed_pipe_stops_quietly_with_exit_1(tmp_path):
+    # 200 MUSes {c1, ci}: the run is still streaming when the reader leaves
+    path = tmp_path / "many.cnf"
+    path.write_text("p cnf 1 201\n-1 0\n" + "1 0\n" * 200)
+    with subprocess.Popen(
+        [sys.executable, "-m", "musenum", "solve", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        assert MUS_LINE_RE.match(proc.stdout.readline().rstrip("\n"))
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        stderr = proc.stderr.read()
+    assert code == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
 def test_solve_satisfiable_instance_exits_3(tmp_path):
     path = tmp_path / "sat.cnf"
     path.write_text("p cnf 2 2\n1 0\n2 0\n")
@@ -87,6 +103,12 @@ def test_bad_flag_values_exit_2(example1_path):
     assert run_cli("solve", example1_path, "--reduction-factor", "1.5").returncode == 2
     assert run_cli("solve", example1_path, "--mus-limit", "0").returncode == 2
     assert run_cli("solve", example1_path, "--algorithm", "dfs").returncode == 2
+
+
+def test_nan_time_limit_exits_2(example1_path):
+    proc = run_cli("solve", example1_path, "--time-limit", "nan")
+    assert proc.returncode == 2
+    assert "non-negative number" in proc.stderr
 
 
 def test_quiet_suppresses_mus_lines(example1_path):

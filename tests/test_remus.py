@@ -1,3 +1,4 @@
+import inspect
 import random
 import sys
 
@@ -109,7 +110,7 @@ def test_mus_limit_stops_cleanly():
 
 @pytest.fixture
 def recursion_limit():
-    """A recursion limit below what remus raises it to on example 1 (4 * 4 + 1000)."""
+    """A caller's recursion limit, put back after the test."""
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     yield 1000
@@ -117,24 +118,35 @@ def recursion_limit():
 
 
 @pytest.mark.parametrize("config", [RemusConfig(), RemusConfig(mus_limit=1)], ids=["complete", "mus-limit"])
-def test_recursion_limit_is_restored(recursion_limit, config):
+def test_search_leaves_the_recursion_limit_alone(recursion_limit, config):
     during = []
     result = enumerate_remus(
         Instance(parse_dimacs(EXAMPLE1_DIMACS)), config,
         sink=lambda record: during.append(sys.getrecursionlimit()),
     )
     assert result.complete == (config.mus_limit is None)
-    assert during and set(during) == {1016}  # raised while searching
+    assert during and set(during) == {recursion_limit}
     assert sys.getrecursionlimit() == recursion_limit
 
 
-def test_recursion_limit_is_restored_after_an_exception(recursion_limit):
-    def sink(record):
-        raise KeyError("sink failed")
+def test_deep_search_needs_no_interpreter_stack():
+    # the 200 MUSes are {c1, ci}; with factor 0.99 each seed loses about one
+    # constraint, so frames nest far deeper than the headroom left below
+    oracle = CnfOracle(1, [[-1]] + [[1]] * 200)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        result = enumerate_remus(Instance(oracle), RemusConfig(reduction_factor=0.99))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert result.complete
+    assert len(set(result.muses)) == 200
+    assert max(record.depth for record in result.records) > 40
 
-    with pytest.raises(KeyError):
-        enumerate_remus(Instance(parse_dimacs(EXAMPLE1_DIMACS)), sink=sink)
-    assert sys.getrecursionlimit() == recursion_limit
+
+def test_nan_time_limit_is_rejected():
+    with pytest.raises(PreconditionError):
+        RemusConfig(time_limit=float("nan"))
 
 
 def test_time_limit_zero_stops_before_any_emission():

@@ -204,12 +204,23 @@ def test_solver_call_counting():
     assert umap.solver_calls == 2  # one per call, also when nothing is left
 
 
-def test_growth_work_is_counted_separately():
-    umap = example3_map()
-    calls_before = umap.solver_calls
-    umap.max_unexplored_subset_of(ConstraintSet.full(3))
-    assert umap.solver_calls == calls_before + 1
-    assert umap.grow_evals > 0  # clause evaluations, not solver calls
+def test_every_member_of_p_outside_the_answer_hits_an_up_block():
+    # the solver's model is maximal within p as it stands, so no grow pass runs
+    rng = random.Random(503)
+    for _ in range(250):
+        n = rng.randint(1, 9)
+        umap = UnexploredMap(n)
+        log = random_block_log(rng, n)
+        apply_log(umap, log)
+        p = ConstraintSet(n, rng.randrange(1 << n))
+        got = umap.max_unexplored_subset_of(p)
+        if got is None:
+            continue
+        ups = [mask for kind, mask in log if kind == "up"]
+        for c in p - got:
+            grown = got.add(c).mask
+            assert any(grown & up == up for up in ups)
+        assert umap.grow_evals == 0
 
 
 def test_universe_mismatch_rejected():
