@@ -23,14 +23,13 @@ from .oracles import (
     parse_dimacs,
 )
 from .remus import choose_p, enumerate_remus
-from .session import BudgetReached, EnumerationResult, RemusConfig
+from .session import EnumerationResult, RemusConfig
 from .shrink import shrink
 from .unexplored import UnexploredMap
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetReached",
     "CheckStats",
     "CnfOracle",
     "ConstraintSet",

@@ -37,26 +37,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not value >= 0:  # NaN too
-        raise argparse.ArgumentTypeError("value must be a non-negative number")
-    return value
-
-
-def _reduction_factor(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("reduction factor must lie strictly between 0 and 1")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="musenum",
@@ -71,20 +51,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumeration algorithm (default: remus)",
     )
     solve.add_argument(
-        "--time-limit", type=_nonnegative_float, default=None, metavar="SECONDS",
+        "--time-limit", type=float, default=None, metavar="SECONDS",
         help="stop cleanly after this wall-clock budget",
     )
     solve.add_argument(
-        "--mus-limit", type=_positive_int, default=None, metavar="N",
+        "--mus-limit", type=int, default=None, metavar="N",
         help="stop cleanly after emitting N MUSes",
     )
     solve.add_argument(
-        "--reduction-factor", type=_reduction_factor, default=0.9, metavar="F",
+        "--reduction-factor", type=float, default=0.9, metavar="F",
         help="search-space reduction factor for remus (default: 0.9)",
-    )
-    solve.add_argument(
-        "--no-shrink-feed", action="store_true",
-        help="do not block the witnesses of satisfiable sets found mid-shrink in the map",
     )
     solve.add_argument(
         "--stats", metavar="PATH", default=None,
@@ -117,6 +93,15 @@ def write_stats_csv(stats: CheckStats, path: str) -> None:
 
 def _cmd_solve(args) -> int:
     try:
+        config = RemusConfig(
+            reduction_factor=args.reduction_factor,
+            mus_limit=args.mus_limit,
+            time_limit=args.time_limit,
+        )
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         with open(args.input, "rb") as handle:
             text = handle.read()
     except OSError as exc:
@@ -128,12 +113,6 @@ def _cmd_solve(args) -> int:
     except (DimacsParseError, PreconditionError) as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 2
-    config = RemusConfig(
-        reduction_factor=args.reduction_factor,
-        mus_limit=args.mus_limit,
-        time_limit=args.time_limit,
-        feed_map=not args.no_shrink_feed,
-    )
     out = sys.stdout
 
     def sink(record):

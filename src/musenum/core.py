@@ -142,13 +142,6 @@ class ConstraintSet:
         self._require_same_universe(other)
         return self.mask & ~other.mask == 0
 
-    def complement(self, within: "ConstraintSet") -> "ConstraintSet":
-        """Set difference within \\ self; requires self to be a subset of within."""
-        self._require_same_universe(within)
-        if not self.is_subset_of(within):
-            raise PreconditionError("complement requires the set to lie inside `within`")
-        return ConstraintSet(self.n, within.mask & ~self.mask)
-
     def indices_1based(self) -> list[int]:
         return [i + 1 for i in self]
 

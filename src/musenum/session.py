@@ -23,11 +23,10 @@ from .unexplored import UnexploredMap
 
 @dataclass
 class RemusConfig:
-    """Budgets and tuning knobs honoured by both enumeration algorithms.
+    """The run parameters of both enumeration algorithms, and their one validation.
 
     reduction_factor sizes the reduced search space after each found MUS (only
-    the recursive algorithm uses it). feed_map blocks the oracle's witnesses
-    of the satisfiable sets a shrink meets, so later seeds skip them.
+    the recursive algorithm uses it).
 
     All budgets are optional and are checked between steps. check_limit caps
     cumulative oracle checks deterministically, where wall-clock limits would
@@ -41,17 +40,20 @@ class RemusConfig:
     mus_limit: int | None = None
     time_limit: float | None = None
     check_limit: int | None = None
-    feed_map: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.reduction_factor < 1.0:
             raise PreconditionError("reduction_factor must lie strictly between 0 and 1")
-        if self.mus_limit is not None and self.mus_limit < 1:
-            raise PreconditionError("mus_limit must be at least 1")
+        if self.mus_limit is not None and not _int_at_least(self.mus_limit, 1):
+            raise PreconditionError("mus_limit must be an integer of at least 1")
         if self.time_limit is not None and not self.time_limit >= 0:  # NaN too
             raise PreconditionError("time_limit must be a non-negative number")
-        if self.check_limit is not None and self.check_limit < 0:
-            raise PreconditionError("check_limit must be non-negative")
+        if self.check_limit is not None and not _int_at_least(self.check_limit, 0):
+            raise PreconditionError("check_limit must be a non-negative integer")
+
+
+def _int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and value >= low  # NaN and 1.5 are no budgets
 
 
 @dataclass
@@ -120,11 +122,13 @@ class Session:
     def shrink_and_emit(
         self, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet, depth: int
     ) -> ConstraintSet:
-        """Shrink an unsatisfiable seed, emit its MUS and block what was learnt (see feed_map).
+        """Shrink an unsatisfiable seed, emit its MUS and block what was learnt.
 
-        The seed is the set the enumerator chose and found unsatisfiable, and
-        the shrink log records it; `core` is the oracle's core of that check,
-        the unsatisfiable subset of the seed that the shrink starts from.
+        Besides the MUS, the map always down-blocks the oracle's witness of
+        every satisfiable set the shrink met, so later seeds skip them. The
+        seed is the set the enumerator chose and found unsatisfiable, and the
+        shrink log records it; `core` is the oracle's core of that check, the
+        unsatisfiable subset of the seed that the shrink starts from.
         """
         self.check_budget()
         before = self.oracle_checks()
@@ -132,9 +136,8 @@ class Session:
         self.stats.shrink_log.append(ShrinkCall(seed, criticals, self.oracle_checks() - before))
         self.emit(mus, depth)
         self.check_budget()
-        if self.config.feed_map:
-            for sat_set in discoveries:
-                self.map.block_down(sat_set)
+        for sat_set in discoveries:
+            self.map.block_down(sat_set)
         self.map.block_up(mus)
         self.map.block_down(mus)
         return mus

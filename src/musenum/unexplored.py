@@ -20,11 +20,11 @@ class UnexploredMap:
     Down-blocks are kept as an antichain of maximal blocked sets: a block
     inside a stored set adds no clause, and a block containing stored sets
     removes their clauses from the solver, since its own clause implies them
-    (backward subsumption). Up-blocks are kept as they come; the enumerators
-    block up only MUSes, which form an antichain already. `clauses` holds only
-    the live clauses, and `block_log` every block in order. A query's answer
-    is the solver's model itself, maximal because of the order in which the
-    solver branches.
+    (backward subsumption). Up-blocks are kept as they come, in `block_log`,
+    which holds every block in order; the enumerators block up only MUSes,
+    which form an antichain already. `clauses` holds only the live clauses.
+    A query's answer is the solver's model itself, maximal because of the
+    order in which the solver branches.
     """
 
     def __init__(self, n: int):
@@ -36,7 +36,6 @@ class UnexploredMap:
         # always 0, as answers need no grow pass; kept because bench/tracing.py reads it
         self.grow_evals = 0
         self._solver = SatSolver(n, default_phase=True)
-        self._negative_masks: list[int] = []
         self._down = Antichain()  # maximal down-blocked masks -> their solver clauses
         self._outside: list[int] = []  # the last call's assumptions, in order
 
@@ -53,7 +52,7 @@ class UnexploredMap:
     @property
     def clauses(self) -> list[list[int]]:
         """The live blocking clauses: the up-blocks in order, then the maximal down-blocks."""
-        return [self._up_clause(m) for m in self._negative_masks] + [
+        return [self._up_clause(m) for kind, m in self.block_log if kind == "up"] + [
             self._down_clause(m) for m in self._down
         ]
 
@@ -75,7 +74,6 @@ class UnexploredMap:
         """Remove unsat_set and all of its supersets from the map."""
         self._require_same_universe(unsat_set)
         self.block_log.append(("up", unsat_set.mask))
-        self._negative_masks.append(unsat_set.mask)
         self._solver.add_clause(self._up_clause(unsat_set.mask))
 
     def _assumptions_outside(self, p_mask: int) -> list[int]:

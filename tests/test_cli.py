@@ -1,12 +1,14 @@
+import argparse
 import csv
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from musenum import parse_dimacs
-from musenum.cli import run
+from musenum.cli import build_parser, run
 
 SUMMARY_RE = re.compile(
     r"^found=(\d+) oracle_checks=(\d+) map_calls=(\d+) elapsed=([0-9.]+)s complete=(yes|no)$"
@@ -100,9 +102,18 @@ def test_zero_constraint_instance_exits_2(tmp_path):
 
 
 def test_bad_flag_values_exit_2(example1_path):
-    assert run_cli("solve", example1_path, "--reduction-factor", "1.5").returncode == 2
-    assert run_cli("solve", example1_path, "--mus-limit", "0").returncode == 2
-    assert run_cli("solve", example1_path, "--algorithm", "dfs").returncode == 2
+    for flags in (
+        ["--reduction-factor", "1.5"],
+        ["--reduction-factor", "nan"],
+        ["--mus-limit", "0"],
+        ["--time-limit", "-1"],
+        ["--algorithm", "dfs"],
+        ["--no-shrink-feed"],
+    ):
+        proc = run_cli("solve", example1_path, *flags)
+        assert proc.returncode == 2, flags
+        assert "Traceback" not in proc.stderr, flags
+        assert "MUS" not in proc.stdout, flags
 
 
 def test_nan_time_limit_exits_2(example1_path):
@@ -159,15 +170,6 @@ def test_completed_run_always_has_at_least_one_row(tmp_path):
     assert len(rows) >= 2
 
 
-def test_no_shrink_feed_flag_still_enumerates(example1_path):
-    proc = run_cli("solve", example1_path, "--no-shrink-feed")
-    assert proc.returncode == 0
-    assert set(parse_mus_lines(proc.stdout).values()) == {
-        frozenset({1, 2}),
-        frozenset({1, 3, 4}),
-    }
-
-
 def test_gen_is_deterministic_and_parseable(tmp_path):
     first = run_cli("gen", "--vars", "6", "--clauses", "20", "--seed", "5")
     second = run_cli("gen", "--vars", "6", "--clauses", "20", "--seed", "5")
@@ -210,3 +212,25 @@ def test_write_stats_csv_unwritable_path(example1_path, tmp_path):
 def test_gen_unwritable_output_exits_1(tmp_path):
     code = run(["gen", "--vars", "3", "--clauses", "4", "-o", str(tmp_path / "no" / "x.cnf")])
     assert code == 1
+
+
+def test_readme_synopsis_names_every_long_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```")[1]
+    documented = {
+        chunk.split()[0]: set(re.findall(r"--[a-z][a-z-]*", chunk))
+        for chunk in re.split(r"^musenum ", block, flags=re.M)
+        if chunk.strip()
+    }
+    (commands,) = [
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    defined = {
+        name: {
+            option for action in sub._actions for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        for name, sub in commands.items()
+    }
+    assert documented == defined

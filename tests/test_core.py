@@ -8,30 +8,6 @@ from musenum.core import Antichain
 from helpers import cs
 
 
-def test_complement_within_full_universe():
-    assert cs("1010").complement(cs("1111")) == cs("0101")
-
-
-def test_complement_of_mss_is_mcs():
-    # complement of the satisfiable maximal set {c1,c3} is the correction set {c2,c4}
-    assert cs("1010").complement(ConstraintSet.full(4)) == cs("0101")
-
-
-def test_complement_empty_within_empty():
-    empty = ConstraintSet.empty(4)
-    assert empty.complement(empty) == empty
-
-
-def test_complement_requires_subset():
-    with pytest.raises(PreconditionError):
-        cs("1010").complement(cs("0111"))
-
-
-def test_complement_length_mismatch():
-    with pytest.raises(UniverseMismatchError):
-        cs("101").complement(cs("1111"))
-
-
 def test_is_subset_of():
     assert cs("1100").is_subset_of(cs("1110"))
     assert not cs("1100").is_subset_of(cs("1010"))
@@ -51,15 +27,6 @@ def test_subset_antisymmetry_matches_equality():
         b = ConstraintSet(n, rng.randrange(1 << n))
         both = a.is_subset_of(b) and b.is_subset_of(a)
         assert both == (a == b)
-
-
-def test_complement_is_involution():
-    rng = random.Random(402)
-    for _ in range(300):
-        n = rng.randint(1, 10)
-        within = ConstraintSet(n, rng.randrange(1 << n))
-        sub = ConstraintSet(n, within.mask & rng.randrange(1 << n))
-        assert sub.complement(within).complement(within) == sub
 
 
 def test_cardinality_is_popcount():

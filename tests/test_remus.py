@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import musenum.session
 from musenum import (
     CnfOracle,
     ConstraintSet,
@@ -17,6 +18,7 @@ from musenum import (
     enumerate_remus,
     is_mus,
     parse_dimacs,
+    shrink,
 )
 from musenum.reference import random_cnf
 
@@ -149,6 +151,13 @@ def test_nan_time_limit_is_rejected():
         RemusConfig(time_limit=float("nan"))
 
 
+@pytest.mark.parametrize("value", [float("nan"), 1.5], ids=["nan", "fraction"])
+@pytest.mark.parametrize("field", ["mus_limit", "check_limit"])
+def test_non_integer_limits_are_rejected(field, value):
+    with pytest.raises(PreconditionError):
+        RemusConfig(**{field: value})
+
+
 def test_time_limit_zero_stops_before_any_emission():
     result = enumerate_remus(
         Instance(parse_dimacs(EXAMPLE1_DIMACS)), RemusConfig(time_limit=0.0)
@@ -182,25 +191,30 @@ def test_check_limit_overshoot_is_bounded(formula, algorithm, limit):
 
 
 @pytest.mark.parametrize("algorithm", ["remus", "marco"])
-def test_feed_map_off_blocks_no_shrink_discovery(algorithm):
+def test_shrink_discoveries_are_always_blocked(algorithm, monkeypatch):
+    discovered = []
+
+    def recording_shrink(*args):
+        mus, discoveries = shrink(*args)
+        discovered.extend(discoveries)
+        return mus, discoveries
+
+    monkeypatch.setattr(musenum.session, "shrink", recording_shrink)
     # unsatisfiable 2-CNF formulas with 4, 12 and 14 MUSes
     for num_vars, num_clauses, seed in [(3, 8, 2), (4, 10, 0), (5, 14, 2)]:
         clauses = random_cnf(num_vars, num_clauses, 2, seed)
-        extra_downs = {}
-        for feed in (True, False):
-            result = RUNNERS[algorithm](
-                Instance(CnfOracle(num_vars, clauses)), RemusConfig(feed_map=feed)
-            )
-            assert set(result.muses) == bruteforce_all_muses(CnfOracle(num_vars, clauses))
-            # one down-block per seed check (its MSS or its MUS), none per shrink find
-            seed_checks = (
-                result.stats.oracle_checks - 1
-                - sum(call.checks for call in result.stats.shrink_log)
-            )
-            downs = sum(kind == "down" for kind, _ in result.block_log)
-            extra_downs[feed] = downs - seed_checks
-        assert extra_downs[False] == 0
-        assert extra_downs[True] > 0
+        discovered.clear()
+        result = RUNNERS[algorithm](Instance(CnfOracle(num_vars, clauses)))
+        assert set(result.muses) == bruteforce_all_muses(CnfOracle(num_vars, clauses))
+        # one down-block per seed check (its MSS or its MUS), one per shrink find
+        seed_checks = (
+            result.stats.oracle_checks - 1
+            - sum(call.checks for call in result.stats.shrink_log)
+        )
+        downs = [mask for kind, mask in result.block_log if kind == "down"]
+        assert discovered
+        assert len(downs) == seed_checks + len(discovered)
+        assert {sat_set.mask for sat_set in discovered} <= set(downs)
 
 
 def test_stats_snapshots_are_monotone():
