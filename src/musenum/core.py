@@ -162,23 +162,24 @@ class Antichain(dict):
                 return m
         return None
 
-    def add(self, mask: int) -> list | None:
-        """Store mask with payload None unless it is covered (then return None).
+    def add(self, mask: int) -> bool:
+        """Store mask with payload None and return True, unless it is covered.
 
-        Otherwise drop the stored masks inside mask and return their payloads.
-        One pass decides both, since in an antichain no mask lies inside one
-        stored mask and contains another.
+        A covered mask is not stored and returns False. Storing drops the
+        stored masks inside mask; one pass decides both, since in an antichain
+        no mask lies inside one stored mask and contains another.
         """
         inside = []
         for m in self:
             common = mask & m
             if common == mask:
-                return None
+                return False
             if common == m:
                 inside.append(m)
-        dropped = [self.pop(m) for m in inside]
+        for m in inside:
+            del self[m]
         self[mask] = None
-        return dropped
+        return True
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Small incremental CDCL propositional solver.
 
-Supports adding and removing clauses between solves, solving under
-assumptions, conflict clause learning (first-UIP) with backjumping, and a
-fixed default branching polarity. There are no restarts and learnt clauses
-are never discarded; the intended workload is many related solves over
-formulas with at most a few hundred variables.
+Supports adding clauses between solves, solving under assumptions,
+conflict clause learning (first-UIP) with backjumping, and a fixed default
+branching polarity. Clauses are never removed: there are no restarts and
+learnt clauses are never discarded; the intended workload is many related
+solves over formulas with at most a few hundred variables.
 
 The trail is kept between calls. Assumption i is decided at level i + 1, and
 a solve keeps the levels of the longest common prefix of its assumption list
@@ -49,9 +49,9 @@ order of the assumptions never change which model that is, so callers may
 rely on the model being a function of the clause set and the assumption set.
 A guard is another way to store a learnt clause: the clause is still implied
 by the others, and it propagates only when all of its literals are false, so
-it prunes no model either, and guards add no variable. A caller removes only
-clauses implied by the clauses that stay, so removal leaves the set of
-models, and with it every later model, unchanged.
+it prunes no model either, and guards add no variable. Likewise, adding a
+clause implied by the others leaves the set of models, and with it every
+later model, unchanged.
 
 Variables are the integers 1..num_vars, literals are signed integers, and
 clauses are lists of literals. Values are stored per literal in one list
@@ -106,19 +106,17 @@ class SatSolver:
             raise RuntimeError("no model available; last solve was unsat or never ran")
         return self._model_mask
 
-    def add_clause(self, lits) -> list[int] | None:
+    def add_clause(self, lits) -> None:
         """Add a clause. Tautologies are dropped; level-0 false literals are stripped.
 
-        A unit clause is asserted at level 0. Otherwise the clause is watched on
-        two literals, and above level 0 the trail is kept if two literals are
-        unfalsified; if not, it is backtracked just far enough to free two.
-        Returns the stored clause, the handle for `remove_clause`, or None when
-        nothing was stored (a unit, a tautology, a clause satisfied at level 0,
-        an empty clause, or a solver that is already unsat).
+        A unit clause is asserted at level 0, and an empty one makes the
+        solver unsat. Otherwise the clause is watched on two literals, and
+        above level 0 the trail is kept if two literals are unfalsified; if
+        not, it is backtracked just far enough to free two.
         """
         self._failed = None
         if not self.ok:
-            return None
+            return
         level = self._level
         seen = set()
         out = []
@@ -126,46 +124,29 @@ class SatSolver:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise ValueError(f"literal {lit} out of range")
             if -lit in seen:
-                return None  # tautology
+                return  # tautology
             if lit in seen:
                 continue
             val = self.value(lit)
             if val != 0 and level[abs(lit)] == 0:
                 if val == 1:
-                    return None  # satisfied at level 0
+                    return  # satisfied at level 0
                 continue  # permanently false literal
             seen.add(lit)
             out.append(lit)
         if not out:
             self.ok = False
-            return None
+            return
         if len(out) == 1:
             self._backtrack(0)
             self._enqueue(out[0], None)
             if self._propagate() is not None:
                 self.ok = False
-            return None
+            return
         if self._lim:
             self._free_watches(out)
         self._watches[out[0]].append(out)
         self._watches[out[1]].append(out)
-        return out
-
-    def remove_clause(self, clause: list[int]) -> None:
-        """Detach a clause that `add_clause` returned from its two watch lists.
-
-        The caller guarantees that the clause is implied by the clauses that
-        stay, so the models, and the first model in branching order, do not
-        change. The clause may still be the reason of a literal on the kept
-        trail; conflict analysis only reads its literals, which stay implied,
-        so the list is neither reordered nor changed here.
-        """
-        for lit in clause[:2]:
-            ws = self._watches[lit]
-            for i, watched in enumerate(ws):
-                if watched is clause:
-                    del ws[i]
-                    break
 
     def _free_watches(self, clause) -> None:
         """Move the two literals that stay unfalsified longest to the front.

@@ -21,7 +21,7 @@ from .shrink import shrink
 from .unexplored import UnexploredMap
 
 
-@dataclass
+@dataclass(frozen=True)
 class RemusConfig:
     """The run parameters of both enumeration algorithms, and their one validation.
 
@@ -34,6 +34,9 @@ class RemusConfig:
     always runs, and a shrink in flight is never cut. A run ends with at most
     max(check_limit, 1) + max(0, k - 1) checks, where k is |seed \\ criticals|
     of its last shrink.
+
+    A config is frozen, so the values it was validated with are the values a
+    run reads.
     """
 
     reduction_factor: float = 0.9
@@ -53,7 +56,8 @@ class RemusConfig:
 
 
 def _int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and value >= low  # NaN and 1.5 are no budgets
+    # NaN, 1.5 and True are no budgets
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 @dataclass
@@ -62,8 +66,8 @@ class EnumerationResult:
 
     block_log is the map's chronological ("down"|"up", subset mask) record;
     replaying it against the oracle is the standard soundness check. Each
-    down-block is an emitted MUS or an oracle witness, a satisfiable superset
-    of a set found satisfiable.
+    down-block is an oracle witness, a satisfiable superset of a set found
+    satisfiable; each up-block is an emitted MUS.
     """
 
     stats: CheckStats
@@ -124,7 +128,7 @@ class Session:
     ) -> ConstraintSet:
         """Shrink an unsatisfiable seed, emit its MUS and block what was learnt.
 
-        Besides the MUS, the map always down-blocks the oracle's witness of
+        The map up-blocks the MUS and down-blocks the oracle's witness of
         every satisfiable set the shrink met, so later seeds skip them. The
         seed is the set the enumerator chose and found unsatisfiable, and the
         shrink log records it; `core` is the oracle's core of that check, the
@@ -138,8 +142,8 @@ class Session:
         self.check_budget()
         for sat_set in discoveries:
             self.map.block_down(sat_set)
+        # no down-block: a proper subset lies in the blocked witness that proved a member critical
         self.map.block_up(mus)
-        self.map.block_down(mus)
         return mus
 
 

@@ -5,7 +5,7 @@ The map is a CNF formula over one indicator variable per constraint
 undetermined subsets. Determined sets are removed by blocking clauses:
 all-positive clauses drop a satisfiable set together with its subsets,
 all-negative clauses drop an unsatisfiable set together with its supersets.
-A positive clause is removed again once a larger satisfiable set is blocked.
+Clauses are only ever added: the map learns each fact once and keeps it.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ class UnexploredMap:
     """The map over n constraints, on one incremental solver.
 
     Down-blocks are kept as an antichain of maximal blocked sets: a block
-    inside a stored set adds no clause, and a block containing stored sets
-    removes their clauses from the solver, since its own clause implies them
-    (backward subsumption). Up-blocks are kept as they come, in `block_log`,
-    which holds every block in order; the enumerators block up only MUSes,
-    which form an antichain already. `clauses` holds only the live clauses.
-    A query's answer is the solver's model itself, maximal because of the
-    order in which the solver branches.
+    inside a stored set adds no clause, since a stored clause implies it. A
+    block containing stored sets adds its clause and leaves theirs in the
+    solver; they are implied now, so the solver's models do not change.
+    Up-blocks are kept as they come, in `block_log`, which holds every block
+    in order; the enumerators block up only MUSes, which form an antichain
+    already. A query's answer is the solver's model itself, maximal because
+    of the order in which the solver branches.
     """
 
     def __init__(self, n: int):
@@ -36,7 +36,7 @@ class UnexploredMap:
         # always 0, as answers need no grow pass; kept because bench/tracing.py reads it
         self.grow_evals = 0
         self._solver = SatSolver(n, default_phase=True)
-        self._down = Antichain()  # maximal down-blocked masks -> their solver clauses
+        self._down = Antichain()  # the maximal down-blocked masks
         self._outside: list[int] = []  # the last call's assumptions, in order
 
     def _require_same_universe(self, s: ConstraintSet) -> None:
@@ -51,7 +51,11 @@ class UnexploredMap:
 
     @property
     def clauses(self) -> list[list[int]]:
-        """The live blocking clauses: the up-blocks in order, then the maximal down-blocks."""
+        """A formula equivalent to the solver's blocking clauses.
+
+        The up-blocks in order, then the maximal down-blocks; the solver also
+        holds the clauses of down-blocks that a later block came to contain.
+        """
         return [self._up_clause(m) for kind, m in self.block_log if kind == "up"] + [
             self._down_clause(m) for m in self._down
         ]
@@ -61,14 +65,8 @@ class UnexploredMap:
         self._require_same_universe(sat_set)
         mask = sat_set.mask
         self.block_log.append(("down", mask))
-        dropped = self._down.add(mask)
-        if dropped is None:
-            return  # inside a down-blocked set already
-        solver = self._solver
-        self._down[mask] = solver.add_clause(self._down_clause(mask))
-        for clause in dropped:
-            if clause is not None:
-                solver.remove_clause(clause)
+        if self._down.add(mask):  # not inside a down-blocked set already
+            self._solver.add_clause(self._down_clause(mask))
 
     def block_up(self, unsat_set: ConstraintSet) -> None:
         """Remove unsat_set and all of its supersets from the map."""

@@ -91,14 +91,16 @@ def test_antichain_keeps_the_maximal_masks():
         for _ in range(rng.randint(0, 12)):
             mask = rng.randrange(1 << 6)
             before = dict(chain)
-            dropped = chain.add(mask)
+            stored = chain.add(mask)
             added.append(mask)
-            if dropped is None:
+            assert stored == (before.keys() != chain.keys())
+            if not stored:
                 assert chain == before
                 assert any(mask & m == mask for m in before)
                 continue
+            # the masks inside mask are dropped, every other mask keeps its payload
+            assert chain == {m: p for m, p in before.items() if m & mask != m} | {mask: None}
             chain[mask] = len(added)  # payload: the position of the add
-            assert sorted(dropped) == sorted(p for m, p in before.items() if m & mask == m)
         maximal = {m for m in added if not any(m & o == m and m != o for o in added)}
         assert set(chain) == maximal
         for probe in range(1 << 6):

@@ -158,6 +158,21 @@ def test_non_integer_limits_are_rejected(field, value):
         RemusConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["mus_limit", "check_limit"])
+def test_bool_limits_are_rejected(field):
+    for value in (True, False):
+        with pytest.raises(PreconditionError):
+            RemusConfig(**{field: value})
+
+
+def test_config_fields_cannot_change_after_validation():
+    config = RemusConfig(check_limit=5)
+    with pytest.raises(AttributeError):
+        config.check_limit = float("nan")
+    result = enumerate_remus(Instance(CnfOracle(1, [[-1]] + [[1]] * 30)), config)
+    assert not result.complete and result.stats.oracle_checks == 5
+
+
 def test_time_limit_zero_stops_before_any_emission():
     result = enumerate_remus(
         Instance(parse_dimacs(EXAMPLE1_DIMACS)), RemusConfig(time_limit=0.0)
@@ -206,15 +221,42 @@ def test_shrink_discoveries_are_always_blocked(algorithm, monkeypatch):
         discovered.clear()
         result = RUNNERS[algorithm](Instance(CnfOracle(num_vars, clauses)))
         assert set(result.muses) == bruteforce_all_muses(CnfOracle(num_vars, clauses))
-        # one down-block per seed check (its MSS or its MUS), one per shrink find
+        # one down-block per satisfiable seed check (its MSS), one per shrink find;
+        # an unsatisfiable seed check leads to a shrink and is down-blocked by none
         seed_checks = (
             result.stats.oracle_checks - 1
             - sum(call.checks for call in result.stats.shrink_log)
         )
+        sat_seed_checks = seed_checks - len(result.stats.shrink_log)
         downs = [mask for kind, mask in result.block_log if kind == "down"]
         assert discovered
-        assert len(downs) == seed_checks + len(discovered)
+        assert len(downs) == sat_seed_checks + len(discovered)
         assert {sat_set.mask for sat_set in discovered} <= set(downs)
+
+
+@pytest.mark.parametrize("algorithm", ["remus", "marco"])
+def test_every_mus_is_down_blocked_by_the_witnesses_before_it(algorithm):
+    # each member c of a MUS was proved critical by a satisfiable answer whose
+    # blocked witness holds MUS - {c}, so the MUS itself needs no down-block
+    rng = random.Random(1401)
+    runs = [CnfOracle(num_vars, clauses) for num_vars, clauses in small_unsat_cnfs(15, 1402)]
+    for _ in range(15):
+        n = rng.randint(2, 8)
+        runs.append(table_from_antichain(n, random_antichain(n, rng)))
+    runs.append(CnfOracle(7, random_cnf(7, 30, 3, 12)))  # 90 MUSes, remus recurses
+    for oracle in runs:
+        result = RUNNERS[algorithm](Instance(oracle))
+        assert result.complete
+        muses = {mus.mask for mus in result.muses}
+        downs = []
+        for kind, mask in result.block_log:
+            if kind == "down":
+                assert mask not in muses
+                downs.append(mask)
+                continue
+            assert mask in muses
+            members = [1 << i for i in range(oracle.n) if mask >> i & 1]
+            assert all(any(mask & ~c & d == mask & ~c for d in downs) for c in members)
 
 
 def test_stats_snapshots_are_monotone():
