@@ -143,7 +143,17 @@ class ConstraintSet:
         return self.mask & ~other.mask == 0
 
     def indices_1based(self) -> list[int]:
-        return [i + 1 for i in self]
+        return set_bits(self.mask)
+
+
+def set_bits(mask: int) -> list[int]:
+    """The 1-based positions of the set bits of a non-negative mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
 
 
 class Antichain(dict):

@@ -107,11 +107,19 @@ class CnfOracle(SatOracle):
     from there. It goes on through clauses already known to be critical
     (Wieringa, CP 2012) without naming them, visits each clause at most once
     per call, and stops once every other clause of work is named or known.
-    One pass over the variables per model finds the clauses with at least
-    one and with at least two true literals; every flip is read from those.
+    Each stored model keeps every clause's count of true variables as bit
+    planes (plane k holds bit k of each count), made by one pass over the
+    variables when the solver finds the model. A flip of v updates them from
+    the two masks of the clauses v occurs in: a borrow on the clauses whose
+    true literal of v turns false, a carry on those whose false literal of v
+    turns true, and a tautology on v keeps its count. "Exactly one true
+    variable" is plane 0 without the higher planes, so rotation reads each
+    model with a few operations on masks and never passes over the variables.
     """
 
     def __init__(self, num_vars: int, clauses):
+        if not isinstance(num_vars, int) or num_vars < 0:
+            raise PreconditionError(f"num_vars must be a non-negative integer, got {num_vars!r}")
         clauses = [list(c) for c in clauses]
         for cl in clauses:
             for lit in cl:
@@ -125,15 +133,16 @@ class CnfOracle(SatOracle):
         self._solver = SatSolver(num_vars + self.n, first_selector=num_vars + 1)
         for i, cl in enumerate(clauses):
             self._solver.add_clause(cl + [-(num_vars + 1 + i)])
-        self._models = Antichain()  # satisfied-clause masks of earlier models -> the models
+        self._models = Antichain()  # satisfied-clause masks of earlier models -> (model, planes)
         self._model = 0  # the model of the last SAT answer
+        self._planes = [0]  # and the bit planes of its clauses' counts of true variables
         self._satisfies: list[list[int]] = []  # per variable: [if true, if false]
 
     def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
         mask = s.mask
         cover = self._models.covers(mask)
         if cover is not None:
-            self._model = self._models[cover]
+            self._model, self._planes = self._models[cover]
             return True, cover
         if not self._solver.solve(selected=mask):
             base = self.num_vars + 1
@@ -142,41 +151,46 @@ class CnfOracle(SatOracle):
                 if lit > 0:
                     core |= 1 << (lit - base)
             return False, core
-        model = self._solver.model_mask & ((1 << self.num_vars) - 1)
-        satisfied, _ = self._true_in(model)
+        model = bits = self._solver.model_mask & ((1 << self.num_vars) - 1)
+        planes = [0]
+        for t, f in self._occurrences():
+            _carry(planes, t if bits & 1 else f)
+            bits >>= 1
+        satisfied = 0
+        for plane in planes:
+            satisfied |= plane
         self._models.add(satisfied)  # no stored set covers it, since none covers the query
-        self._models[satisfied] = self._model = model
+        self._models[satisfied] = (model, planes)
+        self._model, self._planes = model, planes
         return True, satisfied
 
-    def _true_in(self, model: int) -> tuple[int, int]:
-        """Masks of the clauses with at least one, and with at least two, variables true under the model."""
+    def _occurrences(self) -> list[list[int]]:
+        """Per variable, the masks of the clauses it makes true: [if true, if false]."""
         if not self._satisfies:  # built here, so constructing an oracle pays nothing for it
             self._satisfies = [[0, 0] for _ in range(self.num_vars)]
             for i, cl in enumerate(self.clauses):
                 for lit in cl:
                     self._satisfies[abs(lit) - 1][lit < 0] |= 1 << i
-        once = twice = 0
-        for t, f in self._satisfies:
-            true = t if model & 1 else f
-            twice |= once & true
-            once |= true
-            model >>= 1
-        return once, twice
+        return self._satisfies
 
     def rotate(
         self, work: ConstraintSet, critical: int, known: ConstraintSet | None = None
     ) -> list[tuple[int, ConstraintSet]]:
         n = self.n
+        occurrences = self._occurrences()
         wanted = work.mask & ~(1 << critical) & ~(known.mask if known else 0)
         found = []
         seen = 1 << critical
-        stack = [(self._model, critical)]
+        stack = [(self._model, self._planes, critical)]
         while stack and wanted & ~seen:
-            model, c = stack.pop()
-            once, twice = self._true_in(model)
+            model, planes, c = stack.pop()
+            twice = 0
+            for plane in planes[1:]:
+                twice |= plane
+            once = planes[0] | twice
             for lit in self.clauses[c]:
                 v = abs(lit) - 1
-                t, f = self._satisfies[v]
+                t, f = occurrences[v]
                 now, flipped = (t, f) if model >> v & 1 else (f, t)
                 lost = now & ~(twice | flipped)  # clauses whose only true variable is v
                 falsified = work.mask & lost
@@ -186,8 +200,32 @@ class CnfOracle(SatOracle):
                 d = falsified.bit_length() - 1
                 if falsified & wanted:
                     found.append((d, ConstraintSet(n, once & ~lost | flipped)))
-                stack.append((model ^ (1 << v), d))
+                # a clause holding both literals of v (a tautology) keeps its count
+                child = planes.copy()
+                _borrow(child, now & ~flipped)
+                _carry(child, flipped & ~now)
+                stack.append((model ^ (1 << v), child, d))
         return found
+
+
+def _carry(planes: list[int], gain: int) -> None:
+    """Add one to the count of every clause in `gain`, in bit planes."""
+    for k, plane in enumerate(planes):
+        planes[k] = plane ^ gain
+        gain &= plane
+        if not gain:
+            return
+    planes.append(gain)
+
+
+def _borrow(planes: list[int], lose: int) -> None:
+    """Subtract one from the count of every clause in `lose`; each count is at least one."""
+    k = 0
+    while lose:
+        plane = planes[k]
+        planes[k] = plane ^ lose
+        lose &= ~plane
+        k += 1
 
 
 class TableOracle(SatOracle):

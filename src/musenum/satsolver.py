@@ -12,7 +12,12 @@ and the previous call's, so those assumptions are not propagated again (as in
 Hickey & Bacchus, "Speeding Up Assumption-Based SAT", SAT 2019). A SAT answer
 backtracks only to the last assumption level and a failed assumption leaves
 the trail as it is. Clauses added above level 0 keep the trail when two of
-their literals are unfalsified.
+their literals are unfalsified. The assumption list itself is reused too: it
+starts with the selectors, so the previous call's list holds up to the first
+selector whose bit changed, the lowest set bit of `selected ^ previous`, and
+only the rest is built anew. An assumption whose negation no clause watches
+is decided without a propagation pass, since that pass would find nothing;
+a selector assumed false is one, as no clause holds a selector positively.
 
 Failed assumptions: after a solve answers UNSAT, `failed_assumptions()`
 names assumptions whose conjunction with the clauses is already UNSAT, found
@@ -57,7 +62,8 @@ Variables are the integers 1..num_vars, literals are signed integers, and
 clauses are lists of literals. Values are stored per literal in one list
 laid out as [0, v1..vn, -vn..-v1], so Python's negative indexing finds a
 negative literal's entry and `_val[lit]` is the literal's value with no sign
-test; assigning a variable writes both of its literals.
+test; assigning a variable writes both of its literals. The watch lists are
+laid out the same way, so `_watches[lit]` holds the clauses watching lit.
 """
 
 from __future__ import annotations
@@ -84,10 +90,7 @@ class SatSolver:
         self._val: list[int] = [0] * (2 * num_vars + 1)
         self._level: list[int] = [0] * (num_vars + 1)
         self._reason: list = [None] * (num_vars + 1)
-        self._watches: dict[int, list] = {}
-        for v in range(1, num_vars + 1):
-            self._watches[v] = []
-            self._watches[-v] = []
+        self._watches: list[list] = [[] for _ in range(2 * num_vars + 1)]  # laid out like _val
         self._trail: list[int] = []
         self._lim: list[int] = []  # trail length at the start of each decision level
         self._qhead = 0
@@ -180,24 +183,35 @@ class SatSolver:
             return False
         n = self.num_vars
         base = self._selector
-        self._selected = selected & ((1 << (n + 1 - base)) - 1)
-        assume = [base + i if selected >> i & 1 else -(base + i) for i in range(n + 1 - base)]
-        assume += assumptions
-        if assume and (0 in assume or max(assume) > n or min(assume) < -n):
-            bad = next(lit for lit in assume if lit == 0 or abs(lit) > n)
+        count = n + 1 - base  # selectors
+        selected &= (1 << count) - 1
+        assumptions = list(assumptions)
+        if assumptions and (0 in assumptions or max(assumptions) > n or min(assumptions) < -n):
+            bad = next(lit for lit in assumptions if lit == 0 or abs(lit) > n)
             raise ValueError(f"assumption literal {bad} out of range")
-        kept = 0
-        common = min(len(self._lim), len(assume))
+        # the previous list holds its selectors first, so it stays valid up to
+        # the first selector whose bit changed
         previous = self._assumed
-        while kept < common and previous[kept] == assume[kept]:
+        changed = selected ^ self._selected
+        same = min(len(previous), (changed & -changed).bit_length() - 1 if changed else count)
+        assume = previous[:same]
+        assume += [base + i if selected >> i & 1 else -(base + i) for i in range(same, count)]
+        assume += assumptions
+        limit = min(len(self._lim), len(assume))
+        kept = min(same, limit)
+        while kept < limit and previous[kept] == assume[kept]:
             kept += 1
         self._backtrack(kept)
         self._assumed = assume
+        self._selected = selected
         val = self._val
+        watches = self._watches
+        lim = self._lim
+        trail = self._trail
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                if not self._lim:
+                if not lim:
                     self.ok = False
                     return False
                 learnt, back_level = self._analyze(conflict)
@@ -205,31 +219,34 @@ class SatSolver:
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)
                 else:
-                    self._watches[learnt[0]].append(learnt)
-                    self._watches[learnt[1]].append(learnt)
+                    watches[learnt[0]].append(learnt)
+                    watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
                 continue
-            level = len(self._lim)
-            if level < len(assume):
+            # decide assumptions up to the first one whose negation a clause watches
+            level = len(lim)
+            while level < len(assume):
                 lit = assume[level]
-                if val[lit] == 1:
-                    self._lim.append(len(self._trail))  # placeholder level
-                    continue
                 if val[lit] == -1:
                     self._failed = lit
                     return False
-                self._lim.append(len(self._trail))
-                self._enqueue(lit, None)
-                continue
-            try:
-                branch_var = val.index(0, 1, n + 1)
-            except ValueError:  # no variable is free
-                self._failed = None
-                self._save_model()
-                self._backtrack(len(assume))
-                return True
-            self._lim.append(len(self._trail))
-            self._enqueue(branch_var if self.default_phase else -branch_var, None)
+                lim.append(len(trail))  # a placeholder level if lit is already true
+                level += 1
+                if val[lit] == 0:
+                    self._enqueue(lit, None)
+                    if watches[-lit]:
+                        break
+                    self._qhead += 1  # nothing to propagate
+            else:
+                try:
+                    branch_var = val.index(0, 1, n + 1)
+                except ValueError:  # no variable is free
+                    self._failed = None
+                    self._save_model()
+                    self._backtrack(len(assume))
+                    return True
+                lim.append(len(trail))
+                self._enqueue(branch_var if self.default_phase else -branch_var, None)
 
     def failed_assumptions(self) -> list[int]:
         """A subset of the last solve's assumptions that the clauses refute on their own.
@@ -302,13 +319,17 @@ class SatSolver:
         only if all of its guard is assumed true; if not, it parks a selector.
         """
         val = self._val
+        level = self._level
+        reason = self._reason
         watches = self._watches
         trail = self._trail
         guards = self._guards
+        current = len(self._lim)
         assumed = -1  # the selectors assumed true at this level, once a guard needs them
-        while self._qhead < len(trail):
-            false_lit = -trail[self._qhead]
-            self._qhead += 1
+        qhead = self._qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
             ws = watches[false_lit]
             if not ws:
                 continue
@@ -335,7 +356,7 @@ class SatSolver:
                     guard = guards.get(id(clause), 0) if guards else 0
                     if guard:
                         if assumed < 0:  # level i decided selector i - 1
-                            assumed = self._selected & ((1 << len(self._lim)) - 1)
+                            assumed = self._selected & ((1 << current) - 1)
                         missing = guard & ~assumed
                         if missing:
                             # park a selector that is not assumed true as the new watch,
@@ -360,8 +381,15 @@ class SatSolver:
                         del ws[j:]
                         self._qhead = len(trail)
                         return clause
-                    self._enqueue(first, clause)
+                    # enqueue first with clause as its reason
+                    val[first] = 1
+                    val[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = current
+                    reason[v] = clause
+                    trail.append(first)
             del ws[j:]
+        self._qhead = qhead
         return None
 
     def _analyze(self, conflict):

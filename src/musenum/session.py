@@ -6,6 +6,7 @@ session reads them there and copies the final counts into CheckStats once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .core import (
@@ -45,14 +46,19 @@ class RemusConfig:
     check_limit: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.reduction_factor < 1.0:
+        if not (_real(self.reduction_factor) and 0.0 < self.reduction_factor < 1.0):
             raise PreconditionError("reduction_factor must lie strictly between 0 and 1")
         if self.mus_limit is not None and not _int_at_least(self.mus_limit, 1):
             raise PreconditionError("mus_limit must be an integer of at least 1")
-        if self.time_limit is not None and not self.time_limit >= 0:  # NaN too
+        if self.time_limit is not None and not (_real(self.time_limit) and self.time_limit >= 0):  # NaN too
             raise PreconditionError("time_limit must be a non-negative number")
         if self.check_limit is not None and not _int_at_least(self.check_limit, 0):
             raise PreconditionError("check_limit must be a non-negative integer")
+
+
+def _real(value) -> bool:
+    # True is no time budget, and a string does not compare with numbers
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _int_at_least(value, low: int) -> bool:

@@ -10,7 +10,7 @@ Clauses are only ever added: the map learns each fact once and keeps it.
 
 from __future__ import annotations
 
-from .core import Antichain, ConstraintSet, PreconditionError, UniverseMismatchError
+from .core import Antichain, ConstraintSet, PreconditionError, UniverseMismatchError, set_bits
 from .satsolver import SatSolver
 
 
@@ -44,10 +44,10 @@ class UnexploredMap:
             raise UniverseMismatchError(f"set over universe {s.n}, map over {self.n}")
 
     def _down_clause(self, mask: int) -> list[int]:
-        return [i + 1 for i in range(self.n) if not mask >> i & 1]
+        return set_bits(~mask & ((1 << self.n) - 1))
 
     def _up_clause(self, mask: int) -> list[int]:
-        return [-(i + 1) for i in range(self.n) if mask >> i & 1]
+        return [-v for v in set_bits(mask)]
 
     @property
     def clauses(self) -> list[list[int]]:

@@ -49,6 +49,51 @@ class CoreCnfOracle(CnfOracle):
         return []
 
 
+def full_pass_rotate(oracle: CnfOracle, work, critical, known=None):
+    """CnfOracle.rotate by one pass over every variable per model: the reference it must match.
+
+    It finds the clauses with at least one and with at least two true
+    variables afresh for every model it pops, where the oracle updates counts
+    per flip; both name the same pairs in the same order.
+    """
+    satisfies = [[0, 0] for _ in range(oracle.num_vars)]  # per variable: [if true, if false]
+    for i, cl in enumerate(oracle.clauses):
+        for lit in cl:
+            satisfies[abs(lit) - 1][lit < 0] |= 1 << i
+
+    def true_in(model):
+        once = twice = 0
+        for t, f in satisfies:
+            true = t if model & 1 else f
+            twice |= once & true
+            once |= true
+            model >>= 1
+        return once, twice
+
+    n = oracle.n
+    wanted = work.mask & ~(1 << critical) & ~(known.mask if known else 0)
+    found = []
+    seen = 1 << critical
+    stack = [(oracle._model, critical)]
+    while stack and wanted & ~seen:
+        model, c = stack.pop()
+        once, twice = true_in(model)
+        for lit in oracle.clauses[c]:
+            v = abs(lit) - 1
+            t, f = satisfies[v]
+            now, flipped = (t, f) if model >> v & 1 else (f, t)
+            lost = now & ~(twice | flipped)  # clauses whose only true variable is v
+            falsified = work.mask & lost
+            if falsified & (falsified - 1) or not falsified & ~seen:
+                continue  # not exactly one clause of work, or one seen already
+            seen |= falsified
+            d = falsified.bit_length() - 1
+            if falsified & wanted:
+                found.append((d, ConstraintSet(n, once & ~lost | flipped)))
+            stack.append((model ^ (1 << v), d))
+    return found
+
+
 def pigeonhole(holes: int) -> tuple[int, list[list[int]]]:
     """(num_vars, clauses) of PHP(holes + 1, holes), which is its own only MUS.
 

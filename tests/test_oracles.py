@@ -25,6 +25,7 @@ from helpers import (
     bitsets,
     cs,
     example1_table,
+    full_pass_rotate,
     pigeonhole,
 )
 
@@ -104,6 +105,12 @@ def test_cnf_oracle_rejects_bad_literals():
         CnfOracle(2, [[1], [3]])
     with pytest.raises(PreconditionError):
         CnfOracle(2, [[0]])
+
+
+@pytest.mark.parametrize("num_vars", [-1, 2.5, "3"], ids=["negative", "float", "str"])
+def test_cnf_oracle_rejects_a_bad_variable_count(num_vars):
+    with pytest.raises(PreconditionError, match="num_vars"):
+        CnfOracle(num_vars, [[]])
 
 
 def test_table_oracle_reproduces_example1():
@@ -340,6 +347,55 @@ def test_cnf_oracle_answers_match_truth_tables(case):
                 (d, rotated) for d, rotated in pairs if d not in known
             ]
     assert oracle.checks == len(queries)
+
+
+def rotation_formulas(count):
+    """PHP(5,4) and random CNFs whose clauses hold 0-8 literals drawn with repetition.
+
+    A long clause can have four or more true variables, so its count needs a
+    third bit plane; the oracle's solver tries false first, so literals are
+    mostly negative, which keeps such counts common. Repeated draws make
+    tautologies and repeated literals, and width 0 makes empty clauses.
+    """
+    formulas = [pigeonhole(4)]
+    rng = random.Random(75)
+    while len(formulas) < count:
+        num_vars = rng.randint(4, 8)
+        clauses = [
+            [rng.randint(1, num_vars) * (-1 if rng.random() < 0.7 else 1) for _ in range(rng.choice((0, 1, 2, 2, 3, 3, 5, 8)))]
+            for _ in range(rng.randint(6, 14))
+        ]
+        formulas.append((num_vars, clauses))
+    return formulas
+
+
+def test_rotation_matches_the_full_pass_reference():
+    # every critical constraint c of an unsatisfiable work set, once answered
+    # SAT without c, rotates from that answer's model, with and without known
+    # criticals; the counts reach four true variables in one clause
+    calls = named = most_true = 0
+    for num_vars, clauses in rotation_formulas(200):
+        n = len(clauses)
+        oracle = CnfOracle(num_vars, clauses)
+        rng = random.Random(n)
+        works = [ConstraintSet.full(n)] + [ConstraintSet(n, rng.getrandbits(n)) for _ in range(12)]
+        for work in works:
+            if oracle.is_sat(work):
+                continue
+            for c in work:
+                if not oracle.is_sat(work.remove(c)):
+                    continue
+                model = oracle._model
+                most_true = max(
+                    most_true,
+                    *(len({abs(lit) for lit in cl if (model >> (abs(lit) - 1) & 1) == (lit > 0)}) for cl in clauses),
+                )
+                for known in (None, ConstraintSet(n, work.mask & rng.getrandbits(n))):
+                    pairs = oracle.rotate(work, c, known)
+                    assert pairs == full_pass_rotate(oracle, work, c, known), (clauses, work, c, known)
+                    calls += 1
+                    named += len(pairs)
+    assert calls > 1500 and named > 1200 and most_true >= 4
 
 
 def guarded_formulas(count):

@@ -158,11 +158,21 @@ def test_non_integer_limits_are_rejected(field, value):
         RemusConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["mus_limit", "check_limit"])
+@pytest.mark.parametrize("field", ["mus_limit", "check_limit", "time_limit", "reduction_factor"])
 def test_bool_limits_are_rejected(field):
     for value in (True, False):
         with pytest.raises(PreconditionError):
             RemusConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("reduction_factor", "0.5"), ("reduction_factor", None), ("time_limit", "1"), ("time_limit", [1])],
+    ids=["factor-str", "factor-none", "time-str", "time-list"],
+)
+def test_non_numeric_run_parameters_are_rejected(field, value):
+    with pytest.raises(PreconditionError):
+        RemusConfig(**{field: value})
 
 
 def test_config_fields_cannot_change_after_validation():
