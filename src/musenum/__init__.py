@@ -13,7 +13,6 @@ from .core import (
     ShrinkCall,
     UniverseMismatchError,
 )
-from .marco import enumerate_marco
 from .oracles import (
     CnfOracle,
     SatOracle,
@@ -22,7 +21,7 @@ from .oracles import (
     is_mus,
     parse_dimacs,
 )
-from .remus import choose_p, enumerate_remus
+from .remus import choose_p, enumerate_marco, enumerate_remus
 from .session import EnumerationResult, RemusConfig
 from .shrink import shrink
 from .unexplored import UnexploredMap

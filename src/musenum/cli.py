@@ -20,10 +20,9 @@ from .core import (
     InstanceSatisfiableError,
     PreconditionError,
 )
-from .marco import enumerate_marco
 from .oracles import parse_dimacs
 from .reference import random_cnf, to_dimacs
-from .remus import enumerate_remus
+from .remus import enumerate_marco, enumerate_remus
 from .session import RemusConfig
 
 

@@ -118,14 +118,14 @@ class CnfOracle(SatOracle):
     """
 
     def __init__(self, num_vars: int, clauses):
-        if not isinstance(num_vars, int) or num_vars < 0:
+        if not _is_int(num_vars) or num_vars < 0:
             raise PreconditionError(f"num_vars must be a non-negative integer, got {num_vars!r}")
         clauses = [list(c) for c in clauses]
         for cl in clauses:
             for lit in cl:
-                if lit == 0 or abs(lit) > num_vars:
+                if not _is_int(lit) or lit == 0 or abs(lit) > num_vars:
                     raise PreconditionError(
-                        f"literal {lit} outside variable range 1..{num_vars}"
+                        f"literal {lit!r} is not a non-zero integer of magnitude at most {num_vars}"
                     )
         super().__init__(len(clauses))
         self.num_vars = num_vars
@@ -206,6 +206,11 @@ class CnfOracle(SatOracle):
                 _carry(child, flipped & ~now)
                 stack.append((model ^ (1 << v), child, d))
         return found
+
+
+def _is_int(value) -> bool:
+    # True would be read as variable 1, and 1.0 fails only inside the solver
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _carry(planes: list[int], gain: int) -> None:

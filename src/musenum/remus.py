@@ -1,20 +1,26 @@
-"""remus: online MUS enumeration with MCS-based critical mining.
+"""remus and its flat baseline marco: one frame loop, two seed policies.
 
-Each found MUS restricts the next seed search to a set strictly between the
-MUS and its seed, so successive seeds shrink; satisfiable maximal subsets
-yield their correction sets, whose members are critical constraints that
-speed up later shrinks. The paper's recursion runs on an explicit stack of
-frames, so depth is bounded by memory, not by the interpreter's recursion
+remus restricts, after each found MUS, the next seed search to a set strictly
+between the MUS and its seed, so successive seeds shrink; satisfiable maximal
+subsets yield their correction sets, whose members are critical constraints
+that speed up later shrinks. The paper's recursion runs on an explicit stack
+of frames, so depth is bounded by memory, not by the interpreter's recursion
 limit. The map of undetermined subsets is global across all frames, so
 nothing is ever examined twice.
+
+marco is the same loop with a flat policy: one frame over the whole universe
+that never descends, so every seed is a maximal undetermined subset of the
+universe and every shrink starts with no criticals. Map, oracle, shrink,
+statistics and budgets are the same code for both, so check-count
+comparisons isolate the seed-selection strategy.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import ConstraintSet, Instance, PreconditionError
-from .session import EnumerationResult, RemusConfig, Session, run_session
+from .core import ConstraintSet, Instance, InstanceSatisfiableError, PreconditionError
+from .session import BudgetReached, EnumerationResult, RemusConfig, Session
 
 # floor() on the float product; the epsilon undoes binary representation
 # error when the true product is integral
@@ -48,16 +54,43 @@ def enumerate_remus(instance: Instance, config: RemusConfig | None = None, sink=
     carries all records plus the check statistics. Raises
     InstanceSatisfiableError when the full set is satisfiable.
     """
-    return run_session(instance, config, sink, _search)
+    return _run(instance, config, sink, descend=True)
 
 
-def _search(session: Session) -> None:
+def enumerate_marco(instance: Instance, config: RemusConfig | None = None, sink=None) -> EnumerationResult:
+    """Run marco, the flat baseline, to completion or budget exhaustion.
+
+    Every seed is a maximal undetermined subset of the whole universe, and
+    every shrink starts with no criticals; otherwise as enumerate_remus.
+    """
+    return _run(instance, config, sink, descend=False)
+
+
+def _run(instance: Instance, config: RemusConfig | None, sink, descend: bool) -> EnumerationResult:
+    """Run the frame loop to its end or to a budget stop and collect the result."""
+    session = Session(instance, config or RemusConfig(), sink)
+    if session.oracle.is_sat(session.full):
+        raise InstanceSatisfiableError("the full constraint set is satisfiable")
+    complete = True
+    try:
+        _search(session, descend)
+    except BudgetReached:
+        complete = False
+    stats = session.stats
+    stats.oracle_checks = session.oracle_checks()
+    stats.map_solver_calls = session.map.solver_calls
+    return EnumerationResult(stats, complete, session.map.block_log)
+
+
+def _search(session: Session, descend: bool) -> None:
     """Emit every MUS, running each FindMUSes call of the paper as a frame.
 
     A frame (s, criticals, depth) emits every not-yet-emitted MUS of the
     unsatisfiable set s, given constraints critical for s. Children depend
     only on their parent's state at the answer that spawns them and leave it
-    unchanged, so one answer pushes all of them, the first on top.
+    unchanged, so one answer pushes all of them, the first on top. Without
+    `descend` the first frame, over the full set, is the only one, and its
+    criticals stay empty.
     """
     stack = [(session.full, ConstraintSet.empty(session.full.n), 0)]
     while stack:
@@ -70,6 +103,8 @@ def _search(session: Session) -> None:
             # the witness meets s in s_max, since every larger subset of s is
             # up-blocked; beyond s it spares sibling frames and later seeds
             session.map.block_down(session.oracle.witness)
+            if not descend:
+                continue
             s_mcs = s - s_max
             if len(s_mcs) == 1:
                 stack[-1] = (s, criticals | s_mcs, depth)
@@ -79,7 +114,7 @@ def _search(session: Session) -> None:
                 stack.extend((s_max.add(c), criticals.add(c), depth + 1) for c in reversed(list(s_mcs)))
         else:
             mus = session.shrink_and_emit(s_max, criticals, session.oracle.core, depth)
-            if mus != s_max:
+            if descend and mus != s_max:
                 p = choose_p(mus, s_max, session.config.reduction_factor)
                 if p is not None:
                     stack.append((p, criticals, depth + 1))

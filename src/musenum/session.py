@@ -1,7 +1,9 @@
-"""Shared enumeration session: configuration, budgets, emission, the run skeleton.
+"""Shared enumeration session: configuration, budgets, emission and blocking.
 
 Oracle checks and map calls are counted only by the oracle and the map; the
-session reads them there and copies the final counts into CheckStats once.
+session reads them there, and the run copies the final counts into
+CheckStats once. The frame loop that drives a session, for both algorithms,
+is in musenum.remus.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from .core import (
     CheckStats,
     ConstraintSet,
     Instance,
-    InstanceSatisfiableError,
     MusRecord,
     PreconditionError,
     ShrinkCall,
@@ -151,22 +152,3 @@ class Session:
         # no down-block: a proper subset lies in the blocked witness that proved a member critical
         self.map.block_up(mus)
         return mus
-
-
-def run_session(instance: Instance, config: RemusConfig | None, sink, search) -> EnumerationResult:
-    """Run `search(session)` to its end or to a budget stop and collect the result.
-
-    Raises InstanceSatisfiableError when the full set is satisfiable.
-    """
-    session = Session(instance, config or RemusConfig(), sink)
-    if session.oracle.is_sat(session.full):
-        raise InstanceSatisfiableError("the full constraint set is satisfiable")
-    complete = True
-    try:
-        search(session)
-    except BudgetReached:
-        complete = False
-    stats = session.stats
-    stats.oracle_checks = session.oracle_checks()
-    stats.map_solver_calls = session.map.solver_calls
-    return EnumerationResult(stats, complete, session.map.block_log)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import musenum
 from musenum import parse_dimacs
 from musenum.cli import build_parser, run
 
@@ -234,3 +235,11 @@ def test_readme_synopsis_names_every_long_option():
         for name, sub in commands.items()
     }
     assert documented == defined
+
+
+def test_readme_layout_lists_every_module():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Layout\n", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
+    modules = Path(musenum.__file__).parent.glob("*.py")
+    assert sorted(listed) == sorted(m.name for m in modules if not m.name.startswith("__"))

@@ -77,10 +77,12 @@ def test_never_recurses_and_never_passes_criticals():
     # the controlled difference against the recursive algorithm: all seeds
     # come from the full universe, shrinks get no critical constraints
     rng = random.Random(911)
+    oracles = [CnfOracle(num_vars, clauses) for num_vars, clauses in small_unsat_cnfs(15, 914)]
     for trial in range(15):
         n = rng.randint(2, 8)
-        antichain = random_antichain(n, rng)
-        result = enumerate_marco(Instance(table_from_antichain(n, antichain)))
+        oracles.append(table_from_antichain(n, random_antichain(n, rng)))
+    for oracle in oracles:
+        result = enumerate_marco(Instance(oracle))
         assert all(record.depth == 0 for record in result.records)
         assert all(len(call.criticals) == 0 for call in result.stats.shrink_log)
 

@@ -107,7 +107,18 @@ def test_cnf_oracle_rejects_bad_literals():
         CnfOracle(2, [[0]])
 
 
-@pytest.mark.parametrize("num_vars", [-1, 2.5, "3"], ids=["negative", "float", "str"])
+@pytest.mark.parametrize(
+    "clauses, bad",
+    [([[1.0]], "1.0"), ([["1"]], "'1'"), ([[True], [-1]], "True")],
+    ids=["float", "str", "bool"],
+)
+def test_cnf_oracle_rejects_non_integer_literals(clauses, bad):
+    # a float reached the solver, a string failed in abs(), True read as 1
+    with pytest.raises(PreconditionError, match=f"literal {bad} "):
+        CnfOracle(2, clauses)
+
+
+@pytest.mark.parametrize("num_vars", [-1, 2.5, "3", True], ids=["negative", "float", "str", "bool"])
 def test_cnf_oracle_rejects_a_bad_variable_count(num_vars):
     with pytest.raises(PreconditionError, match="num_vars"):
         CnfOracle(num_vars, [[]])

@@ -184,20 +184,19 @@ def test_config_fields_cannot_change_after_validation():
 
 
 def test_time_limit_zero_stops_before_any_emission():
-    result = enumerate_remus(
-        Instance(parse_dimacs(EXAMPLE1_DIMACS)), RemusConfig(time_limit=0.0)
-    )
-    assert result.records == []
-    assert not result.complete
+    for run in RUNNERS.values():
+        result = run(Instance(parse_dimacs(EXAMPLE1_DIMACS)), RemusConfig(time_limit=0.0))
+        assert result.records == []
+        assert not result.complete
 
 
 def test_check_limit_budget():
-    oracle = parse_dimacs(EXAMPLE1_DIMACS)
-    result = enumerate_remus(Instance(oracle), RemusConfig(check_limit=1))
-    # the single allowed check is the initial full-set test
-    assert result.records == []
-    assert not result.complete
-    assert result.stats.oracle_checks == 1
+    for run in RUNNERS.values():
+        result = run(Instance(parse_dimacs(EXAMPLE1_DIMACS)), RemusConfig(check_limit=1))
+        # the single allowed check is the initial full-set test
+        assert result.records == []
+        assert not result.complete
+        assert result.stats.oracle_checks == 1
 
 
 @pytest.mark.parametrize("limit", [0, 1, 7, 50, 120, 200, 400])
@@ -270,26 +269,27 @@ def test_every_mus_is_down_blocked_by_the_witnesses_before_it(algorithm):
 
 
 def test_stats_snapshots_are_monotone():
-    result = enumerate_remus(Instance(parse_dimacs(EXAMPLE1_DIMACS)))
-    snaps = result.stats.per_mus
-    assert [s.ordinal for s in snaps] == list(range(1, len(snaps) + 1))
-    for a, b in zip(snaps, snaps[1:]):
-        assert a.elapsed_s <= b.elapsed_s
-        assert a.oracle_checks <= b.oracle_checks
-        assert a.map_solver_calls <= b.map_solver_calls
+    for run in RUNNERS.values():
+        snaps = run(Instance(parse_dimacs(EXAMPLE1_DIMACS))).stats.per_mus
+        assert [s.ordinal for s in snaps] == list(range(1, len(snaps) + 1))
+        for a, b in zip(snaps, snaps[1:]):
+            assert a.elapsed_s <= b.elapsed_s
+            assert a.oracle_checks <= b.oracle_checks
+            assert a.map_solver_calls <= b.map_solver_calls
 
 
 def test_stats_reconcile_with_oracle_and_map():
-    oracle = parse_dimacs(EXAMPLE1_DIMACS)
-    oracle.is_sat(ConstraintSet.full(4))  # checks made before the run are not its own
-    result = enumerate_remus(Instance(oracle))
-    stats = result.stats
-    assert stats.oracle_checks == oracle.checks - 1
-    assert stats.oracle_checks >= stats.per_mus[-1].oracle_checks
-    assert stats.map_solver_calls >= stats.per_mus[-1].map_solver_calls
-    assert result.records is stats.per_mus and len(stats.per_mus) == 2
-    oracle.is_sat(ConstraintSet.full(4))  # the finished result does not move
-    assert stats.oracle_checks == oracle.checks - 2
+    for run in RUNNERS.values():
+        oracle = parse_dimacs(EXAMPLE1_DIMACS)
+        oracle.is_sat(ConstraintSet.full(4))  # checks made before the run are not its own
+        result = run(Instance(oracle))
+        stats = result.stats
+        assert stats.oracle_checks == oracle.checks - 1
+        assert stats.oracle_checks >= stats.per_mus[-1].oracle_checks
+        assert stats.map_solver_calls >= stats.per_mus[-1].map_solver_calls
+        assert result.records is stats.per_mus and len(stats.per_mus) == 2
+        oracle.is_sat(ConstraintSet.full(4))  # the finished result does not move
+        assert stats.oracle_checks == oracle.checks - 2
 
 
 def test_criticals_are_kept_and_sound():
@@ -369,8 +369,9 @@ def test_runs_are_deterministic():
     for trial in range(10):
         n = rng.randint(2, 8)
         antichain = random_antichain(n, rng)
-        first = enumerate_remus(Instance(table_from_antichain(n, antichain)))
-        second = enumerate_remus(Instance(table_from_antichain(n, antichain)))
-        assert [m.mask for m in first.muses] == [m.mask for m in second.muses]
-        assert first.block_log == second.block_log
-        assert first.stats.oracle_checks == second.stats.oracle_checks
+        for run in RUNNERS.values():
+            first = run(Instance(table_from_antichain(n, antichain)))
+            second = run(Instance(table_from_antichain(n, antichain)))
+            assert [m.mask for m in first.muses] == [m.mask for m in second.muses]
+            assert first.block_log == second.block_log
+            assert first.stats.oracle_checks == second.stats.oracle_checks
