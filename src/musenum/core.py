@@ -237,6 +237,7 @@ class CheckStats:
     def __init__(self):
         self.oracle_checks = 0
         self.map_solver_calls = 0
+        self.covered_trials = 0  # shrink trials the map answered satisfiable, with no check
         self.start_time = time.monotonic()
         self.per_mus: list[MusRecord] = []
         self.shrink_log: list[ShrinkCall] = []

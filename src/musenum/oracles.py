@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .core import (
-    Antichain,
     ConstraintSet,
     DimacsParseError,
     MonotonicityError,
@@ -84,31 +83,25 @@ class CnfOracle(SatOracle):
     differ late in that order (as consecutive shrink checks do) skip most of
     the assumption propagation. It also keeps long runs of negated selectors
     out of its learnt clauses, in guards (see musenum.satsolver), which makes
-    an UNSAT proof over many constraints cheaper. Verdicts, models and
-    witnesses depend only on the subset.
+    an UNSAT proof over many constraints cheaper.
 
-    A SAT answer may come without a solve: the oracle keeps the set of
-    clauses each model of its solver satisfies (an antichain, no set inside
-    another) and answers SAT for any subset inside one of them. UNSAT answers
-    always come from the solver, and every query still counts as a check.
-    The witness of a SAT answer is such a clause set: the stored one that
-    covers the query, or the one the new model satisfies. The core of an
+    The witness of a SAT answer is the set of clauses its model satisfies;
+    verdicts, models and witnesses depend only on the subset. The core of an
     UNSAT answer is the set of clauses whose selectors are among the solver's
     failed assumptions; no clause holds a selector positively, so only
     assumed-true selectors can occur there. Which ones do depends on the
     solver's derivation, and so on the checks before, not only on the query.
 
-    Each stored clause set keeps its model (the formula's variables only), so
-    every SAT answer, cached or solved, has one. Rotation (recursive model
-    rotation; Belov & Marques-Silva, FMCAD 2011) starts from that model M,
-    which satisfies work - {c} and falsifies c. Flipping one variable of c
-    satisfies c; if it falsifies exactly one clause d of work, d is critical
-    and the flipped model's clause set is its witness, and rotation goes on
-    from there. It goes on through clauses already known to be critical
-    (Wieringa, CP 2012) without naming them, visits each clause at most once
-    per call, and stops once every other clause of work is named or known.
-    Each stored model keeps every clause's count of true variables as bit
-    planes (plane k holds bit k of each count), made by one pass over the
+    The oracle keeps the model of its last SAT answer (the formula's variables
+    only). Rotation (recursive model rotation; Belov & Marques-Silva, FMCAD
+    2011) starts from that model M, which satisfies work - {c} and falsifies c.
+    Flipping one variable of c satisfies c; if it falsifies exactly one clause
+    d of work, d is critical and the flipped model's clause set is its witness,
+    and rotation goes on from there. It goes on through clauses already known
+    to be critical (Wieringa, CP 2012) without naming them, visits each clause
+    at most once per call, and stops once every other clause of work is named
+    or known. With M the oracle keeps every clause's count of true variables as
+    bit planes (plane k holds bit k of each count), made by one pass over the
     variables when the solver finds the model. A flip of v updates them from
     the two masks of the clauses v occurs in: a borrow on the clauses whose
     true literal of v turns false, a carry on those whose false literal of v
@@ -133,35 +126,26 @@ class CnfOracle(SatOracle):
         self._solver = SatSolver(num_vars + self.n, first_selector=num_vars + 1)
         for i, cl in enumerate(clauses):
             self._solver.add_clause(cl + [-(num_vars + 1 + i)])
-        self._models = Antichain()  # satisfied-clause masks of earlier models -> (model, planes)
         self._model = 0  # the model of the last SAT answer
         self._planes = [0]  # and the bit planes of its clauses' counts of true variables
         self._satisfies: list[list[int]] = []  # per variable: [if true, if false]
 
     def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
-        mask = s.mask
-        cover = self._models.covers(mask)
-        if cover is not None:
-            self._model, self._planes = self._models[cover]
-            return True, cover
-        if not self._solver.solve(selected=mask):
+        if not self._solver.solve(selected=s.mask):
             base = self.num_vars + 1
             core = 0
             for lit in self._solver.failed_assumptions():
                 if lit > 0:
                     core |= 1 << (lit - base)
             return False, core
-        model = bits = self._solver.model_mask & ((1 << self.num_vars) - 1)
-        planes = [0]
+        self._model = bits = self._solver.model_mask & ((1 << self.num_vars) - 1)
+        self._planes = planes = [0]
         for t, f in self._occurrences():
             _carry(planes, t if bits & 1 else f)
             bits >>= 1
         satisfied = 0
         for plane in planes:
             satisfied |= plane
-        self._models.add(satisfied)  # no stored set covers it, since none covers the query
-        self._models[satisfied] = (model, planes)
-        self._model, self._planes = model, planes
         return True, satisfied
 
     def _occurrences(self) -> list[list[int]]:

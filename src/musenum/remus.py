@@ -79,6 +79,7 @@ def _run(instance: Instance, config: RemusConfig | None, sink, descend: bool) ->
     stats = session.stats
     stats.oracle_checks = session.oracle_checks()
     stats.map_solver_calls = session.map.solver_calls
+    stats.covered_trials = session.map.covered_trials
     return EnumerationResult(stats, complete, session.map.block_log)
 
 
@@ -99,7 +100,8 @@ def _search(session: Session, descend: bool) -> None:
         s_max = session.map.max_unexplored_subset_of(s)
         if s_max is None:
             stack.pop()
-        elif session.oracle.is_sat(s_max):
+        # only the first seed is the full set; the precondition's check and core answer it
+        elif s_max != session.full and session.oracle.is_sat(s_max):
             # the witness meets s in s_max, since every larger subset of s is
             # up-blocked; beyond s it spares sibling frames and later seeds
             session.map.block_down(session.oracle.witness)
@@ -113,7 +115,7 @@ def _search(session: Session, descend: bool) -> None:
                 # siblings skip whatever earlier ones already resolved
                 stack.extend((s_max.add(c), criticals.add(c), depth + 1) for c in reversed(list(s_mcs)))
         else:
-            mus = session.shrink_and_emit(s_max, criticals, session.oracle.core, depth)
+            mus = session.shrink_and_emit(s_max, criticals, depth)
             if descend and mus != s_max:
                 p = choose_p(mus, s_max, session.config.reduction_factor)
                 if p is not None:

@@ -130,20 +130,18 @@ class Session:
         if limit is not None and len(per_mus) >= limit:
             raise BudgetReached
 
-    def shrink_and_emit(
-        self, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet, depth: int
-    ) -> ConstraintSet:
+    def shrink_and_emit(self, seed: ConstraintSet, criticals: ConstraintSet, depth: int) -> ConstraintSet:
         """Shrink an unsatisfiable seed, emit its MUS and block what was learnt.
 
         The map up-blocks the MUS and down-blocks the oracle's witness of
-        every satisfiable set the shrink met, so later seeds skip them. The
+        every satisfiable set the shrink found, so later seeds skip them. The
         seed is the set the enumerator chose and found unsatisfiable, and the
-        shrink log records it; `core` is the oracle's core of that check, the
-        unsatisfiable subset of the seed that the shrink starts from.
+        shrink log records it; that check is the oracle's last, and the shrink
+        starts from its core, an unsatisfiable subset of the seed.
         """
         self.check_budget()
         before = self.oracle_checks()
-        mus, discoveries = shrink(self.oracle, seed, criticals, core)
+        mus, discoveries = shrink(self.oracle, seed, criticals, self.oracle.core, self.map.is_blocked_down)
         self.stats.shrink_log.append(ShrinkCall(seed, criticals, self.oracle_checks() - before))
         self.emit(mus, depth)
         self.check_budget()

@@ -5,7 +5,9 @@ from __future__ import annotations
 from .core import ConstraintSet, PreconditionError
 
 
-def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet | None = None):
+def shrink(
+    oracle, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet | None = None, known_sat=None
+):
     """Minimize an unsatisfiable seed without ever dropping known criticals.
 
     The working set starts as `core`, the unsatisfiable subset of the seed
@@ -16,18 +18,19 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     set jumps to the oracle's core of that trial (clause-set refinement),
     which may drop several candidates at once. A core keeps every critical,
     since removing a critical leaves a satisfiable set, so the result is a
-    MUS of the seed.
+    MUS of the seed. A trial that `known_sat` (a run's map) holds satisfiable
+    needs no check.
 
-    After each satisfiable trial the oracle's `rotate` may prove further
+    After each satisfiable check the oracle's `rotate` may prove further
     members of the working set critical without a check; they are skipped
     like the given criticals, and stay critical in every later working set,
     which is a subset holding them. Uses at most
     |core \\ criticals| <= |seed \\ criticals| oracle checks.
 
-    Returns (mus, sat_discoveries) where sat_discoveries holds, for every
-    trial found satisfiable along the way, the oracle's witness (a
-    satisfiable superset of the trial), and for every member that rotation
-    proved critical, the satisfiable set it came with.
+    Returns (mus, sat_discoveries) where sat_discoveries holds the oracle's
+    witness (a satisfiable superset of the trial) of every satisfiable check,
+    and for every member that rotation proved critical, the satisfiable set
+    it came with.
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
@@ -37,7 +40,10 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     for candidate in work - criticals:
         if candidate not in work or proven >> candidate & 1:
             continue
-        if oracle.is_sat(work.remove(candidate)):
+        trial = work.remove(candidate)
+        if known_sat is not None and known_sat(trial):
+            proven |= 1 << candidate
+        elif oracle.is_sat(trial):
             proven |= 1 << candidate
             discoveries.append(oracle.witness)
             for d, witness in oracle.rotate(work, candidate, ConstraintSet(work.n, proven)):

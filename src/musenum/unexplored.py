@@ -33,6 +33,7 @@ class UnexploredMap:
         self.n = n
         self.block_log: list[tuple[str, int]] = []  # ("down"|"up", subset mask)
         self.solver_calls = 0
+        self.covered_trials = 0  # True answers of is_blocked_down
         # always 0, as answers need no grow pass; kept because bench/tracing.py reads it
         self.grow_evals = 0
         self._solver = SatSolver(n, default_phase=True)
@@ -67,6 +68,12 @@ class UnexploredMap:
         self.block_log.append(("down", mask))
         if self._down.add(mask):  # not inside a down-blocked set already
             self._solver.add_clause(self._down_clause(mask))
+
+    def is_blocked_down(self, s: ConstraintSet) -> bool:
+        """Whether s lies inside a down-blocked set, and so is satisfiable; no solver call."""
+        covered = self._down.covers(s.mask) is not None
+        self.covered_trials += covered
+        return covered
 
     def block_up(self, unsat_set: ConstraintSet) -> None:
         """Remove unsat_set and all of its supersets from the map."""

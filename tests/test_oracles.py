@@ -203,10 +203,9 @@ def test_cnf_monotonicity_on_random_instances():
 
 
 def test_selector_checks_agree_with_fresh_solves():
-    # SAT answers may come from earlier models' clause sets, so each formula is
-    # queried in ascending, descending and shuffled order on a new oracle each
-    # time, which interleaves answers from the cache and from the solver; the
-    # solver keeps its trail across them, from which each core is read.
+    # each formula is queried in ascending, descending and shuffled order on a
+    # new oracle each time; the solver keeps its trail across the queries, and
+    # each core is read from it.
     rng = random.Random(73)
     formulas = []
     for trial in range(15):
@@ -242,33 +241,33 @@ def test_selector_checks_agree_with_fresh_solves():
                 assert sat or (core.mask & mask == core.mask and not expected[core.mask])
 
 
-def test_cached_sat_answer_counts_as_a_check_without_a_solve(monkeypatch):
+def test_every_check_is_one_solve_with_a_fresh_oracles_witness(monkeypatch):
     oracle = CnfOracle(3, [[1, 2], [-1], [-2, 3], [-3]])
     solves = []
     solve = oracle._solver.solve
     monkeypatch.setattr(
         oracle._solver, "solve", lambda **query: solves.append(1) or solve(**query)
     )
-    assert oracle.is_sat(cs("1110"))
-    assert (oracle.checks, len(solves)) == (1, 1)
-    stored = oracle.witness
-    assert cs("1110").is_subset_of(stored) and list(oracle._models) == [stored.mask]
-    # the model of 1110 satisfies its clauses, so any subset is answered from
-    # it, and the stored mask is the witness of each answer
-    for bits in ("1100", "0110", "0010", "0000", "1110"):
+    # 1100, 0110, 0010 and 0000 lie inside 1110's witness, and are solved
+    # anyway: each gets the first model in branching order of its own clauses
+    witnesses = []
+    for bits in ("1110", "1100", "0110", "0010", "0000", "1110"):
         assert oracle.is_sat(cs(bits))
-        assert oracle.witness == stored
-    assert (oracle.checks, len(solves)) == (6, 1)
-    assert not oracle.is_sat(cs("1111"))  # UNSAT answers come from the solver
-    assert (oracle.checks, len(solves)) == (7, 2)
+        fresh = CnfOracle(3, oracle.clauses)
+        assert fresh.is_sat(cs(bits)) and oracle.witness == fresh.witness
+        witnesses.append(oracle.witness.bits())
+    assert witnesses == ["1110", "1101", "0111", "0111", "0111", "1110"]
+    assert (oracle.checks, len(solves)) == (6, 6)
+    assert not oracle.is_sat(cs("1111"))
+    assert (oracle.checks, len(solves)) == (7, 7)
     assert oracle.witness is None
 
 
-def test_rotation_after_a_cached_answer_starts_from_its_model():
+def test_rotation_after_a_repeated_answer_starts_from_its_model():
     oracle = parse_dimacs(EXAMPLE1_DIMACS)
-    assert oracle.is_sat(cs("1000"))  # solved: a true, b false satisfies 1001
-    assert oracle.is_sat(cs("0110"))  # solved: a false, b true satisfies 0111
-    assert oracle.is_sat(cs("1000"))  # from the stored clause set 1001
+    assert oracle.is_sat(cs("1000"))  # a true, b false satisfies 1001
+    assert oracle.is_sat(cs("0110"))  # a false, b true satisfies 0111
+    assert oracle.is_sat(cs("1000"))  # solved again, to the same first model
     assert oracle.witness == cs("1001")
     # a true, b false falsifies only c2 of 1100; flipping a falsifies only c1,
     # and a false, b false satisfies c2 and c4
@@ -445,20 +444,14 @@ def answer_like_fresh_oracles(num_vars, clauses, seed) -> int:
     guards = set()
     for mask in queries:
         query = ConstraintSet(n, mask)
-        cached = oracle._models.covers(mask) is not None
         sat = oracle.is_sat(query)
         guards.update(oracle._solver._guards)
         fresh = CnfOracle(num_vars, clauses)
         assert fresh.is_sat(query) == sat, mask
         if sat:
-            # a solved answer's witness comes from the first model in branching
-            # order, which learnt clauses do not move; a cached one is a stored
-            # satisfiable superset
-            if cached:
-                assert query.is_subset_of(oracle.witness)
-                assert CnfOracle(num_vars, clauses).is_sat(oracle.witness)
-            else:
-                assert oracle.witness == fresh.witness, mask
+            # the witness comes from the first model in branching order, which
+            # learnt clauses do not move
+            assert oracle.witness == fresh.witness, mask
             continue
         # the core is read from the failed assumptions, which are positive selectors
         failed = oracle._solver.failed_assumptions()

@@ -21,6 +21,7 @@ from musenum import (
     shrink,
 )
 from musenum.reference import random_cnf
+from musenum.unexplored import UnexploredMap
 
 from helpers import (
     EXAMPLE1_DIMACS,
@@ -231,11 +232,9 @@ def test_shrink_discoveries_are_always_blocked(algorithm, monkeypatch):
         result = RUNNERS[algorithm](Instance(CnfOracle(num_vars, clauses)))
         assert set(result.muses) == bruteforce_all_muses(CnfOracle(num_vars, clauses))
         # one down-block per satisfiable seed check (its MSS), one per shrink find;
-        # an unsatisfiable seed check leads to a shrink and is down-blocked by none
-        seed_checks = (
-            result.stats.oracle_checks - 1
-            - sum(call.checks for call in result.stats.shrink_log)
-        )
+        # an unsatisfiable seed check leads to a shrink and is down-blocked by none,
+        # and the first seed's check is the run's check of the full set
+        seed_checks = result.stats.oracle_checks - sum(call.checks for call in result.stats.shrink_log)
         sat_seed_checks = seed_checks - len(result.stats.shrink_log)
         downs = [mask for kind, mask in result.block_log if kind == "down"]
         assert discovered
@@ -278,18 +277,56 @@ def test_stats_snapshots_are_monotone():
             assert a.map_solver_calls <= b.map_solver_calls
 
 
-def test_stats_reconcile_with_oracle_and_map():
-    for run in RUNNERS.values():
+def test_stats_reconcile_with_oracle_and_map(monkeypatch):
+    covered = record_covered_trials(monkeypatch)
+    for name, run in RUNNERS.items():
         oracle = parse_dimacs(EXAMPLE1_DIMACS)
         oracle.is_sat(ConstraintSet.full(4))  # checks made before the run are not its own
+        covered.clear()
         result = run(Instance(oracle))
         stats = result.stats
         assert stats.oracle_checks == oracle.checks - 1
         assert stats.oracle_checks >= stats.per_mus[-1].oracle_checks
         assert stats.map_solver_calls >= stats.per_mus[-1].map_solver_calls
         assert result.records is stats.per_mus and len(stats.per_mus) == 2
+        # every trial the map answered is counted once, and none of them is a check
+        assert stats.covered_trials == len(covered) == {"remus": 3, "marco": 0}[name]
         oracle.is_sat(ConstraintSet.full(4))  # the finished result does not move
         assert stats.oracle_checks == oracle.checks - 2
+
+
+def record_covered_trials(monkeypatch) -> list:
+    """Collect every set the map answers satisfiable from its down-blocks, in order."""
+    covered = []
+    is_blocked_down = UnexploredMap.is_blocked_down
+
+    def recording(umap, s):
+        answer = is_blocked_down(umap, s)
+        if answer:
+            covered.append(s)
+        return answer
+
+    monkeypatch.setattr(UnexploredMap, "is_blocked_down", recording)
+    return covered
+
+
+@pytest.mark.parametrize("algorithm", ["remus", "marco"])
+def test_covered_trials_are_satisfiable_and_spare_a_check(algorithm, monkeypatch):
+    covered = record_covered_trials(monkeypatch)
+    runs = small_unsat_cnfs(15, 1701)
+    runs.append((7, random_cnf(7, 30, 3, 12)))  # 90 MUSes, remus recurses
+    for num_vars, clauses in runs:
+        covered.clear()
+        oracle = CnfOracle(num_vars, clauses)
+        result = RUNNERS[algorithm](Instance(oracle))
+        assert result.complete and result.stats.covered_trials == len(covered)
+        # each shrink makes one check per candidate it tries, less the covered
+        # ones; rotation names the rest, so the checks are at most that
+        tried = sum(len(call.seed - call.criticals) for call in result.stats.shrink_log)
+        assert sum(call.checks for call in result.stats.shrink_log) <= tried - len(covered)
+        fresh = CnfOracle(num_vars, clauses)
+        assert all(fresh.is_sat(s) for s in covered)
+    assert covered
 
 
 def test_criticals_are_kept_and_sound():

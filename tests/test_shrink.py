@@ -81,6 +81,23 @@ def test_rotation_spares_most_checks_on_a_pigeonhole_formula(holes, checks):
     assert all(verifier.is_sat(seed.remove(i)) for i in seed)
 
 
+def test_a_known_satisfiable_trial_keeps_its_candidate_without_a_check():
+    oracle = example1_table()
+    asked = []
+
+    def known_sat(trial):
+        asked.append(trial)
+        return trial == cs("0111")  # the trial without c1
+
+    mus, found_sat = shrink(oracle, ConstraintSet.full(4), ConstraintSet.empty(4), None, known_sat)
+    assert mus == cs("1011")
+    # c1 is kept with no check; c2 (UNSAT without it), c3 and c4 are checked
+    assert asked == [cs("0111"), cs("1011"), cs("1001"), cs("1010")]
+    assert oracle.checks == 3
+    # a known satisfiable set is no discovery: the caller has it already
+    assert found_sat == [cs("1001"), cs("1010")]
+
+
 def test_seed_that_is_already_minimal_with_all_criticals():
     oracle = parse_dimacs(EXAMPLE1_DIMACS)
     mus, found_sat = shrink(oracle, cs("1100"), cs("1100"))
