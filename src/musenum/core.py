@@ -156,24 +156,16 @@ def set_bits(mask: int) -> list[int]:
     return out
 
 
-class Antichain(dict):
-    """Subset masks of which none lies inside another, each mapped to a payload.
+class Antichain(set):
+    """Subset masks of which none lies inside another: the maximal masks added so far.
 
     Adding a mask that lies inside a stored one stores nothing; adding any
-    other mask drops the stored masks inside it. The stored masks are thus the
-    maximal masks added so far, and a mask lies inside some added mask exactly
-    when it lies inside a stored one.
+    other mask drops the stored masks inside it. A mask lies inside some added
+    mask exactly when it lies inside a stored one.
     """
 
-    def covers(self, mask: int) -> int | None:
-        """The first stored mask that mask lies inside, or None if there is none."""
-        for m in self:
-            if mask & m == mask:
-                return m
-        return None
-
     def add(self, mask: int) -> bool:
-        """Store mask with payload None and return True, unless it is covered.
+        """Store mask and return True, unless it is covered.
 
         A covered mask is not stored and returns False. Storing drops the
         stored masks inside mask; one pass decides both, since in an antichain
@@ -186,9 +178,8 @@ class Antichain(dict):
                 return False
             if common == m:
                 inside.append(m)
-        for m in inside:
-            del self[m]
-        self[mask] = None
+        self.difference_update(inside)
+        super().add(mask)
         return True
 
 

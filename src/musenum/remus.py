@@ -39,12 +39,10 @@ def choose_p(s_mus: ConstraintSet, s_max: ConstraintSet, factor: float) -> Const
     target = math.floor(factor * len(s_max) + _FLOOR_EPS)
     if target <= len(s_mus):
         return None
-    p = s_mus
-    for i in s_max - s_mus:
-        if len(p) >= target:
-            break
-        p = p.add(i)
-    return p
+    extra = rest = s_max.mask & ~s_mus.mask
+    for _ in range(target - len(s_mus)):
+        rest &= rest - 1  # clear the lowest member
+    return ConstraintSet(s_max.n, s_mus.mask | (extra ^ rest))
 
 
 def enumerate_remus(instance: Instance, config: RemusConfig | None = None, sink=None) -> EnumerationResult:

@@ -141,7 +141,7 @@ class Session:
         """
         self.check_budget()
         before = self.oracle_checks()
-        mus, discoveries = shrink(self.oracle, seed, criticals, self.oracle.core, self.map.is_blocked_down)
+        mus, discoveries = shrink(self.oracle, seed, criticals, self.oracle.core, self.map)
         self.stats.shrink_log.append(ShrinkCall(seed, criticals, self.oracle_checks() - before))
         self.emit(mus, depth)
         self.check_budget()

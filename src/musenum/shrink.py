@@ -5,9 +5,7 @@ from __future__ import annotations
 from .core import ConstraintSet, PreconditionError
 
 
-def shrink(
-    oracle, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet | None = None, known_sat=None
-):
+def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet | None = None, umap=None):
     """Minimize an unsatisfiable seed without ever dropping known criticals.
 
     The working set starts as `core`, the unsatisfiable subset of the seed
@@ -18,8 +16,12 @@ def shrink(
     set jumps to the oracle's core of that trial (clause-set refinement),
     which may drop several candidates at once. A core keeps every critical,
     since removing a critical leaves a satisfiable set, so the result is a
-    MUS of the seed. A trial that `known_sat` (a run's map) holds satisfiable
-    needs no check.
+    MUS of the seed.
+
+    A trial inside a down-blocked set of `umap`, a run's map, is satisfiable
+    and needs no check. The map names those candidates once per working set
+    (`covered_members`), which holds because it does not change during a
+    shrink; each one the loop reaches is counted in `umap.covered_trials`.
 
     After each satisfiable check the oracle's `rotate` may prove further
     members of the working set critical without a check; they are skipped
@@ -34,21 +36,29 @@ def shrink(
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
-    work = seed if core is None else core
+    n = seed.n
+    covered_in = umap.covered_members if umap is not None else lambda mask: 0
+    work = (seed if core is None else core).mask
+    covered = covered_in(work)
     proven = criticals.mask
     discoveries: list[ConstraintSet] = []
-    for candidate in work - criticals:
-        if candidate not in work or proven >> candidate & 1:
+    candidates = work & ~proven
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        if not work & bit or proven & bit:
             continue
-        trial = work.remove(candidate)
-        if known_sat is not None and known_sat(trial):
-            proven |= 1 << candidate
-        elif oracle.is_sat(trial):
-            proven |= 1 << candidate
+        if covered & bit:
+            proven |= bit
+            umap.covered_trials += 1
+        elif oracle.is_sat(ConstraintSet(n, work ^ bit)):
+            proven |= bit
             discoveries.append(oracle.witness)
-            for d, witness in oracle.rotate(work, candidate, ConstraintSet(work.n, proven)):
+            rotated = oracle.rotate(ConstraintSet(n, work), bit.bit_length() - 1, ConstraintSet(n, proven))
+            for d, witness in rotated:
                 proven |= 1 << d
                 discoveries.append(witness)
         else:
-            work = oracle.core
-    return work, discoveries
+            work = oracle.core.mask
+            covered = covered_in(work)
+    return ConstraintSet(n, work), discoveries

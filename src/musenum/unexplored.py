@@ -33,7 +33,7 @@ class UnexploredMap:
         self.n = n
         self.block_log: list[tuple[str, int]] = []  # ("down"|"up", subset mask)
         self.solver_calls = 0
-        self.covered_trials = 0  # True answers of is_blocked_down
+        self.covered_trials = 0  # shrink trials answered by covered_members; shrink counts them
         # always 0, as answers need no grow pass; kept because bench/tracing.py reads it
         self.grow_evals = 0
         self._solver = SatSolver(n, default_phase=True)
@@ -69,11 +69,19 @@ class UnexploredMap:
         if self._down.add(mask):  # not inside a down-blocked set already
             self._solver.add_clause(self._down_clause(mask))
 
-    def is_blocked_down(self, s: ConstraintSet) -> bool:
-        """Whether s lies inside a down-blocked set, and so is satisfiable; no solver call."""
-        covered = self._down.covers(s.mask) is not None
-        self.covered_trials += covered
-        return covered
+    def covered_members(self, work: int) -> int:
+        """The members c of the mask work whose trial work - {c} lies inside a down-blocked set.
+
+        Such a trial is satisfiable. One pass over the maximal down-blocked
+        sets D, with no solver call: work - {c} lies inside D exactly when
+        work - D is {c} or empty. Returns a mask.
+        """
+        found = 0
+        for d in self._down:
+            rest = work & ~d
+            if not rest & (rest - 1):  # at most one member of work outside d
+                found |= rest or work
+        return found
 
     def block_up(self, unsat_set: ConstraintSet) -> None:
         """Remove unsat_set and all of its supersets from the map."""

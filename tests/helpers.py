@@ -1,5 +1,6 @@
 """Frozen ground truth and helpers shared across the test suite."""
 
+import math
 import random
 
 from musenum import CnfOracle, ConstraintSet, PreconditionError, TableOracle, UnexploredMap
@@ -92,6 +93,48 @@ def full_pass_rotate(oracle: CnfOracle, work, critical, known=None):
                 found.append((d, ConstraintSet(n, once & ~lost | flipped)))
             stack.append((model ^ (1 << v), d))
     return found
+
+
+def per_trial_shrink(oracle, seed, criticals, core=None, known_sat=None):
+    """shrink with one map question per trial: the reference that `musenum.shrink` must match.
+
+    `known_sat` is a predicate on the trial set; a True answer keeps its
+    candidate with no check. `musenum.shrink` asks the map once per working
+    set instead, and must make the same checks, discoveries and MUS.
+    """
+    if not criticals.is_subset_of(seed):
+        raise PreconditionError("criticals must be a subset of the seed")
+    work = seed if core is None else core
+    proven = criticals.mask
+    discoveries = []
+    for candidate in work - criticals:
+        if candidate not in work or proven >> candidate & 1:
+            continue
+        trial = work.remove(candidate)
+        if known_sat is not None and known_sat(trial):
+            proven |= 1 << candidate
+        elif oracle.is_sat(trial):
+            proven |= 1 << candidate
+            discoveries.append(oracle.witness)
+            for d, witness in oracle.rotate(work, candidate, ConstraintSet(work.n, proven)):
+                proven |= 1 << d
+                discoveries.append(witness)
+        else:
+            work = oracle.core
+    return work, discoveries
+
+
+def per_member_choose_p(s_mus, s_max, factor):
+    """remus.choose_p adding one member at a time: the reference its mask arithmetic must match."""
+    target = math.floor(factor * len(s_max) + 1e-9)
+    if target <= len(s_mus):
+        return None
+    p = s_mus
+    for i in s_max - s_mus:
+        if len(p) >= target:
+            break
+        p = p.add(i)
+    return p
 
 
 def pigeonhole(holes: int) -> tuple[int, list[list[int]]]:

@@ -90,22 +90,18 @@ def test_antichain_keeps_the_maximal_masks():
         added = []
         for _ in range(rng.randint(0, 12)):
             mask = rng.randrange(1 << 6)
-            before = dict(chain)
+            before = set(chain)
             stored = chain.add(mask)
             added.append(mask)
-            assert stored == (before.keys() != chain.keys())
+            assert stored == (before != chain)
             if not stored:
                 assert chain == before
                 assert any(mask & m == mask for m in before)
                 continue
-            # the masks inside mask are dropped, every other mask keeps its payload
-            assert chain == {m: p for m, p in before.items() if m & mask != m} | {mask: None}
-            chain[mask] = len(added)  # payload: the position of the add
+            # the masks inside mask are dropped, every other mask stays
+            assert chain == {m for m in before if m & mask != m} | {mask}
         maximal = {m for m in added if not any(m & o == m and m != o for o in added)}
-        assert set(chain) == maximal
+        assert chain == maximal
+        # the maximality law: a mask lies inside an added mask exactly when it lies inside a stored one
         for probe in range(1 << 6):
-            cover = chain.covers(probe)
-            if cover is None:
-                assert not any(probe & m == probe for m in added)
-            else:
-                assert cover in chain and probe & cover == probe
+            assert any(probe & m == probe for m in chain) == any(probe & m == probe for m in added)

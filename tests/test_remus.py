@@ -30,6 +30,8 @@ from helpers import (
     bitsets,
     cs,
     example1_table,
+    per_member_choose_p,
+    per_trial_shrink,
     random_antichain,
     small_unsat_cnfs,
     table_from_antichain,
@@ -85,6 +87,21 @@ def test_choose_p_examples():
 
     p = choose_p(ConstraintSet.from_indices(10, [0, 1]), ConstraintSet.full(10), 0.9)
     assert len(p) == 9
+
+
+def test_choose_p_matches_the_per_member_fill():
+    rng = random.Random(1901)
+    answers = []
+    for _ in range(2000):
+        n = rng.randint(1, 64)
+        s_max = ConstraintSet(n, rng.randrange(1, 1 << n))
+        s_mus = ConstraintSet(n, s_max.mask & rng.randrange(1 << n))
+        if s_mus == s_max:
+            continue
+        factor = rng.choice([rng.random(), 0.5, 0.9, 0.99, 1 - 1e-12]) or 0.5
+        answers.append(choose_p(s_mus, s_max, factor))
+        assert answers[-1] == per_member_choose_p(s_mus, s_max, factor)
+    assert None in answers and any(p is not None and p.n == 64 for p in answers)
 
 
 def test_choose_p_requires_proper_subset():
@@ -289,24 +306,29 @@ def test_stats_reconcile_with_oracle_and_map(monkeypatch):
         assert stats.oracle_checks >= stats.per_mus[-1].oracle_checks
         assert stats.map_solver_calls >= stats.per_mus[-1].map_solver_calls
         assert result.records is stats.per_mus and len(stats.per_mus) == 2
-        # every trial the map answered is counted once, and none of them is a check
-        assert stats.covered_trials == len(covered) == {"remus": 3, "marco": 0}[name]
+        # every covered trial that shrink reaches is counted once, and none of them is a check:
+        # remus's second shrink has all three of its trials covered and makes no check
+        assert stats.covered_trials == {"remus": 3, "marco": 0}[name] <= len(covered)
+        assert [call.checks for call in stats.shrink_log] == {"remus": [1, 0], "marco": [1, 1]}[name]
         oracle.is_sat(ConstraintSet.full(4))  # the finished result does not move
         assert stats.oracle_checks == oracle.checks - 2
 
 
 def record_covered_trials(monkeypatch) -> list:
-    """Collect every set the map answers satisfiable from its down-blocks, in order."""
+    """Collect every trial the map answers satisfiable from its down-blocks, in order.
+
+    The map answers all of a working set's trials at once, so this holds
+    the trials a shrink reached and those it proved critical otherwise.
+    """
     covered = []
-    is_blocked_down = UnexploredMap.is_blocked_down
+    covered_members = UnexploredMap.covered_members
 
-    def recording(umap, s):
-        answer = is_blocked_down(umap, s)
-        if answer:
-            covered.append(s)
-        return answer
+    def recording(umap, work):
+        members = covered_members(umap, work)
+        covered.extend(ConstraintSet(umap.n, work & ~(1 << c)) for c in ConstraintSet(umap.n, members))
+        return members
 
-    monkeypatch.setattr(UnexploredMap, "is_blocked_down", recording)
+    monkeypatch.setattr(UnexploredMap, "covered_members", recording)
     return covered
 
 
@@ -319,13 +341,49 @@ def test_covered_trials_are_satisfiable_and_spare_a_check(algorithm, monkeypatch
         covered.clear()
         oracle = CnfOracle(num_vars, clauses)
         result = RUNNERS[algorithm](Instance(oracle))
-        assert result.complete and result.stats.covered_trials == len(covered)
+        assert result.complete and result.stats.covered_trials <= len(covered)
         # each shrink makes one check per candidate it tries, less the covered
         # ones; rotation names the rest, so the checks are at most that
         tried = sum(len(call.seed - call.criticals) for call in result.stats.shrink_log)
-        assert sum(call.checks for call in result.stats.shrink_log) <= tried - len(covered)
+        assert sum(call.checks for call in result.stats.shrink_log) <= tried - result.stats.covered_trials
         fresh = CnfOracle(num_vars, clauses)
         assert all(fresh.is_sat(s) for s in covered)
+    assert covered and result.stats.covered_trials
+
+
+@pytest.mark.parametrize("algorithm", ["remus", "marco"])
+def test_shrink_matches_the_per_trial_reference(algorithm, monkeypatch):
+    # the same runs with the map asked once per trial: every shrink must make
+    # the same checks, covered trials, discoveries in order and MUS
+    def run(num_vars, clauses, per_trial):
+        calls = []
+
+        def recording(oracle, seed, criticals, core, umap):
+            checks, covered = oracle.checks, umap.covered_trials
+            if per_trial:
+                downs = [mask for kind, mask in umap.block_log if kind == "down"]
+
+                def known_sat(trial):
+                    inside = any(trial.mask & ~d == 0 for d in downs)
+                    umap.covered_trials += inside
+                    return inside
+
+                mus, discoveries = per_trial_shrink(oracle, seed, criticals, core, known_sat)
+            else:
+                mus, discoveries = shrink(oracle, seed, criticals, core, umap)
+            calls.append((mus, discoveries, oracle.checks - checks, umap.covered_trials - covered))
+            return mus, discoveries
+
+        monkeypatch.setattr(musenum.session, "shrink", recording)
+        result = RUNNERS[algorithm](Instance(CnfOracle(num_vars, clauses)))
+        return calls, result.stats.covered_trials, result.block_log
+
+    covered = 0
+    for num_vars, clauses in small_unsat_cnfs(25, 1903):
+        calls, covered_trials, block_log = run(num_vars, clauses, per_trial=False)
+        assert (calls, covered_trials, block_log) == run(num_vars, clauses, per_trial=True)
+        assert covered_trials == sum(call[3] for call in calls)
+        covered += covered_trials
     assert covered
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from musenum import CnfOracle, ConstraintSet, PreconditionError, is_mus, parse_dimacs, shrink
+from musenum import CnfOracle, ConstraintSet, PreconditionError, UnexploredMap, is_mus, parse_dimacs, shrink
 from helpers import (
     EXAMPLE1_DIMACS,
     CoreCnfOracle,
@@ -83,16 +83,22 @@ def test_rotation_spares_most_checks_on_a_pigeonhole_formula(holes, checks):
 
 def test_a_known_satisfiable_trial_keeps_its_candidate_without_a_check():
     oracle = example1_table()
+    umap = UnexploredMap(4)
+    umap.block_down(cs("0111"))  # the trial without c1
     asked = []
+    covered_members = umap.covered_members
 
-    def known_sat(trial):
-        asked.append(trial)
-        return trial == cs("0111")  # the trial without c1
+    def recording(work):
+        asked.append(work)
+        return covered_members(work)
 
-    mus, found_sat = shrink(oracle, ConstraintSet.full(4), ConstraintSet.empty(4), None, known_sat)
+    umap.covered_members = recording
+    mus, found_sat = shrink(oracle, ConstraintSet.full(4), ConstraintSet.empty(4), None, umap)
     assert mus == cs("1011")
-    # c1 is kept with no check; c2 (UNSAT without it), c3 and c4 are checked
-    assert asked == [cs("0111"), cs("1011"), cs("1001"), cs("1010")]
+    # the map is asked once per working set: the seed, then the core of c2's trial
+    assert asked == [cs("1111").mask, cs("1011").mask]
+    # c1 is kept with no check, and counted once; c2 (UNSAT without it), c3 and c4 are checked
+    assert umap.covered_trials == 1 and umap.solver_calls == 0
     assert oracle.checks == 3
     # a known satisfiable set is no discovery: the caller has it already
     assert found_sat == [cs("1001"), cs("1010")]

@@ -159,6 +159,21 @@ def test_map_matches_explicit_reference_on_random_logs():
             assert not any(a <= b for b in downs[:i] + downs[i + 1:])
 
 
+def test_covered_members_match_brute_force_on_every_probe():
+    rng = random.Random(502)
+    for _ in range(150):
+        umap = UnexploredMap(6)
+        log = random_block_log(rng, 6)
+        apply_log(umap, log)
+        downs = [mask for kind, mask in log if kind == "down"]
+        calls = umap.solver_calls
+        for work in range(1 << 6):
+            members = [1 << i for i in range(6) if work >> i & 1]
+            expected = sum(c for c in members if any((work ^ c) & ~d == 0 for d in downs))
+            assert umap.covered_members(work) == expected
+        assert umap.solver_calls == calls and umap.block_log == log
+
+
 def test_max_satisfies_the_maximality_contract():
     rng = random.Random(501)
     for _ in range(250):
