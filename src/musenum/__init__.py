@@ -1,10 +1,8 @@
 """Online enumeration of minimal unsatisfiable subsets with check accounting."""
 
 from .core import (
-    CheckStats,
     ConstraintSet,
     DimacsParseError,
-    Instance,
     InstanceSatisfiableError,
     MonotonicityError,
     MusError,
@@ -29,12 +27,10 @@ from .unexplored import UnexploredMap
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckStats",
     "CnfOracle",
     "ConstraintSet",
     "DimacsParseError",
     "EnumerationResult",
-    "Instance",
     "InstanceSatisfiableError",
     "MonotonicityError",
     "MusError",

@@ -13,17 +13,11 @@ import csv
 import os
 import sys
 
-from .core import (
-    CheckStats,
-    DimacsParseError,
-    Instance,
-    InstanceSatisfiableError,
-    PreconditionError,
-)
+from .core import DimacsParseError, InstanceSatisfiableError, PreconditionError
 from .oracles import parse_dimacs
 from .reference import random_cnf, to_dimacs
 from .remus import enumerate_marco, enumerate_remus
-from .session import RemusConfig
+from .session import EnumerationResult, RemusConfig
 
 
 def _positive_int(text: str) -> int:
@@ -78,12 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def write_stats_csv(stats: CheckStats, path: str) -> None:
+def write_stats_csv(result: EnumerationResult, path: str) -> None:
     """One CSV row per emitted MUS, cumulative counters at emission time."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["mus_index", "elapsed_s", "oracle_checks", "map_solver_calls", "depth"])
-        for record in stats.per_mus:
+        for record in result.records:
             writer.writerow(
                 [record.ordinal, f"{record.elapsed_s:.6f}", record.oracle_checks,
                  record.map_solver_calls, record.depth]
@@ -108,8 +102,7 @@ def _cmd_solve(args) -> int:
         return 2
     try:
         oracle = parse_dimacs(text)
-        instance = Instance(oracle)
-    except (DimacsParseError, PreconditionError) as exc:
+    except DimacsParseError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 2
     out = sys.stdout
@@ -123,14 +116,16 @@ def _cmd_solve(args) -> int:
 
     runner = enumerate_remus if args.algorithm == "remus" else enumerate_marco
     try:
-        result = runner(instance, config, sink)
-        stats = result.stats
+        result = runner(oracle, config, sink)
         out.write(
-            f"found={len(stats.per_mus)} oracle_checks={stats.oracle_checks} "
-            f"map_calls={stats.map_solver_calls} elapsed={stats.elapsed():.3f}s "
+            f"found={len(result.records)} oracle_checks={result.oracle_checks} "
+            f"map_calls={result.map_solver_calls} elapsed={result.elapsed():.3f}s "
             f"complete={'yes' if result.complete else 'no'}\n"
         )
         out.flush()
+    except PreconditionError as exc:  # the instance has no constraint
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return 2
     except InstanceSatisfiableError:
         print("instance is satisfiable", file=sys.stderr)
         return 3
@@ -143,7 +138,7 @@ def _cmd_solve(args) -> int:
         return 1
     if args.stats:
         try:
-            write_stats_csv(stats, args.stats)
+            write_stats_csv(result, args.stats)
         except OSError as exc:
             print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
             return 1

@@ -1,8 +1,7 @@
-"""Constraint-universe set algebra, the errors, and the run records: MusRecord, ShrinkCall, CheckStats."""
+"""Constraint-universe set algebra, the errors, and the records of one MUS and one shrink."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 
@@ -183,21 +182,6 @@ class Antichain(set):
         return True
 
 
-@dataclass
-class Instance:
-    """A constraint universe bound to its satisfiability oracle."""
-
-    oracle: object
-
-    def __post_init__(self):
-        if self.oracle.n < 1:
-            raise PreconditionError("an instance needs at least one constraint")
-
-    @property
-    def n(self) -> int:
-        return self.oracle.n
-
-
 @dataclass(frozen=True)
 class MusRecord:
     """One emitted MUS with the run's cumulative counters at its emission."""
@@ -217,21 +201,3 @@ class ShrinkCall:
     seed: ConstraintSet
     criticals: ConstraintSet
     checks: int
-
-
-class CheckStats:
-    """One run's records as they are made, and its counts, written when it ends.
-
-    The final counts are copies, so they do not move if the oracle is queried again.
-    """
-
-    def __init__(self):
-        self.oracle_checks = 0
-        self.map_solver_calls = 0
-        self.covered_trials = 0  # shrink trials the map answered satisfiable, with no check
-        self.start_time = time.monotonic()
-        self.per_mus: list[MusRecord] = []
-        self.shrink_log: list[ShrinkCall] = []
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start_time

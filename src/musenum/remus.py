@@ -11,7 +11,7 @@ nothing is ever examined twice.
 marco is the same loop with a flat policy: one frame over the whole universe
 that never descends, so every seed is a maximal undetermined subset of the
 universe and every shrink starts with no criticals. Map, oracle, shrink,
-statistics and budgets are the same code for both, so check-count
+run record and budgets are the same code for both, so check-count
 comparisons isolate the seed-selection strategy.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .core import ConstraintSet, Instance, InstanceSatisfiableError, PreconditionError
+from .core import ConstraintSet, InstanceSatisfiableError, PreconditionError
 from .session import BudgetReached, EnumerationResult, RemusConfig, Session
 
 # floor() on the float product; the epsilon undoes binary representation
@@ -30,13 +30,15 @@ _FLOOR_EPS = 1e-9
 def choose_p(s_mus: ConstraintSet, s_max: ConstraintSet, factor: float) -> ConstraintSet | None:
     """Pick the reduced search space strictly between a found MUS and its seed.
 
-    The target cardinality is floor(factor * |s_max|); returns None when that
-    cannot strictly contain the MUS. The extra members are the lowest-index
-    constraints of s_max missing from s_mus, keeping traces reproducible.
+    The target cardinality is floor(factor * |s_max|), capped at |s_max| - 1
+    since the epsilon can lift a factor just below 1 to |s_max|; returns None
+    when that cannot strictly contain the MUS. The extra members are the
+    lowest-index constraints of s_max missing from s_mus, keeping traces
+    reproducible.
     """
     if not s_mus.is_subset_of(s_max) or s_mus == s_max:
         raise PreconditionError("s_mus must be a proper subset of s_max")
-    target = math.floor(factor * len(s_max) + _FLOOR_EPS)
+    target = min(math.floor(factor * len(s_max) + _FLOOR_EPS), len(s_max) - 1)
     if target <= len(s_mus):
         return None
     extra = rest = s_max.mask & ~s_mus.mask
@@ -45,40 +47,42 @@ def choose_p(s_mus: ConstraintSet, s_max: ConstraintSet, factor: float) -> Const
     return ConstraintSet(s_max.n, s_mus.mask | (extra ^ rest))
 
 
-def enumerate_remus(instance: Instance, config: RemusConfig | None = None, sink=None) -> EnumerationResult:
-    """Run remus to completion or budget exhaustion.
+def enumerate_remus(oracle, config: RemusConfig | None = None, sink=None) -> EnumerationResult:
+    """Run remus over the oracle's constraints to completion or budget exhaustion.
 
-    Every MUS is handed to `sink` the moment it is found; the result also
-    carries all records plus the check statistics. Raises
-    InstanceSatisfiableError when the full set is satisfiable.
+    Every MUS record is handed to `sink` the moment it is found; the result
+    holds all records and the run's counts. Raises PreconditionError when
+    the oracle has no constraint and InstanceSatisfiableError when the full
+    set is satisfiable.
     """
-    return _run(instance, config, sink, descend=True)
+    return _run(oracle, config, sink, descend=True)
 
 
-def enumerate_marco(instance: Instance, config: RemusConfig | None = None, sink=None) -> EnumerationResult:
+def enumerate_marco(oracle, config: RemusConfig | None = None, sink=None) -> EnumerationResult:
     """Run marco, the flat baseline, to completion or budget exhaustion.
 
     Every seed is a maximal undetermined subset of the whole universe, and
     every shrink starts with no criticals; otherwise as enumerate_remus.
     """
-    return _run(instance, config, sink, descend=False)
+    return _run(oracle, config, sink, descend=False)
 
 
-def _run(instance: Instance, config: RemusConfig | None, sink, descend: bool) -> EnumerationResult:
-    """Run the frame loop to its end or to a budget stop and collect the result."""
-    session = Session(instance, config or RemusConfig(), sink)
-    if session.oracle.is_sat(session.full):
+def _run(oracle, config: RemusConfig | None, sink, descend: bool) -> EnumerationResult:
+    """Run the frame loop to its end or to a budget stop and complete the result."""
+    session = Session(oracle, config or RemusConfig(), sink)
+    if oracle.is_sat(session.full):
         raise InstanceSatisfiableError("the full constraint set is satisfiable")
-    complete = True
+    result = session.result
     try:
         _search(session, descend)
+        result.complete = True
     except BudgetReached:
-        complete = False
-    stats = session.stats
-    stats.oracle_checks = session.oracle_checks()
-    stats.map_solver_calls = session.map.solver_calls
-    stats.covered_trials = session.map.covered_trials
-    return EnumerationResult(stats, complete, session.map.block_log)
+        pass
+    result.oracle_checks = session.oracle_checks()
+    result.map_solver_calls = session.map.solver_calls
+    result.covered_trials = session.map.covered_trials
+    result.block_log = session.map.block_log
+    return result
 
 
 def _search(session: Session, descend: bool) -> None:

@@ -93,6 +93,7 @@ class SatSolver:
         self._watches: list[list] = [[] for _ in range(2 * num_vars + 1)]  # laid out like _val
         self._trail: list[int] = []
         self._lim: list[int] = []  # trail length at the start of each decision level
+        self._free = 1  # every variable below this one is assigned; branching scans from it
         self._qhead = 0
         self._assumed: list[int] = []  # assumption i was decided at level i + 1
         self._model_mask: int | None = None
@@ -239,7 +240,7 @@ class SatSolver:
                     self._qhead += 1  # nothing to propagate
             else:
                 try:
-                    branch_var = val.index(0, 1, n + 1)
+                    branch_var = self._free = val.index(0, self._free, n + 1)
                 except ValueError:  # no variable is free
                     self._failed = None
                     self._save_model()
@@ -308,6 +309,7 @@ class SatSolver:
         for lit in self._trail[head:]:
             val[lit] = 0
             val[-lit] = 0
+        self._free = 1  # cheaper than finding the lowest variable undone
         del self._trail[head:]
         del self._lim[level:]
         self._qhead = head

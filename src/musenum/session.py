@@ -1,24 +1,18 @@
 """Shared enumeration session: configuration, budgets, emission and blocking.
 
 Oracle checks and map calls are counted only by the oracle and the map; the
-session reads them there, and the run copies the final counts into
-CheckStats once. The frame loop that drives a session, for both algorithms,
-is in musenum.remus.
+session reads them there, and the run copies the final counts into its
+EnumerationResult once. The frame loop that drives a session, for both
+algorithms, is in musenum.remus.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
-from .core import (
-    CheckStats,
-    ConstraintSet,
-    Instance,
-    MusRecord,
-    PreconditionError,
-    ShrinkCall,
-)
+from .core import ConstraintSet, MusRecord, PreconditionError, ShrinkCall
 from .shrink import shrink
 from .unexplored import UnexploredMap
 
@@ -69,7 +63,13 @@ def _int_at_least(value, low: int) -> bool:
 
 @dataclass
 class EnumerationResult:
-    """Everything a finished (or budget-stopped) enumeration run produced.
+    """The record of one enumeration run, finished or budget-stopped.
+
+    The session fills `records` (one per emitted MUS, in order) and
+    `shrink_log` (one per shrink) as the run goes. When the run ends it writes
+    the rest once: the counts are copies, so they do not move if the oracle
+    is queried again; `covered_trials` counts the shrink trials the map
+    answered satisfiable, with no check.
 
     block_log is the map's chronological ("down"|"up", subset mask) record;
     replaying it against the oracle is the standard soundness check. Each
@@ -77,13 +77,17 @@ class EnumerationResult:
     satisfiable; each up-block is an emitted MUS.
     """
 
-    stats: CheckStats
-    complete: bool
-    block_log: list[tuple[str, int]]
+    records: list[MusRecord] = field(default_factory=list)
+    shrink_log: list[ShrinkCall] = field(default_factory=list)
+    start_time: float = field(default_factory=time.monotonic)
+    oracle_checks: int = 0
+    map_solver_calls: int = 0
+    covered_trials: int = 0
+    complete: bool = False
+    block_log: list[tuple[str, int]] = field(default_factory=list)
 
-    @property
-    def records(self) -> list[MusRecord]:
-        return self.stats.per_mus
+    def elapsed(self) -> float:
+        return time.monotonic() - self.start_time
 
     @property
     def muses(self) -> list[ConstraintSet]:
@@ -95,16 +99,16 @@ class BudgetReached(Exception):
 
 
 class Session:
-    """Single-threaded enumeration state: one map, one oracle, one stats block."""
+    """Single-threaded enumeration state: one map, one oracle, one run record."""
 
-    def __init__(self, instance: Instance, config: RemusConfig, sink=None):
-        self.oracle = instance.oracle
+    def __init__(self, oracle, config: RemusConfig, sink=None):
+        self.oracle = oracle
         self.config = config
         self.sink = sink
-        self.map = UnexploredMap(instance.n)
-        self.stats = CheckStats()
-        self.full = ConstraintSet.full(instance.n)
-        self._checks_before = self.oracle.checks
+        self.map = UnexploredMap(oracle.n)  # rejects an empty universe
+        self.result = EnumerationResult()
+        self.full = ConstraintSet.full(oracle.n)
+        self._checks_before = oracle.checks
 
     def oracle_checks(self) -> int:
         """Checks this session has made; the oracle may have served others before."""
@@ -112,22 +116,22 @@ class Session:
 
     def check_budget(self) -> None:
         cfg = self.config
-        if cfg.time_limit is not None and self.stats.elapsed() >= cfg.time_limit:
+        if cfg.time_limit is not None and self.result.elapsed() >= cfg.time_limit:
             raise BudgetReached
         if cfg.check_limit is not None and self.oracle_checks() >= cfg.check_limit:
             raise BudgetReached
 
     def emit(self, mus: ConstraintSet, depth: int) -> None:
-        per_mus = self.stats.per_mus
+        records = self.result.records
         record = MusRecord(
-            len(per_mus) + 1, mus, self.stats.elapsed(), self.oracle_checks(),
+            len(records) + 1, mus, self.result.elapsed(), self.oracle_checks(),
             self.map.solver_calls, depth,
         )
-        per_mus.append(record)
+        records.append(record)
         if self.sink is not None:
             self.sink(record)
         limit = self.config.mus_limit
-        if limit is not None and len(per_mus) >= limit:
+        if limit is not None and len(records) >= limit:
             raise BudgetReached
 
     def shrink_and_emit(self, seed: ConstraintSet, criticals: ConstraintSet, depth: int) -> ConstraintSet:
@@ -142,7 +146,7 @@ class Session:
         self.check_budget()
         before = self.oracle_checks()
         mus, discoveries = shrink(self.oracle, seed, criticals, self.oracle.core, self.map)
-        self.stats.shrink_log.append(ShrinkCall(seed, criticals, self.oracle_checks() - before))
+        self.result.shrink_log.append(ShrinkCall(seed, criticals, self.oracle_checks() - before))
         self.emit(mus, depth)
         self.check_budget()
         for sat_set in discoveries:

@@ -19,7 +19,6 @@ import pytest
 from musenum import (
     CnfOracle,
     ConstraintSet,
-    Instance,
     RemusConfig,
     UnexploredMap,
     bruteforce_all_muses,
@@ -106,8 +105,8 @@ def small_corpus():
                 make_oracle=make,
                 expected=bruteforce_all_muses(make()),
                 results={
-                    "remus": enumerate_remus(Instance(make())),
-                    "marco": enumerate_marco(Instance(make())),
+                    "remus": enumerate_remus(make()),
+                    "marco": enumerate_marco(make()),
                 },
             )
         )
@@ -134,8 +133,8 @@ def small_corpus():
                 make_oracle=make,
                 expected=bruteforce_all_muses(make()),
                 results={
-                    "remus": enumerate_remus(Instance(make())),
-                    "marco": enumerate_marco(Instance(make())),
+                    "remus": enumerate_remus(make()),
+                    "marco": enumerate_marco(make()),
                 },
             )
         )
@@ -168,10 +167,10 @@ def bench_corpus():
         probe = CnfOracle(num_vars, clauses)
         if probe.is_sat(ConstraintSet.full(probe.n)):
             continue
-        marco_run = enumerate_marco(Instance(CnfOracle(num_vars, clauses)), config)
+        marco_run = enumerate_marco(CnfOracle(num_vars, clauses), config)
         if len(marco_run.records) < 20:
             continue  # cannot certify the instance holds >= 20 MUSes
-        remus_run = enumerate_remus(Instance(CnfOracle(num_vars, clauses)), config)
+        remus_run = enumerate_remus(CnfOracle(num_vars, clauses), config)
         instances.append(
             BenchInstance(num_vars, clauses, {"remus": remus_run, "marco": marco_run})
         )
@@ -260,9 +259,9 @@ def test_criterion_5_checks_per_mus(bench_corpus):
     for inst in instances:
         for name, result in inst.results.items():
             assert len(result.records) >= 10, (name, inst.num_vars)
-            seed_sizes[name].extend(len(c.seed) for c in result.stats.shrink_log)
+            seed_sizes[name].extend(len(c.seed) for c in result.shrink_log)
         to_first_10 = {
-            name: result.stats.per_mus[9].oracle_checks
+            name: result.records[9].oracle_checks
             for name, result in inst.results.items()
         }
         ratios.append(to_first_10["remus"] / to_first_10["marco"])
@@ -349,7 +348,7 @@ def test_criterion_7_shrink_check_bound(small_corpus):
     calls = 0
     for run in small_corpus.runs:
         for name, result in run.results.items():
-            for call in result.stats.shrink_log:
+            for call in result.shrink_log:
                 assert call.checks <= len(call.seed) - len(call.criticals), (run.kind, name)
                 calls += 1
     assert calls > 0

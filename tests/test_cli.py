@@ -11,6 +11,8 @@ import musenum
 from musenum import parse_dimacs
 from musenum.cli import build_parser, run
 
+from helpers import EXAMPLE1_DIMACS
+
 SUMMARY_RE = re.compile(
     r"^found=(\d+) oracle_checks=(\d+) map_calls=(\d+) elapsed=([0-9.]+)s complete=(yes|no)$"
 )
@@ -243,3 +245,12 @@ def test_readme_layout_lists_every_module():
     listed = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
     modules = Path(musenum.__file__).parent.glob("*.py")
     assert sorted(listed) == sorted(m.name for m in modules if not m.name.startswith("__"))
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "formula.cnf").write_text(EXAMPLE1_DIMACS)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["1 [1, 2] 2", "2 [1, 3, 4] 5", "True 5 2"]

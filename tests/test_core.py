@@ -1,6 +1,9 @@
 import random
 
+import operator
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from musenum import ConstraintSet, PreconditionError, UniverseMismatchError
 from musenum.core import Antichain
@@ -105,3 +108,59 @@ def test_antichain_keeps_the_maximal_masks():
         # the maximality law: a mask lies inside an added mask exactly when it lies inside a stored one
         for probe in range(1 << 6):
             assert any(probe & m == probe for m in chain) == any(probe & m == probe for m in added)
+
+
+@st.composite
+def same_universe(draw, count, min_n=0):
+    """`count` constraint sets over one random universe of at most 40 constraints."""
+    n = draw(st.integers(min_n, 40))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
+    return [ConstraintSet(n, mask) for mask in masks]
+
+
+LAWS = settings(deadline=None, derandomize=True, max_examples=200)
+
+
+@LAWS
+@given(same_universe(3))
+def test_set_laws_match_mask_arithmetic(sets):
+    a, b, c = sets
+    assert (a | b).mask == a.mask | b.mask
+    assert (a & b).mask == a.mask & b.mask
+    assert (a - b).mask == a.mask & ~b.mask
+    assert (a | b).n == (a & b).n == (a - b).n == a.n
+    # is_subset_of is a partial order, and it is the order of | and &
+    assert a.is_subset_of(a)
+    assert (a.is_subset_of(b) and b.is_subset_of(a)) == (a == b)
+    assert a.is_subset_of(b) == (a | b == b) == (a & b == a) == (a.mask & ~b.mask == 0)
+    upper = a | b
+    assert a.is_subset_of(upper) and upper.is_subset_of(upper | c) and a.is_subset_of(upper | c)
+    # from_indices, iteration and the 1-based indices describe the same members
+    members = list(a)
+    assert members == sorted(set(members)) and len(members) == len(a)
+    assert ConstraintSet.from_indices(a.n, members) == a
+    assert a.indices_1based() == [i + 1 for i in members]
+    assert all((i in a) == bool(a.mask >> i & 1) for i in range(a.n))
+
+
+@LAWS
+@given(same_universe(1, min_n=1), st.data())
+def test_add_and_remove_round_trip(sets, data):
+    (a,) = sets
+    i = data.draw(st.integers(0, a.n - 1))
+    if i in a:
+        assert i not in a.remove(i) and a.remove(i).add(i) == a
+    else:
+        assert i in a.add(i) and a.add(i).remove(i) == a
+    assert a.add(i).add(i) == a.add(i) and len(a.add(i)) == len(a) + (i not in a)
+
+
+@LAWS
+@given(same_universe(1), same_universe(1))
+def test_mixed_universes_raise(left, right):
+    (a,), (b,) = left, right
+    if a.n == b.n:
+        b = ConstraintSet.empty(a.n + 1)
+    for op in (operator.or_, operator.and_, operator.sub, ConstraintSet.is_subset_of):
+        with pytest.raises(UniverseMismatchError):
+            op(a, b)

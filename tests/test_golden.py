@@ -2,10 +2,11 @@
 
 The figures were recorded before the solver kept its trail between solves,
 and the budget stops and per-MUS counters before the session stopped
-mirroring its counters into CheckStats. Verdicts are semantic and models are
-fixed by the clauses and the assumption set (see musenum.satsolver), so a
-change to the solvers' search must leave every figure derived from them as
-it is: all of GOLDEN, GOLDEN_COUNTERS, BUDGET_STOPS and the WITNESS_ tables.
+mirroring its counters into the run's statistics. Verdicts are semantic and
+models are fixed by the clauses and the assumption set (see
+musenum.satsolver), so a change to the solvers' search must leave every
+figure derived from them as it is: all of GOLDEN, GOLDEN_COUNTERS,
+BUDGET_STOPS and the WITNESS_ tables.
 The CORE_ and ROTATION_ tables also depend on the oracle's cores, which
 follow the solver's derivation, so a change to the search may move their
 rows; it re-records the rows that moved and lists them. A change that alters
@@ -46,7 +47,7 @@ import hashlib
 
 import pytest
 
-from musenum import CnfOracle, Instance, RemusConfig, enumerate_marco, enumerate_remus
+from musenum import CnfOracle, RemusConfig, enumerate_marco, enumerate_remus
 from musenum.reference import random_cnf
 
 from helpers import CoreCnfOracle
@@ -287,7 +288,7 @@ def run_id(row) -> str:
 def run(formula, algorithm, oracle_class=QueryCnfOracle, **config):
     num_vars, num_clauses, seed = formula
     oracle = oracle_class(num_vars, random_cnf(num_vars, num_clauses, 3, seed))
-    return RUNNERS[algorithm](Instance(oracle), RemusConfig(**config))
+    return RUNNERS[algorithm](oracle, RemusConfig(**config))
 
 
 def sequence_digest(records) -> str:
@@ -304,16 +305,16 @@ def counters_digest(records) -> str:
 
 def assert_enumeration(result, mus_limit, checks, map_calls, muses, digest):
     assert result.complete == (mus_limit is None)
-    assert result.stats.oracle_checks == checks
-    assert result.stats.map_solver_calls == map_calls
+    assert result.oracle_checks == checks
+    assert result.map_solver_calls == map_calls
     assert len(result.records) == muses
     assert sequence_digest(result.records) == digest
 
 
 def assert_budget_stop(result, checks, map_calls, muses, digest, counters):
     assert not result.complete
-    assert result.stats.oracle_checks == checks
-    assert result.stats.map_solver_calls == map_calls
+    assert result.oracle_checks == checks
+    assert result.map_solver_calls == map_calls
     assert len(result.records) == muses
     assert sequence_digest(result.records) == digest
     assert counters_digest(result.records) == counters

@@ -5,7 +5,6 @@ import pytest
 from musenum import (
     CnfOracle,
     ConstraintSet,
-    Instance,
     InstanceSatisfiableError,
     RemusConfig,
     bruteforce_all_muses,
@@ -27,7 +26,7 @@ from helpers import (
 
 
 def test_example1_emits_both_muses_once():
-    result = enumerate_marco(Instance(parse_dimacs(EXAMPLE1_DIMACS)))
+    result = enumerate_marco(parse_dimacs(EXAMPLE1_DIMACS))
     assert bitsets(result.muses) == EXAMPLE1_MUSES
     assert len(result.muses) == 2
     assert result.complete
@@ -35,7 +34,7 @@ def test_example1_emits_both_muses_once():
 
 def test_mus_limit_one_emits_one_valid_mus():
     result = enumerate_marco(
-        Instance(parse_dimacs(EXAMPLE1_DIMACS)), RemusConfig(mus_limit=1)
+        parse_dimacs(EXAMPLE1_DIMACS), RemusConfig(mus_limit=1)
     )
     assert len(result.records) == 1
     assert not result.complete
@@ -44,7 +43,7 @@ def test_mus_limit_one_emits_one_valid_mus():
 
 def test_satisfiable_instance_is_rejected():
     with pytest.raises(InstanceSatisfiableError):
-        enumerate_marco(Instance(parse_dimacs("p cnf 1 1\n1 0\n")))
+        enumerate_marco(parse_dimacs("p cnf 1 1\n1 0\n"))
 
 
 def test_matches_bruteforce_on_random_corpora():
@@ -53,7 +52,7 @@ def test_matches_bruteforce_on_random_corpora():
         n = rng.randint(1, 8)
         antichain = random_antichain(n, rng)
         expected = {ConstraintSet(n, a) for a in antichain}
-        result = enumerate_marco(Instance(table_from_antichain(n, antichain)))
+        result = enumerate_marco(table_from_antichain(n, antichain))
         assert set(result.muses) == expected
         assert len(result.muses) == len(expected)
         assert result.complete
@@ -69,7 +68,7 @@ def test_matches_bruteforce_on_random_corpora():
             continue
         accepted += 1
         expected = bruteforce_all_muses(CnfOracle(num_vars, clauses))
-        result = enumerate_marco(Instance(CnfOracle(num_vars, clauses)))
+        result = enumerate_marco(CnfOracle(num_vars, clauses))
         assert set(result.muses) == expected
 
 
@@ -82,9 +81,9 @@ def test_never_recurses_and_never_passes_criticals():
         n = rng.randint(2, 8)
         oracles.append(table_from_antichain(n, random_antichain(n, rng)))
     for oracle in oracles:
-        result = enumerate_marco(Instance(oracle))
+        result = enumerate_marco(oracle)
         assert all(record.depth == 0 for record in result.records)
-        assert all(len(call.criticals) == 0 for call in result.stats.shrink_log)
+        assert all(len(call.criticals) == 0 for call in result.shrink_log)
 
 
 def test_block_log_soundness():
@@ -92,8 +91,8 @@ def test_block_log_soundness():
     for trial in range(15):
         n = rng.randint(2, 8)
         antichain = random_antichain(n, rng)
-        result = enumerate_marco(Instance(table_from_antichain(n, antichain)))
+        result = enumerate_marco(table_from_antichain(n, antichain))
         assert_block_log_replays(result, table_from_antichain(n, antichain))
     for num_vars, clauses in small_unsat_cnfs(15, 913):
-        result = enumerate_marco(Instance(CnfOracle(num_vars, clauses)))
+        result = enumerate_marco(CnfOracle(num_vars, clauses))
         assert_block_log_replays(result, CnfOracle(num_vars, clauses))

@@ -8,7 +8,6 @@ import musenum.session
 from musenum import (
     CnfOracle,
     ConstraintSet,
-    Instance,
     InstanceSatisfiableError,
     PreconditionError,
     RemusConfig,
@@ -41,34 +40,34 @@ RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
 
 
 def test_example1_emits_both_muses_once():
-    result = enumerate_remus(Instance(parse_dimacs(EXAMPLE1_DIMACS)))
+    result = enumerate_remus(parse_dimacs(EXAMPLE1_DIMACS))
     assert bitsets(result.muses) == EXAMPLE1_MUSES
     assert len(result.muses) == 2
     assert result.complete
 
 
 def test_example1_on_the_status_table():
-    result = enumerate_remus(Instance(example1_table()))
+    result = enumerate_remus(example1_table())
     assert bitsets(result.muses) == EXAMPLE1_MUSES
 
 
 def test_single_unsatisfiable_constraint():
     # one constraint that is itself unsatisfiable: the empty clause
-    result = enumerate_remus(Instance(parse_dimacs("p cnf 0 1\n0\n")))
+    result = enumerate_remus(parse_dimacs("p cnf 0 1\n0\n"))
     assert bitsets(result.muses) == {"1"}
     assert result.complete
 
 
 def test_satisfiable_instance_is_rejected():
     with pytest.raises(InstanceSatisfiableError):
-        enumerate_remus(Instance(parse_dimacs("p cnf 2 2\n1 0\n2 0\n")))
+        enumerate_remus(parse_dimacs("p cnf 2 2\n1 0\n2 0\n"))
 
 
 def test_first_shrink_starts_from_the_full_universe():
     # fresh map: the first maximal undetermined subset is the whole set; the
     # core of its check is {c1, c2}, already a MUS, so shrink starts there
-    result = enumerate_remus(Instance(parse_dimacs(EXAMPLE1_DIMACS)))
-    first = result.stats.shrink_log[0]
+    result = enumerate_remus(parse_dimacs(EXAMPLE1_DIMACS))
+    first = result.shrink_log[0]
     assert first.seed == ConstraintSet.full(4)
     assert first.criticals == ConstraintSet.empty(4)
     assert result.records[0].mus == cs("1100")
@@ -99,9 +98,15 @@ def test_choose_p_matches_the_per_member_fill():
         if s_mus == s_max:
             continue
         factor = rng.choice([rng.random(), 0.5, 0.9, 0.99, 1 - 1e-12]) or 0.5
-        answers.append(choose_p(s_mus, s_max, factor))
-        assert answers[-1] == per_member_choose_p(s_mus, s_max, factor)
+        p = choose_p(s_mus, s_max, factor)
+        assert p == per_member_choose_p(s_mus, s_max, factor)
+        if p is not None:  # strictly between, even for a factor just below 1
+            assert s_mus.is_subset_of(p) and p.is_subset_of(s_max) and len(s_mus) < len(p) < len(s_max)
+        answers.append(p)
     assert None in answers and any(p is not None and p.n == 64 for p in answers)
+    factor = RemusConfig(reduction_factor=0.9999999999).reduction_factor
+    p = choose_p(ConstraintSet.from_indices(10, [0, 1]), ConstraintSet.full(10), factor)
+    assert p == ConstraintSet.from_indices(10, range(9))
 
 
 def test_choose_p_requires_proper_subset():
@@ -121,7 +126,7 @@ def test_reduction_factor_validation():
 
 def test_mus_limit_stops_cleanly():
     result = enumerate_remus(
-        Instance(parse_dimacs(EXAMPLE1_DIMACS)), RemusConfig(mus_limit=1)
+        parse_dimacs(EXAMPLE1_DIMACS), RemusConfig(mus_limit=1)
     )
     assert len(result.records) == 1
     assert not result.complete
@@ -141,7 +146,7 @@ def recursion_limit():
 def test_search_leaves_the_recursion_limit_alone(recursion_limit, config):
     during = []
     result = enumerate_remus(
-        Instance(parse_dimacs(EXAMPLE1_DIMACS)), config,
+        parse_dimacs(EXAMPLE1_DIMACS), config,
         sink=lambda record: during.append(sys.getrecursionlimit()),
     )
     assert result.complete == (config.mus_limit is None)
@@ -156,7 +161,7 @@ def test_deep_search_needs_no_interpreter_stack():
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:
-        result = enumerate_remus(Instance(oracle), RemusConfig(reduction_factor=0.99))
+        result = enumerate_remus(oracle, RemusConfig(reduction_factor=0.99))
     finally:
         sys.setrecursionlimit(saved)
     assert result.complete
@@ -197,24 +202,24 @@ def test_config_fields_cannot_change_after_validation():
     config = RemusConfig(check_limit=5)
     with pytest.raises(AttributeError):
         config.check_limit = float("nan")
-    result = enumerate_remus(Instance(CnfOracle(1, [[-1]] + [[1]] * 30)), config)
-    assert not result.complete and result.stats.oracle_checks == 5
+    result = enumerate_remus(CnfOracle(1, [[-1]] + [[1]] * 30), config)
+    assert not result.complete and result.oracle_checks == 5
 
 
 def test_time_limit_zero_stops_before_any_emission():
     for run in RUNNERS.values():
-        result = run(Instance(parse_dimacs(EXAMPLE1_DIMACS)), RemusConfig(time_limit=0.0))
+        result = run(parse_dimacs(EXAMPLE1_DIMACS), RemusConfig(time_limit=0.0))
         assert result.records == []
         assert not result.complete
 
 
 def test_check_limit_budget():
     for run in RUNNERS.values():
-        result = run(Instance(parse_dimacs(EXAMPLE1_DIMACS)), RemusConfig(check_limit=1))
+        result = run(parse_dimacs(EXAMPLE1_DIMACS), RemusConfig(check_limit=1))
         # the single allowed check is the initial full-set test
         assert result.records == []
         assert not result.complete
-        assert result.stats.oracle_checks == 1
+        assert result.oracle_checks == 1
 
 
 @pytest.mark.parametrize("limit", [0, 1, 7, 50, 120, 200, 400])
@@ -224,10 +229,10 @@ def test_check_limit_overshoot_is_bounded(formula, algorithm, limit):
     # a shrink in flight is never cut and the full-set check always runs
     num_vars, num_clauses, seed = formula
     oracle = CnfOracle(num_vars, random_cnf(num_vars, num_clauses, 3, seed))
-    result = RUNNERS[algorithm](Instance(oracle), RemusConfig(check_limit=limit))
-    checks = result.stats.oracle_checks
+    result = RUNNERS[algorithm](oracle, RemusConfig(check_limit=limit))
+    checks = result.oracle_checks
     assert not result.complete and checks >= limit
-    last = result.stats.shrink_log[-1] if result.stats.shrink_log else None
+    last = result.shrink_log[-1] if result.shrink_log else None
     in_flight = len(last.seed - last.criticals) if last else 0
     assert checks <= max(limit, 1) + max(0, in_flight - 1)
 
@@ -246,13 +251,13 @@ def test_shrink_discoveries_are_always_blocked(algorithm, monkeypatch):
     for num_vars, num_clauses, seed in [(3, 8, 2), (4, 10, 0), (5, 14, 2)]:
         clauses = random_cnf(num_vars, num_clauses, 2, seed)
         discovered.clear()
-        result = RUNNERS[algorithm](Instance(CnfOracle(num_vars, clauses)))
+        result = RUNNERS[algorithm](CnfOracle(num_vars, clauses))
         assert set(result.muses) == bruteforce_all_muses(CnfOracle(num_vars, clauses))
         # one down-block per satisfiable seed check (its MSS), one per shrink find;
         # an unsatisfiable seed check leads to a shrink and is down-blocked by none,
         # and the first seed's check is the run's check of the full set
-        seed_checks = result.stats.oracle_checks - sum(call.checks for call in result.stats.shrink_log)
-        sat_seed_checks = seed_checks - len(result.stats.shrink_log)
+        seed_checks = result.oracle_checks - sum(call.checks for call in result.shrink_log)
+        sat_seed_checks = seed_checks - len(result.shrink_log)
         downs = [mask for kind, mask in result.block_log if kind == "down"]
         assert discovered
         assert len(downs) == sat_seed_checks + len(discovered)
@@ -270,7 +275,7 @@ def test_every_mus_is_down_blocked_by_the_witnesses_before_it(algorithm):
         runs.append(table_from_antichain(n, random_antichain(n, rng)))
     runs.append(CnfOracle(7, random_cnf(7, 30, 3, 12)))  # 90 MUSes, remus recurses
     for oracle in runs:
-        result = RUNNERS[algorithm](Instance(oracle))
+        result = RUNNERS[algorithm](oracle)
         assert result.complete
         muses = {mus.mask for mus in result.muses}
         downs = []
@@ -286,7 +291,7 @@ def test_every_mus_is_down_blocked_by_the_witnesses_before_it(algorithm):
 
 def test_stats_snapshots_are_monotone():
     for run in RUNNERS.values():
-        snaps = run(Instance(parse_dimacs(EXAMPLE1_DIMACS))).stats.per_mus
+        snaps = run(parse_dimacs(EXAMPLE1_DIMACS)).records
         assert [s.ordinal for s in snaps] == list(range(1, len(snaps) + 1))
         for a, b in zip(snaps, snaps[1:]):
             assert a.elapsed_s <= b.elapsed_s
@@ -300,18 +305,17 @@ def test_stats_reconcile_with_oracle_and_map(monkeypatch):
         oracle = parse_dimacs(EXAMPLE1_DIMACS)
         oracle.is_sat(ConstraintSet.full(4))  # checks made before the run are not its own
         covered.clear()
-        result = run(Instance(oracle))
-        stats = result.stats
-        assert stats.oracle_checks == oracle.checks - 1
-        assert stats.oracle_checks >= stats.per_mus[-1].oracle_checks
-        assert stats.map_solver_calls >= stats.per_mus[-1].map_solver_calls
-        assert result.records is stats.per_mus and len(stats.per_mus) == 2
+        result = run(oracle)
+        assert result.oracle_checks == oracle.checks - 1
+        assert result.oracle_checks >= result.records[-1].oracle_checks
+        assert result.map_solver_calls >= result.records[-1].map_solver_calls
+        assert len(result.records) == 2
         # every covered trial that shrink reaches is counted once, and none of them is a check:
         # remus's second shrink has all three of its trials covered and makes no check
-        assert stats.covered_trials == {"remus": 3, "marco": 0}[name] <= len(covered)
-        assert [call.checks for call in stats.shrink_log] == {"remus": [1, 0], "marco": [1, 1]}[name]
+        assert result.covered_trials == {"remus": 3, "marco": 0}[name] <= len(covered)
+        assert [call.checks for call in result.shrink_log] == {"remus": [1, 0], "marco": [1, 1]}[name]
         oracle.is_sat(ConstraintSet.full(4))  # the finished result does not move
-        assert stats.oracle_checks == oracle.checks - 2
+        assert result.oracle_checks == oracle.checks - 2
 
 
 def record_covered_trials(monkeypatch) -> list:
@@ -340,15 +344,15 @@ def test_covered_trials_are_satisfiable_and_spare_a_check(algorithm, monkeypatch
     for num_vars, clauses in runs:
         covered.clear()
         oracle = CnfOracle(num_vars, clauses)
-        result = RUNNERS[algorithm](Instance(oracle))
-        assert result.complete and result.stats.covered_trials <= len(covered)
+        result = RUNNERS[algorithm](oracle)
+        assert result.complete and result.covered_trials <= len(covered)
         # each shrink makes one check per candidate it tries, less the covered
         # ones; rotation names the rest, so the checks are at most that
-        tried = sum(len(call.seed - call.criticals) for call in result.stats.shrink_log)
-        assert sum(call.checks for call in result.stats.shrink_log) <= tried - result.stats.covered_trials
+        tried = sum(len(call.seed - call.criticals) for call in result.shrink_log)
+        assert sum(call.checks for call in result.shrink_log) <= tried - result.covered_trials
         fresh = CnfOracle(num_vars, clauses)
         assert all(fresh.is_sat(s) for s in covered)
-    assert covered and result.stats.covered_trials
+    assert covered and result.covered_trials
 
 
 @pytest.mark.parametrize("algorithm", ["remus", "marco"])
@@ -375,8 +379,8 @@ def test_shrink_matches_the_per_trial_reference(algorithm, monkeypatch):
             return mus, discoveries
 
         monkeypatch.setattr(musenum.session, "shrink", recording)
-        result = RUNNERS[algorithm](Instance(CnfOracle(num_vars, clauses)))
-        return calls, result.stats.covered_trials, result.block_log
+        result = RUNNERS[algorithm](CnfOracle(num_vars, clauses))
+        return calls, result.covered_trials, result.block_log
 
     covered = 0
     for num_vars, clauses in small_unsat_cnfs(25, 1903):
@@ -394,10 +398,10 @@ def test_criticals_are_kept_and_sound():
         n = rng.randint(2, 9)
         antichain = random_antichain(n, rng)
         oracle = table_from_antichain(n, antichain)
-        result = enumerate_remus(Instance(oracle))
+        result = enumerate_remus(oracle)
         verifier = table_from_antichain(n, antichain)
-        assert len(result.stats.shrink_log) == len(result.records)
-        for call, record in zip(result.stats.shrink_log, result.records):
+        assert len(result.shrink_log) == len(result.records)
+        for call, record in zip(result.shrink_log, result.records):
             assert call.criticals.is_subset_of(call.seed)
             assert call.criticals.is_subset_of(record.mus)
             assert record.mus.is_subset_of(call.seed)
@@ -414,10 +418,10 @@ def test_map_block_log_replays_soundly_against_the_oracle():
     for trial in range(25):
         n = rng.randint(2, 8)
         antichain = random_antichain(n, rng)
-        result = enumerate_remus(Instance(table_from_antichain(n, antichain)))
+        result = enumerate_remus(table_from_antichain(n, antichain))
         assert_block_log_replays(result, table_from_antichain(n, antichain))
     for num_vars, clauses in small_unsat_cnfs(15, 824):
-        result = enumerate_remus(Instance(CnfOracle(num_vars, clauses)))
+        result = enumerate_remus(CnfOracle(num_vars, clauses))
         assert_block_log_replays(result, CnfOracle(num_vars, clauses))
 
 
@@ -425,7 +429,7 @@ def test_map_block_log_replays_soundly_against_the_oracle():
 def test_remus_and_marco_agree_beyond_brute_force(seed):
     # 30 clauses put brute force out of reach; each of these has 90-442 MUSes
     clauses = random_cnf(7, 30, 3, seed)
-    results = [run(Instance(CnfOracle(7, clauses))) for run in RUNNERS.values()]
+    results = [run(CnfOracle(7, clauses)) for run in RUNNERS.values()]
     assert all(result.complete for result in results)
     remus, marco = (set(result.muses) for result in results)
     assert remus == marco and len(remus) == len(results[0].muses)
@@ -437,7 +441,7 @@ def test_emitted_muses_match_bruteforce_on_random_corpora():
         n = rng.randint(1, 8)
         antichain = random_antichain(n, rng)
         expected = {ConstraintSet(n, a) for a in antichain}
-        result = enumerate_remus(Instance(table_from_antichain(n, antichain)))
+        result = enumerate_remus(table_from_antichain(n, antichain))
         assert set(result.muses) == expected
         assert len(result.muses) == len(expected)
         assert result.complete
@@ -453,7 +457,7 @@ def test_emitted_muses_match_bruteforce_on_random_corpora():
             continue
         accepted += 1
         expected = bruteforce_all_muses(CnfOracle(num_vars, clauses))
-        result = enumerate_remus(Instance(CnfOracle(num_vars, clauses)))
+        result = enumerate_remus(CnfOracle(num_vars, clauses))
         assert set(result.muses) == expected
         for mus in result.muses:
             assert is_mus(CnfOracle(num_vars, clauses), mus)
@@ -465,8 +469,8 @@ def test_runs_are_deterministic():
         n = rng.randint(2, 8)
         antichain = random_antichain(n, rng)
         for run in RUNNERS.values():
-            first = run(Instance(table_from_antichain(n, antichain)))
-            second = run(Instance(table_from_antichain(n, antichain)))
+            first = run(table_from_antichain(n, antichain))
+            second = run(table_from_antichain(n, antichain))
             assert [m.mask for m in first.muses] == [m.mask for m in second.muses]
             assert first.block_log == second.block_log
-            assert first.stats.oracle_checks == second.stats.oracle_checks
+            assert first.oracle_checks == second.oracle_checks
