@@ -8,7 +8,6 @@ from .core import (
     MusError,
     MusRecord,
     PreconditionError,
-    ShrinkCall,
     UniverseMismatchError,
 )
 from .oracles import (
@@ -38,7 +37,6 @@ __all__ = [
     "PreconditionError",
     "RemusConfig",
     "SatOracle",
-    "ShrinkCall",
     "TableOracle",
     "UniverseMismatchError",
     "UnexploredMap",

@@ -1,8 +1,8 @@
 """Command-line front end: enumerate MUSes of DIMACS instances, emit metrics CSV.
 
 Exit codes: 0 clean finish or budget stop, 1 output that cannot be written
-(the `solve --stats` CSV or the `gen -o` file, or `solve`'s stdout once its
-reader has gone: the run stops there, quietly), 2 unreadable/ill-formed input
+(the `solve --stats` CSV or the `gen -o` file, or stdout once its reader has
+gone: a `solve` run stops there, quietly), 2 unreadable/ill-formed input
 or bad flags, 3 satisfiable instance.
 """
 
@@ -129,12 +129,7 @@ def _cmd_solve(args) -> int:
     except InstanceSatisfiableError:
         print("instance is satisfiable", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # the reader of stdout went away; what is still buffered can never be
-        # delivered, so discard it rather than fail again at exit
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # the reader of stdout went away
         return 1
     if args.stats:
         try:
@@ -168,7 +163,16 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(argv))
+    code = run(argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: discard what is still buffered rather than fail again at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

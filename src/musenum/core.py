@@ -1,4 +1,4 @@
-"""Constraint-universe set algebra, the errors, and the records of one MUS and one shrink."""
+"""Constraint-universe set algebra, the errors, and the record of one emitted MUS."""
 
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ class Antichain(set):
 
 @dataclass(frozen=True)
 class MusRecord:
-    """One emitted MUS with the run's cumulative counters at its emission."""
+    """One emitted MUS, the run's cumulative counters at its emission, and the shrink that found it."""
 
     ordinal: int
     mus: ConstraintSet
@@ -192,12 +192,6 @@ class MusRecord:
     oracle_checks: int
     map_solver_calls: int
     depth: int
-
-
-@dataclass(frozen=True)
-class ShrinkCall:
-    """Diagnostics for one shrink invocation: its seed, criticals and check cost."""
-
-    seed: ConstraintSet
-    criticals: ConstraintSet
-    checks: int
+    seed: ConstraintSet  # the unsatisfiable set the enumerator chose and the shrink started from
+    criticals: ConstraintSet  # constraints known critical for the seed, which the shrink kept
+    shrink_checks: int  # the oracle checks the shrink made

@@ -114,31 +114,35 @@ class CnfOracle(SatOracle):
         if not _is_int(num_vars) or num_vars < 0:
             raise PreconditionError(f"num_vars must be a non-negative integer, got {num_vars!r}")
         clauses = [list(c) for c in clauses]
+        top = 0  # the highest variable a clause uses; the solver holds none above it
         for cl in clauses:
             for lit in cl:
-                if not _is_int(lit) or lit == 0 or abs(lit) > num_vars:
-                    raise PreconditionError(
-                        f"literal {lit!r} is not a non-zero integer of magnitude at most {num_vars}"
-                    )
+                if not _is_int(lit) or lit == 0:
+                    raise PreconditionError(f"literal {lit!r} is not a non-zero integer")
+                if abs(lit) > top:
+                    top = abs(lit)
+        if top > num_vars:
+            raise PreconditionError(f"a clause uses variable {top}, beyond num_vars={num_vars}")
         super().__init__(len(clauses))
         self.num_vars = num_vars
         self.clauses = clauses
-        self._solver = SatSolver(num_vars + self.n, first_selector=num_vars + 1)
+        self._top = top
+        self._solver = SatSolver(top + self.n, first_selector=top + 1)
         for i, cl in enumerate(clauses):
-            self._solver.add_clause(cl + [-(num_vars + 1 + i)])
+            self._solver.add_clause(cl + [-(top + 1 + i)])
         self._model = 0  # the model of the last SAT answer
         self._planes = [0]  # and the bit planes of its clauses' counts of true variables
         self._satisfies: list[list[int]] = []  # per variable: [if true, if false]
 
     def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
         if not self._solver.solve(selected=s.mask):
-            base = self.num_vars + 1
+            base = self._top + 1
             core = 0
             for lit in self._solver.failed_assumptions():
                 if lit > 0:
                     core |= 1 << (lit - base)
             return False, core
-        self._model = bits = self._solver.model_mask & ((1 << self.num_vars) - 1)
+        self._model = bits = self._solver.model_mask & ((1 << self._top) - 1)
         self._planes = planes = [0]
         for t, f in self._occurrences():
             _carry(planes, t if bits & 1 else f)
@@ -151,7 +155,7 @@ class CnfOracle(SatOracle):
     def _occurrences(self) -> list[list[int]]:
         """Per variable, the masks of the clauses it makes true: [if true, if false]."""
         if not self._satisfies:  # built here, so constructing an oracle pays nothing for it
-            self._satisfies = [[0, 0] for _ in range(self.num_vars)]
+            self._satisfies = [[0, 0] for _ in range(self._top)]
             for i, cl in enumerate(self.clauses):
                 for lit in cl:
                     self._satisfies[abs(lit) - 1][lit < 0] |= 1 << i

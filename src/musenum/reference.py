@@ -1,4 +1,4 @@
-"""Seeded random CNF generation and DIMACS output, for `musenum gen` and the benchmark."""
+"""Seeded random CNF generation and DIMACS output, for `musenum gen` and the tests."""
 
 from __future__ import annotations
 

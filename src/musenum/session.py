@@ -12,7 +12,7 @@ import numbers
 import time
 from dataclasses import dataclass, field
 
-from .core import ConstraintSet, MusRecord, PreconditionError, ShrinkCall
+from .core import ConstraintSet, MusRecord, PreconditionError
 from .shrink import shrink
 from .unexplored import UnexploredMap
 
@@ -65,11 +65,10 @@ def _int_at_least(value, low: int) -> bool:
 class EnumerationResult:
     """The record of one enumeration run, finished or budget-stopped.
 
-    The session fills `records` (one per emitted MUS, in order) and
-    `shrink_log` (one per shrink) as the run goes. When the run ends it writes
-    the rest once: the counts are copies, so they do not move if the oracle
-    is queried again; `covered_trials` counts the shrink trials the map
-    answered satisfiable, with no check.
+    The session fills `records`, one per emitted MUS and its shrink, as the run
+    goes. When the run ends it writes the rest once: the counts are copies, so
+    they do not move if the oracle is queried again; `covered_trials` counts
+    the shrink trials the map answered satisfiable, with no check.
 
     block_log is the map's chronological ("down"|"up", subset mask) record;
     replaying it against the oracle is the standard soundness check. Each
@@ -78,7 +77,6 @@ class EnumerationResult:
     """
 
     records: list[MusRecord] = field(default_factory=list)
-    shrink_log: list[ShrinkCall] = field(default_factory=list)
     start_time: float = field(default_factory=time.monotonic)
     oracle_checks: int = 0
     map_solver_calls: int = 0
@@ -121,11 +119,13 @@ class Session:
         if cfg.check_limit is not None and self.oracle_checks() >= cfg.check_limit:
             raise BudgetReached
 
-    def emit(self, mus: ConstraintSet, depth: int) -> None:
+    def emit(self, mus: ConstraintSet, depth: int, seed: ConstraintSet, criticals: ConstraintSet,
+             shrink_checks: int) -> None:
+        # mus and depth stay first: bench/tracing.py reads depth by position
         records = self.result.records
         record = MusRecord(
             len(records) + 1, mus, self.result.elapsed(), self.oracle_checks(),
-            self.map.solver_calls, depth,
+            self.map.solver_calls, depth, seed, criticals, shrink_checks,
         )
         records.append(record)
         if self.sink is not None:
@@ -140,14 +140,13 @@ class Session:
         The map up-blocks the MUS and down-blocks the oracle's witness of
         every satisfiable set the shrink found, so later seeds skip them. The
         seed is the set the enumerator chose and found unsatisfiable, and the
-        shrink log records it; that check is the oracle's last, and the shrink
+        MUS's record keeps it; that check is the oracle's last, and the shrink
         starts from its core, an unsatisfiable subset of the seed.
         """
         self.check_budget()
         before = self.oracle_checks()
         mus, discoveries = shrink(self.oracle, seed, criticals, self.oracle.core, self.map)
-        self.result.shrink_log.append(ShrinkCall(seed, criticals, self.oracle_checks() - before))
-        self.emit(mus, depth)
+        self.emit(mus, depth, seed, criticals, self.oracle_checks() - before)
         self.check_budget()
         for sat_set in discoveries:
             self.map.block_down(sat_set)

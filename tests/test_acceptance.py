@@ -259,7 +259,7 @@ def test_criterion_5_checks_per_mus(bench_corpus):
     for inst in instances:
         for name, result in inst.results.items():
             assert len(result.records) >= 10, (name, inst.num_vars)
-            seed_sizes[name].extend(len(c.seed) for c in result.shrink_log)
+            seed_sizes[name].extend(len(r.seed) for r in result.records)
         to_first_10 = {
             name: result.records[9].oracle_checks
             for name, result in inst.results.items()
@@ -348,8 +348,8 @@ def test_criterion_7_shrink_check_bound(small_corpus):
     calls = 0
     for run in small_corpus.runs:
         for name, result in run.results.items():
-            for call in result.shrink_log:
-                assert call.checks <= len(call.seed) - len(call.criticals), (run.kind, name)
+            for record in result.records:
+                assert record.shrink_checks <= len(record.seed) - len(record.criticals), (run.kind, name)
                 calls += 1
     assert calls > 0
     return f"{calls} shrink calls within bound"

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import re
 import subprocess
 import sys
@@ -71,6 +72,16 @@ def test_solve_into_a_closed_pipe_stops_quietly_with_exit_1(tmp_path):
         stderr = proc.stderr.read()
     assert code == 1
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
+def test_solve_into_a_broken_stream_in_process_returns_1(example1_path, monkeypatch):
+    # run() leaves the process's file descriptors alone; this stdout has none
+    class Broken(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Broken())
+    assert run(["solve", example1_path]) == 1
 
 
 def test_solve_satisfiable_instance_exits_3(tmp_path):

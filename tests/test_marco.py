@@ -83,7 +83,7 @@ def test_never_recurses_and_never_passes_criticals():
     for oracle in oracles:
         result = enumerate_marco(oracle)
         assert all(record.depth == 0 for record in result.records)
-        assert all(len(call.criticals) == 0 for call in result.shrink_log)
+        assert all(len(record.criticals) == 0 for record in result.records)
 
 
 def test_block_log_soundness():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from musenum import (
     TableOracle,
     UniverseMismatchError,
     bruteforce_all_muses,
+    enumerate_remus,
     is_mus,
     parse_dimacs,
 )
@@ -27,6 +29,7 @@ from helpers import (
     example1_table,
     full_pass_rotate,
     pigeonhole,
+    small_unsat_cnfs,
 )
 
 
@@ -103,6 +106,8 @@ def test_is_sat_counts_checks_and_rejects_wrong_universe():
 def test_cnf_oracle_rejects_bad_literals():
     with pytest.raises(PreconditionError):
         CnfOracle(2, [[1], [3]])
+    with pytest.raises(PreconditionError, match="variable 3, beyond num_vars=2"):
+        CnfOracle(2, [[1], [-3, 2]])
     with pytest.raises(PreconditionError):
         CnfOracle(2, [[0]])
 
@@ -122,6 +127,31 @@ def test_cnf_oracle_rejects_non_integer_literals(clauses, bad):
 def test_cnf_oracle_rejects_a_bad_variable_count(num_vars):
     with pytest.raises(PreconditionError, match="num_vars"):
         CnfOracle(num_vars, [[]])
+
+
+def test_declared_variables_no_clause_uses_cost_no_memory():
+    # the solver is sized by the highest variable a clause uses; sized by the
+    # header's 200,000 variables instead, this run traces a peak of about 52 MiB
+    tracemalloc.start()
+    try:
+        oracle = parse_dimacs("p cnf 200000 2\n1 0\n-1 0\n")
+        result = enumerate_remus(oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.muses == [cs("11")] and oracle.num_vars == 200000
+    assert peak < 1 << 20, peak
+
+
+def test_unused_variables_change_no_run():
+    # variables above the highest one a clause uses are in no clause
+    for num_vars, clauses in small_unsat_cnfs(10, 2024):
+        runs = [enumerate_remus(CnfOracle(declared, clauses)) for declared in (num_vars, num_vars + 30)]
+        assert runs[0].complete and runs[1].complete
+        assert [(r.mus, r.oracle_checks, r.map_solver_calls) for r in runs[0].records] == [
+            (r.mus, r.oracle_checks, r.map_solver_calls) for r in runs[1].records
+        ]
+        assert runs[0].block_log == runs[1].block_log
 
 
 def test_table_oracle_reproduces_example1():

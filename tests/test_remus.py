@@ -67,7 +67,7 @@ def test_first_shrink_starts_from_the_full_universe():
     # fresh map: the first maximal undetermined subset is the whole set; the
     # core of its check is {c1, c2}, already a MUS, so shrink starts there
     result = enumerate_remus(parse_dimacs(EXAMPLE1_DIMACS))
-    first = result.shrink_log[0]
+    first = result.records[0]
     assert first.seed == ConstraintSet.full(4)
     assert first.criticals == ConstraintSet.empty(4)
     assert result.records[0].mus == cs("1100")
@@ -232,7 +232,7 @@ def test_check_limit_overshoot_is_bounded(formula, algorithm, limit):
     result = RUNNERS[algorithm](oracle, RemusConfig(check_limit=limit))
     checks = result.oracle_checks
     assert not result.complete and checks >= limit
-    last = result.shrink_log[-1] if result.shrink_log else None
+    last = result.records[-1] if result.records else None
     in_flight = len(last.seed - last.criticals) if last else 0
     assert checks <= max(limit, 1) + max(0, in_flight - 1)
 
@@ -256,8 +256,8 @@ def test_shrink_discoveries_are_always_blocked(algorithm, monkeypatch):
         # one down-block per satisfiable seed check (its MSS), one per shrink find;
         # an unsatisfiable seed check leads to a shrink and is down-blocked by none,
         # and the first seed's check is the run's check of the full set
-        seed_checks = result.oracle_checks - sum(call.checks for call in result.shrink_log)
-        sat_seed_checks = seed_checks - len(result.shrink_log)
+        seed_checks = result.oracle_checks - sum(record.shrink_checks for record in result.records)
+        sat_seed_checks = seed_checks - len(result.records)
         downs = [mask for kind, mask in result.block_log if kind == "down"]
         assert discovered
         assert len(downs) == sat_seed_checks + len(discovered)
@@ -313,7 +313,7 @@ def test_stats_reconcile_with_oracle_and_map(monkeypatch):
         # every covered trial that shrink reaches is counted once, and none of them is a check:
         # remus's second shrink has all three of its trials covered and makes no check
         assert result.covered_trials == {"remus": 3, "marco": 0}[name] <= len(covered)
-        assert [call.checks for call in result.shrink_log] == {"remus": [1, 0], "marco": [1, 1]}[name]
+        assert [record.shrink_checks for record in result.records] == {"remus": [1, 0], "marco": [1, 1]}[name]
         oracle.is_sat(ConstraintSet.full(4))  # the finished result does not move
         assert result.oracle_checks == oracle.checks - 2
 
@@ -348,8 +348,8 @@ def test_covered_trials_are_satisfiable_and_spare_a_check(algorithm, monkeypatch
         assert result.complete and result.covered_trials <= len(covered)
         # each shrink makes one check per candidate it tries, less the covered
         # ones; rotation names the rest, so the checks are at most that
-        tried = sum(len(call.seed - call.criticals) for call in result.shrink_log)
-        assert sum(call.checks for call in result.shrink_log) <= tried - result.covered_trials
+        tried = sum(len(record.seed - record.criticals) for record in result.records)
+        assert sum(record.shrink_checks for record in result.records) <= tried - result.covered_trials
         fresh = CnfOracle(num_vars, clauses)
         assert all(fresh.is_sat(s) for s in covered)
     assert covered and result.covered_trials
@@ -400,14 +400,13 @@ def test_criticals_are_kept_and_sound():
         oracle = table_from_antichain(n, antichain)
         result = enumerate_remus(oracle)
         verifier = table_from_antichain(n, antichain)
-        assert len(result.shrink_log) == len(result.records)
-        for call, record in zip(result.shrink_log, result.records):
-            assert call.criticals.is_subset_of(call.seed)
-            assert call.criticals.is_subset_of(record.mus)
-            assert record.mus.is_subset_of(call.seed)
-            for c in call.criticals:
+        for record in result.records:
+            assert record.criticals.is_subset_of(record.seed)
+            assert record.criticals.is_subset_of(record.mus)
+            assert record.mus.is_subset_of(record.seed)
+            for c in record.criticals:
                 seen_nonempty_criticals = True
-                assert verifier.is_sat(call.seed.remove(c))
+                assert verifier.is_sat(record.seed.remove(c))
     assert seen_nonempty_criticals
 
 
