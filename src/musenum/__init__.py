@@ -1,10 +1,14 @@
-"""Online enumeration of minimal unsatisfiable subsets with check accounting."""
+"""Online enumeration of minimal unsatisfiable subsets with check accounting.
+
+The enumerators run on any `SatOracle`; `CnfOracle` (from `parse_dimacs`) is
+the domain the package ships. Every name below has a caller in the package
+or in the benchmark.
+"""
 
 from .core import (
     ConstraintSet,
     DimacsParseError,
     InstanceSatisfiableError,
-    MonotonicityError,
     MusError,
     MusRecord,
     PreconditionError,
@@ -13,8 +17,6 @@ from .core import (
 from .oracles import (
     CnfOracle,
     SatOracle,
-    TableOracle,
-    bruteforce_all_muses,
     is_mus,
     parse_dimacs,
 )
@@ -31,16 +33,13 @@ __all__ = [
     "DimacsParseError",
     "EnumerationResult",
     "InstanceSatisfiableError",
-    "MonotonicityError",
     "MusError",
     "MusRecord",
     "PreconditionError",
     "RemusConfig",
     "SatOracle",
-    "TableOracle",
     "UniverseMismatchError",
     "UnexploredMap",
-    "bruteforce_all_muses",
     "choose_p",
     "enumerate_marco",
     "enumerate_remus",

@@ -29,17 +29,6 @@ class DimacsParseError(MusError):
         self.line = line
 
 
-class MonotonicityError(MusError):
-    """A status table claims an unsatisfiable set with a satisfiable superset."""
-
-    def __init__(self, subset: "ConstraintSet", superset: "ConstraintSet"):
-        super().__init__(
-            f"monotonicity violated: {subset} is unsat but its superset {superset} is sat"
-        )
-        self.subset = subset
-        self.superset = superset
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
     """Immutable subset of a constraint universe of size n, stored as a bitmask.
@@ -75,17 +64,6 @@ class ConstraintSet:
                 raise PreconditionError(f"index {i} out of range for n={n}")
             mask |= 1 << i
         return cls(n, mask)
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "ConstraintSet":
-        """Build from a bitstring whose leftmost character is constraint 1."""
-        if any(ch not in "01" for ch in bits):
-            raise PreconditionError(f"bitstring must contain only 0/1: {bits!r}")
-        mask = 0
-        for i, ch in enumerate(bits):
-            if ch == "1":
-                mask |= 1 << i
-        return cls(len(bits), mask)
 
     def bits(self) -> str:
         return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.n))
@@ -143,6 +121,11 @@ class ConstraintSet:
 
     def indices_1based(self) -> list[int]:
         return set_bits(self.mask)
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool: True is no variable and no budget, and 1.0 no integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def set_bits(mask: int) -> list[int]:

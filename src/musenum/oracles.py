@@ -1,17 +1,13 @@
-"""Satisfiability oracles over constraint subsets: CNF clauses and explicit tables."""
+"""Satisfiability oracles over constraint subsets: the CNF oracle, its DIMACS parser and `is_mus`.
+
+`SatOracle` is the interface an enumerator needs from any constraint domain;
+`CnfOracle` is the one domain the package ships.
+"""
 
 from __future__ import annotations
 
-from .core import (
-    ConstraintSet,
-    DimacsParseError,
-    MonotonicityError,
-    PreconditionError,
-    UniverseMismatchError,
-)
+from .core import ConstraintSet, DimacsParseError, PreconditionError, UniverseMismatchError, is_int
 from .satsolver import SatSolver
-
-BRUTEFORCE_MAX_N = 20
 
 
 class SatOracle:
@@ -31,9 +27,9 @@ class SatOracle:
     set's critical constraints, so a shrink may continue from the core.
 
     After a SAT answer to `work - {critical}` where `work` is unsatisfiable,
-    `rotate(work, critical)` may name further constraints of `work` that the
-    same answer proves critical, each with a satisfiable superset of `work`
-    without it. It evaluates constraints under what the answer already
+    `rotate(work, critical, known)` may name further constraints of `work`
+    that the same answer proves critical, each with a satisfiable superset of
+    `work` without it. It evaluates constraints under what the answer already
     found and makes no check; the base class names none.
     """
 
@@ -60,7 +56,7 @@ class SatOracle:
         raise NotImplementedError
 
     def rotate(
-        self, work: ConstraintSet, critical: int, known: ConstraintSet | None = None
+        self, work: ConstraintSet, critical: int, known: ConstraintSet
     ) -> list[tuple[int, ConstraintSet]]:
         """Pairs (d, witness): d in work is critical for it, witness is satisfiable and holds work - {d}.
 
@@ -111,13 +107,13 @@ class CnfOracle(SatOracle):
     """
 
     def __init__(self, num_vars: int, clauses):
-        if not _is_int(num_vars) or num_vars < 0:
+        if not is_int(num_vars) or num_vars < 0:
             raise PreconditionError(f"num_vars must be a non-negative integer, got {num_vars!r}")
         clauses = [list(c) for c in clauses]
         top = 0  # the highest variable a clause uses; the solver holds none above it
         for cl in clauses:
             for lit in cl:
-                if not _is_int(lit) or lit == 0:
+                if not is_int(lit) or lit == 0:
                     raise PreconditionError(f"literal {lit!r} is not a non-zero integer")
                 if abs(lit) > top:
                     top = abs(lit)
@@ -162,11 +158,11 @@ class CnfOracle(SatOracle):
         return self._satisfies
 
     def rotate(
-        self, work: ConstraintSet, critical: int, known: ConstraintSet | None = None
+        self, work: ConstraintSet, critical: int, known: ConstraintSet
     ) -> list[tuple[int, ConstraintSet]]:
         n = self.n
         occurrences = self._occurrences()
-        wanted = work.mask & ~(1 << critical) & ~(known.mask if known else 0)
+        wanted = work.mask & ~(1 << critical) & ~known.mask
         found = []
         seen = 1 << critical
         stack = [(self._model, self._planes, critical)]
@@ -196,11 +192,6 @@ class CnfOracle(SatOracle):
         return found
 
 
-def _is_int(value) -> bool:
-    # True would be read as variable 1, and 1.0 fails only inside the solver
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _carry(planes: list[int], gain: int) -> None:
     """Add one to the count of every clause in `gain`, in bit planes."""
     for k, plane in enumerate(planes):
@@ -219,40 +210,6 @@ def _borrow(planes: list[int], lose: int) -> None:
         planes[k] = plane ^ lose
         lose &= ~plane
         k += 1
-
-
-class TableOracle(SatOracle):
-    """Explicit status table over all subsets of a small universe (n <= 20).
-
-    Monotonicity is validated exhaustively at construction; the first
-    violating edge is reported as (unsat subset, sat superset).
-    """
-
-    MAX_N = 20
-
-    def __init__(self, statuses):
-        size = len(statuses)
-        n = size.bit_length() - 1
-        if size < 2 or (1 << n) != size:
-            raise PreconditionError(
-                f"need statuses for all 2^n subsets of a non-empty universe, got {size}"
-            )
-        if n > self.MAX_N:
-            raise PreconditionError(f"table oracle refused for n={n} > {self.MAX_N}")
-        table = [bool(statuses[m]) for m in range(size)]
-        for m in range(size):
-            if table[m]:
-                continue
-            for i in range(n):
-                if not m >> i & 1 and table[m | (1 << i)]:
-                    raise MonotonicityError(
-                        ConstraintSet(n, m), ConstraintSet(n, m | (1 << i))
-                    )
-        super().__init__(n)
-        self._table = table
-
-    def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
-        return self._table[s.mask], s.mask
 
 
 def parse_dimacs(text) -> CnfOracle:
@@ -319,33 +276,6 @@ def parse_dimacs(text) -> CnfOracle:
             header_line,
         )
     return CnfOracle(num_vars, clauses)
-
-
-def bruteforce_all_muses(oracle: SatOracle) -> set[ConstraintSet]:
-    """Reference MUS enumeration by exhaustive subset inspection (n <= 20).
-
-    A set qualifies iff it is unsatisfiable and every single-constraint
-    removal is satisfiable. Each subset's status is queried exactly once.
-    """
-    n = oracle.n
-    if n > BRUTEFORCE_MAX_N:
-        raise PreconditionError(f"brute force refused for n={n} > {BRUTEFORCE_MAX_N}")
-    status = [oracle.is_sat(ConstraintSet(n, m)) for m in range(1 << n)]
-    muses = set()
-    for m in range(1 << n):
-        if status[m]:
-            continue
-        rest = m
-        minimal = True
-        while rest:
-            low = rest & -rest
-            if not status[m ^ low]:
-                minimal = False
-                break
-            rest ^= low
-        if minimal:
-            muses.add(ConstraintSet(n, m))
-    return muses
 
 
 def is_mus(oracle: SatOracle, s: ConstraintSet) -> bool:

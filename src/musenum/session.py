@@ -12,7 +12,7 @@ import numbers
 import time
 from dataclasses import dataclass, field
 
-from .core import ConstraintSet, MusRecord, PreconditionError
+from .core import ConstraintSet, MusRecord, PreconditionError, is_int
 from .shrink import shrink
 from .unexplored import UnexploredMap
 
@@ -58,7 +58,7 @@ def _real(value) -> bool:
 
 def _int_at_least(value, low: int) -> bool:
     # NaN, 1.5 and True are no budgets
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+    return is_int(value) and value >= low
 
 
 @dataclass

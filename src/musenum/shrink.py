@@ -5,20 +5,19 @@ from __future__ import annotations
 from .core import ConstraintSet, PreconditionError
 
 
-def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet | None = None, umap=None):
+def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet, umap):
     """Minimize an unsatisfiable seed without ever dropping known criticals.
 
     The working set starts as `core`, the unsatisfiable subset of the seed
-    that the caller's own check of the seed returned (the seed itself when
-    None). Its members outside the criticals are tried in ascending index
-    order, skipping those no longer in the working set: if removal leaves the
-    set satisfiable the constraint is critical and kept, otherwise the working
-    set jumps to the oracle's core of that trial (clause-set refinement),
-    which may drop several candidates at once. A core keeps every critical,
-    since removing a critical leaves a satisfiable set, so the result is a
-    MUS of the seed.
+    that the caller's own check of the seed returned. Its members outside the
+    criticals are tried in ascending index order, skipping those no longer in
+    the working set: if removal leaves the set satisfiable the constraint is
+    critical and kept, otherwise the working set jumps to the oracle's core of
+    that trial (clause-set refinement), which may drop several candidates at
+    once. A core keeps every critical, since removing a critical leaves a
+    satisfiable set, so the result is a MUS of the seed.
 
-    A trial inside a down-blocked set of `umap`, a run's map, is satisfiable
+    A trial inside a down-blocked set of `umap`, the run's map, is satisfiable
     and needs no check. The map names those candidates once per working set
     (`covered_members`), which holds because it does not change during a
     shrink; each one the loop reaches is counted in `umap.covered_trials`.
@@ -37,9 +36,8 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
     n = seed.n
-    covered_in = umap.covered_members if umap is not None else lambda mask: 0
-    work = (seed if core is None else core).mask
-    covered = covered_in(work)
+    work = core.mask
+    covered = umap.covered_members(work)
     proven = criticals.mask
     discoveries: list[ConstraintSet] = []
     candidates = work & ~proven
@@ -60,5 +58,5 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
                 discoveries.append(witness)
         else:
             work = oracle.core.mask
-            covered = covered_in(work)
+            covered = umap.covered_members(work)
     return ConstraintSet(n, work), discoveries

@@ -44,30 +44,13 @@ class UnexploredMap:
         if s.n != self.n:
             raise UniverseMismatchError(f"set over universe {s.n}, map over {self.n}")
 
-    def _down_clause(self, mask: int) -> list[int]:
-        return set_bits(~mask & ((1 << self.n) - 1))
-
-    def _up_clause(self, mask: int) -> list[int]:
-        return [-v for v in set_bits(mask)]
-
-    @property
-    def clauses(self) -> list[list[int]]:
-        """A formula equivalent to the solver's blocking clauses.
-
-        The up-blocks in order, then the maximal down-blocks; the solver also
-        holds the clauses of down-blocks that a later block came to contain.
-        """
-        return [self._up_clause(m) for kind, m in self.block_log if kind == "up"] + [
-            self._down_clause(m) for m in self._down
-        ]
-
     def block_down(self, sat_set: ConstraintSet) -> None:
         """Remove sat_set and all of its subsets from the map."""
         self._require_same_universe(sat_set)
         mask = sat_set.mask
         self.block_log.append(("down", mask))
         if self._down.add(mask):  # not inside a down-blocked set already
-            self._solver.add_clause(self._down_clause(mask))
+            self._solver.add_clause(set_bits(~mask & ((1 << self.n) - 1)))
 
     def covered_members(self, work: int) -> int:
         """The members c of the mask work whose trial work - {c} lies inside a down-blocked set.
@@ -87,7 +70,7 @@ class UnexploredMap:
         """Remove unsat_set and all of its supersets from the map."""
         self._require_same_universe(unsat_set)
         self.block_log.append(("up", unsat_set.mask))
-        self._solver.add_clause(self._up_clause(unsat_set.mask))
+        self._solver.add_clause([-v for v in set_bits(unsat_set.mask)])
 
     def _assumptions_outside(self, p_mask: int) -> list[int]:
         # restriction to subsets of p is per-call; never encoded as clauses.

@@ -1,9 +1,14 @@
-"""Frozen ground truth and helpers shared across the test suite."""
+"""Frozen ground truth, reference implementations and helpers shared across the test suite.
+
+The package ships only what its callers use; the references the tests check
+it against live here: an explicit-table oracle, brute-force MUS enumeration,
+bitstring sets and the map's clauses read back as lists of literals.
+"""
 
 import math
 import random
 
-from musenum import CnfOracle, ConstraintSet, PreconditionError, TableOracle, UnexploredMap
+from musenum import CnfOracle, ConstraintSet, MusError, PreconditionError, SatOracle, UnexploredMap
 from musenum.reference import random_cnf
 
 # the four-constraint demo system over two variables:
@@ -28,11 +33,92 @@ EXAMPLE1_MCSES = {"0110", "0101", "1000"}
 
 def cs(bits: str) -> ConstraintSet:
     """ConstraintSet from a bitstring, leftmost character = constraint 1."""
-    return ConstraintSet.from_bits(bits)
+    if any(ch not in "01" for ch in bits):
+        raise PreconditionError(f"bitstring must contain only 0/1: {bits!r}")
+    mask = 0
+    for i, ch in enumerate(bits):
+        if ch == "1":
+            mask |= 1 << i
+    return ConstraintSet(len(bits), mask)
 
 
 def bitsets(sets) -> set[str]:
     return {s.bits() for s in sets}
+
+
+class MonotonicityError(MusError):
+    """A status table claims an unsatisfiable set with a satisfiable superset."""
+
+    def __init__(self, subset: ConstraintSet, superset: ConstraintSet):
+        super().__init__(
+            f"monotonicity violated: {subset} is unsat but its superset {superset} is sat"
+        )
+        self.subset = subset
+        self.superset = superset
+
+
+class TableOracle(SatOracle):
+    """Explicit status table over all subsets of a small universe (n <= 20).
+
+    Monotonicity is validated exhaustively at construction; the first
+    violating edge is reported as (unsat subset, sat superset).
+    """
+
+    MAX_N = 20
+
+    def __init__(self, statuses):
+        size = len(statuses)
+        n = size.bit_length() - 1
+        if size < 2 or (1 << n) != size:
+            raise PreconditionError(
+                f"need statuses for all 2^n subsets of a non-empty universe, got {size}"
+            )
+        if n > self.MAX_N:
+            raise PreconditionError(f"table oracle refused for n={n} > {self.MAX_N}")
+        table = [bool(statuses[m]) for m in range(size)]
+        for m in range(size):
+            if table[m]:
+                continue
+            for i in range(n):
+                if not m >> i & 1 and table[m | (1 << i)]:
+                    raise MonotonicityError(
+                        ConstraintSet(n, m), ConstraintSet(n, m | (1 << i))
+                    )
+        super().__init__(n)
+        self._table = table
+
+    def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
+        return self._table[s.mask], s.mask
+
+
+BRUTEFORCE_MAX_N = 20
+
+
+def bruteforce_all_muses(oracle: SatOracle) -> set[ConstraintSet]:
+    """Reference MUS enumeration by exhaustive subset inspection (n <= 20).
+
+    A set qualifies iff it is unsatisfiable and every single-constraint
+    removal is satisfiable. Each subset's status is queried exactly once.
+    """
+    n = oracle.n
+    if n > BRUTEFORCE_MAX_N:
+        raise PreconditionError(f"brute force refused for n={n} > {BRUTEFORCE_MAX_N}")
+    status = [oracle.is_sat(ConstraintSet(n, m)) for m in range(1 << n)]
+    muses = set()
+    for m in range(1 << n):
+        if status[m]:
+            continue
+        rest = m
+        minimal = True
+        while rest:
+            low = rest & -rest
+            if not status[m ^ low]:
+                minimal = False
+                break
+            rest ^= low
+        if minimal:
+            muses.add(ConstraintSet(n, m))
+    return muses
 
 
 def example1_table() -> TableOracle:
@@ -46,11 +132,11 @@ def example1_table() -> TableOracle:
 class CoreCnfOracle(CnfOracle):
     """CnfOracle that rotates no model: shrink learns a constraint is critical only by a check."""
 
-    def rotate(self, work, critical, known=None):
+    def rotate(self, work, critical, known):
         return []
 
 
-def full_pass_rotate(oracle: CnfOracle, work, critical, known=None):
+def full_pass_rotate(oracle: CnfOracle, work, critical, known):
     """CnfOracle.rotate by one pass over every variable per model: the reference it must match.
 
     It finds the clauses with at least one and with at least two true
@@ -72,7 +158,7 @@ def full_pass_rotate(oracle: CnfOracle, work, critical, known=None):
         return once, twice
 
     n = oracle.n
-    wanted = work.mask & ~(1 << critical) & ~(known.mask if known else 0)
+    wanted = work.mask & ~(1 << critical) & ~known.mask
     found = []
     seen = 1 << critical
     stack = [(oracle._model, critical)]
@@ -95,7 +181,7 @@ def full_pass_rotate(oracle: CnfOracle, work, critical, known=None):
     return found
 
 
-def per_trial_shrink(oracle, seed, criticals, core=None, known_sat=None):
+def per_trial_shrink(oracle, seed, criticals, core, known_sat):
     """shrink with one map question per trial: the reference that `musenum.shrink` must match.
 
     `known_sat` is a predicate on the trial set; a True answer keeps its
@@ -104,14 +190,14 @@ def per_trial_shrink(oracle, seed, criticals, core=None, known_sat=None):
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
-    work = seed if core is None else core
+    work = core
     proven = criticals.mask
     discoveries = []
     for candidate in work - criticals:
         if candidate not in work or proven >> candidate & 1:
             continue
         trial = work.remove(candidate)
-        if known_sat is not None and known_sat(trial):
+        if known_sat(trial):
             proven |= 1 << candidate
         elif oracle.is_sat(trial):
             proven |= 1 << candidate
@@ -205,6 +291,23 @@ def explicit_map_reference(n: int, block_log) -> set[int]:
     return alive
 
 
+def map_clauses(umap: UnexploredMap) -> list[list[int]]:
+    """A formula equivalent to the map solver's blocking clauses, read from what the map stores.
+
+    The up-blocks of `block_log` in order, each as the negative clause over
+    its members, then the maximal down-blocked sets the map keeps, each as the
+    positive clause over its complement. The solver also holds the clauses of
+    down-blocks that a later block came to contain.
+    """
+    def members(mask: int) -> list[int]:
+        return [i + 1 for i in range(umap.n) if mask >> i & 1]
+
+    full = (1 << umap.n) - 1
+    return [[-v for v in members(m)] for kind, m in umap.block_log if kind == "up"] + [
+        members(full & ~m) for m in umap._down
+    ]
+
+
 def enumerate_map_models(umap: UnexploredMap) -> set[int]:
     """All models of a map's clause set by direct clause evaluation (n <= 16)."""
     n = umap.n
@@ -212,7 +315,7 @@ def enumerate_map_models(umap: UnexploredMap) -> set[int]:
         raise PreconditionError(f"model enumeration refused for n={n} > 16")
     positive: list[int] = []
     negative: list[int] = []
-    for clause in umap.clauses:
+    for clause in map_clauses(umap):
         mask = 0
         for lit in clause:
             mask |= 1 << (abs(lit) - 1)

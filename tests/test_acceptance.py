@@ -21,14 +21,19 @@ from musenum import (
     ConstraintSet,
     RemusConfig,
     UnexploredMap,
-    bruteforce_all_muses,
     enumerate_marco,
     enumerate_remus,
     is_mus,
 )
 from musenum.reference import random_cnf, to_dimacs
 
-from helpers import enumerate_map_models, explicit_map_reference, random_antichain, table_from_antichain
+from helpers import (
+    bruteforce_all_muses,
+    enumerate_map_models,
+    explicit_map_reference,
+    random_antichain,
+    table_from_antichain,
+)
 
 import random
 

@@ -65,11 +65,11 @@ def test_set_operators():
 def test_from_indices_and_bits_roundtrip():
     s = ConstraintSet.from_indices(5, [0, 2, 4])
     assert s.bits() == "10101"
-    assert ConstraintSet.from_bits(s.bits()) == s
+    assert cs(s.bits()) == s
     with pytest.raises(PreconditionError):
         ConstraintSet.from_indices(3, [3])
     with pytest.raises(PreconditionError):
-        ConstraintSet.from_bits("10x1")
+        cs("10x1")
 
 
 def test_mask_bounds_checked():

@@ -7,7 +7,6 @@ from musenum import (
     ConstraintSet,
     InstanceSatisfiableError,
     RemusConfig,
-    bruteforce_all_muses,
     enumerate_marco,
     is_mus,
     parse_dimacs,
@@ -19,6 +18,7 @@ from helpers import (
     EXAMPLE1_MUSES,
     assert_block_log_replays,
     bitsets,
+    bruteforce_all_muses,
     random_antichain,
     small_unsat_cnfs,
     table_from_antichain,

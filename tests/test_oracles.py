@@ -8,11 +8,8 @@ from musenum import (
     CnfOracle,
     ConstraintSet,
     DimacsParseError,
-    MonotonicityError,
     PreconditionError,
-    TableOracle,
     UniverseMismatchError,
-    bruteforce_all_muses,
     enumerate_remus,
     is_mus,
     parse_dimacs,
@@ -24,7 +21,10 @@ from helpers import (
     EXAMPLE1_DIMACS,
     EXAMPLE1_MUSES,
     EXAMPLE1_STATUSES,
+    MonotonicityError,
+    TableOracle,
     bitsets,
+    bruteforce_all_muses,
     cs,
     example1_table,
     full_pass_rotate,
@@ -301,7 +301,7 @@ def test_rotation_after_a_repeated_answer_starts_from_its_model():
     assert oracle.witness == cs("1001")
     # a true, b false falsifies only c2 of 1100; flipping a falsifies only c1,
     # and a false, b false satisfies c2 and c4
-    assert oracle.rotate(cs("1100"), 1) == [(0, cs("0101"))]
+    assert oracle.rotate(cs("1100"), 1, ConstraintSet.empty(4)) == [(0, cs("0101"))]
     assert oracle.checks == 3
 
 
@@ -374,8 +374,8 @@ def test_cnf_oracle_answers_match_truth_tables(case):
             work = mask | 1 << c
             if work == mask or is_sat(work):
                 continue
-            assert table.rotate(ConstraintSet(n, work), c) == []
-            pairs = oracle.rotate(ConstraintSet(n, work), c)
+            assert table.rotate(ConstraintSet(n, work), c, ConstraintSet.empty(n)) == []
+            pairs = oracle.rotate(ConstraintSet(n, work), c, ConstraintSet.empty(n))
             for d, rotated in pairs:
                 assert d != c and work >> d & 1
                 assert rotated.n == n and not rotated.mask >> d & 1
@@ -430,7 +430,7 @@ def test_rotation_matches_the_full_pass_reference():
                     most_true,
                     *(len({abs(lit) for lit in cl if (model >> (abs(lit) - 1) & 1) == (lit > 0)}) for cl in clauses),
                 )
-                for known in (None, ConstraintSet(n, work.mask & rng.getrandbits(n))):
+                for known in (ConstraintSet.empty(n), ConstraintSet(n, work.mask & rng.getrandbits(n))):
                     pairs = oracle.rotate(work, c, known)
                     assert pairs == full_pass_rotate(oracle, work, c, known), (clauses, work, c, known)
                     calls += 1

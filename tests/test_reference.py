@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from musenum import ConstraintSet, PreconditionError, UnexploredMap, bruteforce_all_muses, parse_dimacs
+from musenum import ConstraintSet, PreconditionError, UnexploredMap, parse_dimacs
 from musenum.reference import random_cnf, to_dimacs
 
 from helpers import (
     EXAMPLE1_STATUSES,
+    bruteforce_all_muses,
     cs,
     enumerate_map_models,
     explicit_map_reference,

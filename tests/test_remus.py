@@ -11,7 +11,6 @@ from musenum import (
     InstanceSatisfiableError,
     PreconditionError,
     RemusConfig,
-    bruteforce_all_muses,
     choose_p,
     enumerate_marco,
     enumerate_remus,
@@ -27,6 +26,7 @@ from helpers import (
     EXAMPLE1_MUSES,
     assert_block_log_replays,
     bitsets,
+    bruteforce_all_muses,
     cs,
     example1_table,
     per_member_choose_p,

@@ -18,7 +18,7 @@ def test_full_seed_deletion_trace():
     parsed = parse_dimacs(EXAMPLE1_DIMACS)
     oracle = CoreCnfOracle(parsed.num_vars, parsed.clauses)  # one check per critical
     seed = ConstraintSet.full(4)
-    mus, found_sat = shrink(oracle, seed, ConstraintSet.empty(4))
+    mus, found_sat = shrink(oracle, seed, ConstraintSet.empty(4), seed, UnexploredMap(4))
     assert mus == cs("1011")
     assert oracle.checks == 4  # one check per deletion candidate
     # satisfiable sets met on the way, in deletion order
@@ -27,7 +27,7 @@ def test_full_seed_deletion_trace():
 
 def test_known_critical_skips_its_check():
     oracle = parse_dimacs(EXAMPLE1_DIMACS)
-    mus, found_sat = shrink(oracle, cs("1100"), cs("1000"))
+    mus, found_sat = shrink(oracle, cs("1100"), cs("1000"), cs("1100"), UnexploredMap(4))
     assert mus == cs("1100")
     assert oracle.checks == 1  # only c2 was a candidate
     # the witness of 1000: the clauses its model (a true, b false) satisfies
@@ -38,7 +38,7 @@ def test_unsat_trial_jumps_to_its_core():
     # MUSes {c1,c2,c4}, {c1,c3,c5}, {c1,c6,c7}; c1 is critical for the full set
     oracle = CoreCnfOracle(4, [[1], [-1, 2], [-1, 3], [-2], [-3], [-1, 4], [-4]])
     seed, criticals = ConstraintSet.full(7), cs("1000000")
-    mus, found_sat = shrink(oracle, seed, criticals)
+    mus, found_sat = shrink(oracle, seed, criticals, seed, UnexploredMap(7))
     # dropping c2 leaves c3 and c5 refuting a, so the trial's core drops
     # c4, c6 and c7 with it; only c3 and c5 are tried after that
     assert mus == cs("1010100")
@@ -48,7 +48,7 @@ def test_unsat_trial_jumps_to_its_core():
     # started from the core of the seed's own check, shrink tries only its members
     assert not oracle.is_sat(seed)
     assert oracle.core == cs("1101000")
-    mus, _ = shrink(oracle, seed, criticals, oracle.core)
+    mus, _ = shrink(oracle, seed, criticals, oracle.core, UnexploredMap(7))
     assert mus == cs("1101000")
     assert oracle.checks == 4 + 2
 
@@ -57,7 +57,7 @@ def test_rotation_proves_the_rest_of_example1_critical():
     # the model of 0011 (a false, b true) falsifies only c1; flipping a
     # falsifies only c4, and flipping b from there falsifies only c3
     oracle = parse_dimacs(EXAMPLE1_DIMACS)
-    mus, found_sat = shrink(oracle, cs("1011"), ConstraintSet.empty(4))
+    mus, found_sat = shrink(oracle, cs("1011"), ConstraintSet.empty(4), cs("1011"), UnexploredMap(4))
     assert mus == cs("1011")
     assert oracle.checks == 1
     assert found_sat == [cs("0111"), cs("1010"), cs("1001")]
@@ -70,7 +70,7 @@ def test_rotation_spares_most_checks_on_a_pigeonhole_formula(holes, checks):
     num_vars, clauses = pigeonhole(holes)
     oracle = CnfOracle(num_vars, clauses)
     seed = ConstraintSet.full(len(clauses))
-    mus, found_sat = shrink(oracle, seed, ConstraintSet.empty(len(clauses)))
+    mus, found_sat = shrink(oracle, seed, ConstraintSet.empty(len(clauses)), seed, UnexploredMap(len(clauses)))
     assert mus == seed
     assert oracle.checks == checks < len(seed)
     # one witness per clause: from its own trial or from the rotation that proved it
@@ -93,7 +93,7 @@ def test_a_known_satisfiable_trial_keeps_its_candidate_without_a_check():
         return covered_members(work)
 
     umap.covered_members = recording
-    mus, found_sat = shrink(oracle, ConstraintSet.full(4), ConstraintSet.empty(4), None, umap)
+    mus, found_sat = shrink(oracle, ConstraintSet.full(4), ConstraintSet.empty(4), ConstraintSet.full(4), umap)
     assert mus == cs("1011")
     # the map is asked once per working set: the seed, then the core of c2's trial
     assert asked == [cs("1111").mask, cs("1011").mask]
@@ -106,7 +106,7 @@ def test_a_known_satisfiable_trial_keeps_its_candidate_without_a_check():
 
 def test_seed_that_is_already_minimal_with_all_criticals():
     oracle = parse_dimacs(EXAMPLE1_DIMACS)
-    mus, found_sat = shrink(oracle, cs("1100"), cs("1100"))
+    mus, found_sat = shrink(oracle, cs("1100"), cs("1100"), cs("1100"), UnexploredMap(4))
     assert mus == cs("1100")
     assert oracle.checks == 0
     assert found_sat == []
@@ -115,7 +115,7 @@ def test_seed_that_is_already_minimal_with_all_criticals():
 def test_criticals_must_be_inside_seed():
     oracle = example1_table()
     with pytest.raises(PreconditionError):
-        shrink(oracle, cs("1100"), cs("0010"))
+        shrink(oracle, cs("1100"), cs("0010"), cs("1100"), UnexploredMap(4))
 
 
 def test_shrink_properties_on_random_monotone_tables():
@@ -137,7 +137,7 @@ def test_shrink_properties_on_random_monotone_tables():
             keep = contained[0] & rng.randrange(1 << n)
             criticals = ConstraintSet(n, keep)
         before = oracle.checks
-        mus, found_sat = shrink(oracle, seed, criticals)
+        mus, found_sat = shrink(oracle, seed, criticals, seed, UnexploredMap(n))
         used = oracle.checks - before
 
         assert criticals.is_subset_of(mus)

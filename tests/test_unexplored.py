@@ -3,7 +3,7 @@ import random
 import pytest
 
 from musenum import ConstraintSet, PreconditionError, UnexploredMap, UniverseMismatchError
-from helpers import cs, enumerate_map_models, explicit_map_reference
+from helpers import cs, enumerate_map_models, explicit_map_reference, map_clauses
 
 
 def example3_map():
@@ -50,13 +50,13 @@ def test_init_rejects_empty_universe():
 def test_block_down_adds_positive_clause_over_complement():
     umap = UnexploredMap(3)
     umap.block_down(cs("110"))
-    assert umap.clauses == [[3]]
+    assert map_clauses(umap) == [[3]]
 
 
 def test_block_up_adds_negative_clause_over_members():
     umap = UnexploredMap(3)
     umap.block_up(cs("101"))
-    assert umap.clauses == [[-1, -3]]
+    assert map_clauses(umap) == [[-1, -3]]
 
 
 def test_block_down_keeps_only_the_maximal_sets_as_clauses():
@@ -64,14 +64,14 @@ def test_block_down_keeps_only_the_maximal_sets_as_clauses():
     umap.block_down(cs("100"))
     umap.block_down(cs("110"))  # contains {c1}: its clause replaces {c1}'s
     umap.block_down(cs("010"))  # inside {c1,c2}: adds no clause
-    assert umap.clauses == [[3]]
+    assert map_clauses(umap) == [[3]]
     assert umap.block_log == [("down", cs(b).mask) for b in ("100", "110", "010")]
     assert enumerate_map_models(umap) == {cs(b).mask for b in ("001", "101", "011", "111")}
 
 
 def test_example3_formula_models():
     umap = example3_map()
-    assert umap.clauses == [[-1, -3], [3]]
+    assert map_clauses(umap) == [[-1, -3], [3]]
     # remaining undetermined subsets: {c3} and {c2,c3}
     assert enumerate_map_models(umap) == {cs("001").mask, cs("011").mask}
 
@@ -154,7 +154,7 @@ def test_map_matches_explicit_reference_on_random_logs():
         apply_log(umap, log)
         assert enumerate_map_models(umap) == explicit_map_reference(n, log)
         assert umap.block_log == log
-        downs = [set(clause) for clause in umap.clauses if clause and clause[0] > 0]
+        downs = [set(clause) for clause in map_clauses(umap) if clause and clause[0] > 0]
         for i, a in enumerate(downs):
             assert not any(a <= b for b in downs[:i] + downs[i + 1:])
 
