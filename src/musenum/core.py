@@ -55,16 +55,6 @@ class ConstraintSet:
     def full(cls, n: int) -> "ConstraintSet":
         return cls(n, (1 << n) - 1)
 
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "ConstraintSet":
-        """Build from 0-based constraint indices."""
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise PreconditionError(f"index {i} out of range for n={n}")
-            mask |= 1 << i
-        return cls(n, mask)
-
     def bits(self) -> str:
         return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.n))
 
@@ -96,10 +86,6 @@ class ConstraintSet:
     def __or__(self, other: "ConstraintSet") -> "ConstraintSet":
         self._require_same_universe(other)
         return ConstraintSet(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "ConstraintSet") -> "ConstraintSet":
-        self._require_same_universe(other)
-        return ConstraintSet(self.n, self.mask & other.mask)
 
     def __sub__(self, other: "ConstraintSet") -> "ConstraintSet":
         self._require_same_universe(other)

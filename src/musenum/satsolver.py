@@ -6,18 +6,17 @@ branching polarity. Clauses are never removed: there are no restarts and
 learnt clauses are never discarded; the intended workload is many related
 solves over formulas with at most a few hundred variables.
 
-The trail is kept between calls. Assumption i is decided at level i + 1, and
-a solve keeps the levels of the longest common prefix of its assumption list
-and the previous call's, so those assumptions are not propagated again (as in
-Hickey & Bacchus, "Speeding Up Assumption-Based SAT", SAT 2019). A SAT answer
-backtracks only to the last assumption level and a failed assumption leaves
-the trail as it is. Clauses added above level 0 keep the trail when two of
-their literals are unfalsified. The assumption list itself is reused too: it
-starts with the selectors, so the previous call's list holds up to the first
+The trail is kept between calls: every answer leaves it as it is, and a solve
+backtracks first only when its assumption list differs from the previous
+call's, to the longest common prefix of the two (as in Hickey & Bacchus,
+"Speeding Up Assumption-Based SAT", SAT 2019). Assumption i is decided at
+level i + 1. Clauses added above level 0 keep the trail when two of their
+literals are unfalsified. The assumption list itself is reused too: it starts
+with the selectors, so the previous call's list holds up to the first
 selector whose bit changed, the lowest set bit of `selected ^ previous`, and
 only the rest is built anew. An assumption whose negation no clause watches
-is decided without a propagation pass, since that pass would find nothing;
-a selector assumed false is one, as no clause holds a selector positively.
+is decided without a propagation pass, since that pass would find nothing; a
+selector assumed false is one, as no clause holds a selector positively.
 
 Failed assumptions: after a solve answers UNSAT, `failed_assumptions()`
 names assumptions whose conjunction with the clauses is already UNSAT, found
@@ -174,9 +173,10 @@ class SatSolver:
 
         A solver with selectors first assumes each selector, in variable
         order: first_selector + i is assumed true if bit i of `selected` is
-        set and false if not. The assumption literals come after them. The
-        decision levels shared with the previous call's assumption prefix
-        are kept; see the module docstring for the model this returns.
+        set and false if not. The assumption literals come after them. A
+        call with the previous call's assumptions keeps the whole trail, any
+        other the levels of the prefix the two share; see the module
+        docstring for the model this returns.
         """
         self._model_mask = None
         self._failed = 0
@@ -198,11 +198,12 @@ class SatSolver:
         assume = previous[:same]
         assume += [base + i if selected >> i & 1 else -(base + i) for i in range(same, count)]
         assume += assumptions
-        limit = min(len(self._lim), len(assume))
-        kept = min(same, limit)
-        while kept < limit and previous[kept] == assume[kept]:
-            kept += 1
-        self._backtrack(kept)
+        if assume != previous:
+            limit = min(len(self._lim), len(assume), len(previous))
+            kept = min(same, limit)
+            while kept < limit and previous[kept] == assume[kept]:
+                kept += 1
+            self._backtrack(kept)
         self._assumed = assume
         self._selected = selected
         val = self._val
@@ -244,7 +245,6 @@ class SatSolver:
                 except ValueError:  # no variable is free
                     self._failed = None
                     self._save_model()
-                    self._backtrack(len(assume))
                     return True
                 lim.append(len(trail))
                 self._enqueue(branch_var if self.default_phase else -branch_var, None)

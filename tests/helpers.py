@@ -42,6 +42,16 @@ def cs(bits: str) -> ConstraintSet:
     return ConstraintSet(len(bits), mask)
 
 
+def from_indices(n: int, indices) -> ConstraintSet:
+    """ConstraintSet from 0-based constraint indices."""
+    mask = 0
+    for i in indices:
+        if not 0 <= i < n:
+            raise PreconditionError(f"index {i} out of range for n={n}")
+        mask |= 1 << i
+    return ConstraintSet(n, mask)
+
+
 def bitsets(sets) -> set[str]:
     return {s.bits() for s in sets}
 

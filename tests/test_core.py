@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from musenum import ConstraintSet, PreconditionError, UniverseMismatchError
 from musenum.core import Antichain
 
-from helpers import cs
+from helpers import cs, from_indices
 
 
 def test_is_subset_of():
@@ -56,18 +56,17 @@ def test_membership_and_add_remove():
 
 def test_set_operators():
     assert (cs("1100") | cs("0110")) == cs("1110")
-    assert (cs("1100") & cs("0110")) == cs("0100")
     assert (cs("1100") - cs("0110")) == cs("1000")
     with pytest.raises(UniverseMismatchError):
         cs("11") | cs("111")
 
 
 def test_from_indices_and_bits_roundtrip():
-    s = ConstraintSet.from_indices(5, [0, 2, 4])
+    s = from_indices(5, [0, 2, 4])
     assert s.bits() == "10101"
     assert cs(s.bits()) == s
     with pytest.raises(PreconditionError):
-        ConstraintSet.from_indices(3, [3])
+        from_indices(3, [3])
     with pytest.raises(PreconditionError):
         cs("10x1")
 
@@ -126,19 +125,18 @@ LAWS = settings(deadline=None, derandomize=True, max_examples=200)
 def test_set_laws_match_mask_arithmetic(sets):
     a, b, c = sets
     assert (a | b).mask == a.mask | b.mask
-    assert (a & b).mask == a.mask & b.mask
     assert (a - b).mask == a.mask & ~b.mask
-    assert (a | b).n == (a & b).n == (a - b).n == a.n
-    # is_subset_of is a partial order, and it is the order of | and &
+    assert (a | b).n == (a - b).n == a.n
+    # is_subset_of is a partial order, and it is the order of |
     assert a.is_subset_of(a)
     assert (a.is_subset_of(b) and b.is_subset_of(a)) == (a == b)
-    assert a.is_subset_of(b) == (a | b == b) == (a & b == a) == (a.mask & ~b.mask == 0)
+    assert a.is_subset_of(b) == (a | b == b) == (a.mask & ~b.mask == 0)
     upper = a | b
     assert a.is_subset_of(upper) and upper.is_subset_of(upper | c) and a.is_subset_of(upper | c)
     # from_indices, iteration and the 1-based indices describe the same members
     members = list(a)
     assert members == sorted(set(members)) and len(members) == len(a)
-    assert ConstraintSet.from_indices(a.n, members) == a
+    assert from_indices(a.n, members) == a
     assert a.indices_1based() == [i + 1 for i in members]
     assert all((i in a) == bool(a.mask >> i & 1) for i in range(a.n))
 
@@ -161,6 +159,6 @@ def test_mixed_universes_raise(left, right):
     (a,), (b,) = left, right
     if a.n == b.n:
         b = ConstraintSet.empty(a.n + 1)
-    for op in (operator.or_, operator.and_, operator.sub, ConstraintSet.is_subset_of):
+    for op in (operator.or_, operator.sub, ConstraintSet.is_subset_of):
         with pytest.raises(UniverseMismatchError):
             op(a, b)

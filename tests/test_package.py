@@ -24,23 +24,61 @@ def test_package_imports_only_the_standard_library():
     assert not outside
 
 
+def uses_outside_their_own_def(tree) -> set[str]:
+    """The names and attributes a module reads, except those inside a def of the same name."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return used
+
+
+def package_trees():
+    return [
+        (path.name, ast.parse(path.read_text(), str(path)))
+        for path in sorted(PACKAGE.glob("*.py"))
+    ]
+
+
+def used_by_the_benchmark(name: str) -> bool:
+    bench = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
+    assert bench
+    return any(re.search(rf"\b{re.escape(name)}\b", path.read_text()) for path in bench)
+
+
 def test_every_exported_name_has_a_caller_outside_the_tests():
     # no test-only API in the package: each exported name is used by another
     # package module (beyond its own def or class) or by the benchmark
     used = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    bench = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
-    assert bench
-    bench_text = "\n".join(path.read_text() for path in bench)
-    unused = [
-        name for name in musenum.__all__
-        if name not in used and not re.search(rf"\b{re.escape(name)}\b", bench_text)
-    ]
+    for name, tree in package_trees():
+        if name != "__init__.py":
+            used |= uses_outside_their_own_def(tree)
+    unused = [name for name in musenum.__all__ if name not in used and not used_by_the_benchmark(name)]
+    assert not unused
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    # the same for each public method and property of a package class: a
+    # caller in package code other than its own definition, or in the benchmark
+    used = set()
+    public = []
+    for _, tree in package_trees():
+        used |= uses_outside_their_own_def(tree)
+        public += [
+            (cls.name, node.name)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+        ]
+    assert len(public) > 20
+    unused = [f"{cls}.{name}" for cls, name in public if name not in used and not used_by_the_benchmark(name)]
     assert not unused

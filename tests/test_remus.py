@@ -29,6 +29,7 @@ from helpers import (
     bruteforce_all_muses,
     cs,
     example1_table,
+    from_indices,
     per_member_choose_p,
     per_trial_shrink,
     random_antichain,
@@ -75,16 +76,16 @@ def test_first_shrink_starts_from_the_full_universe():
 
 
 def test_choose_p_examples():
-    s_mus = ConstraintSet.from_indices(20, range(10))
+    s_mus = from_indices(20, range(10))
     s_max = ConstraintSet.full(20)
     p = choose_p(s_mus, s_max, 0.9)
     assert len(p) == 18
     assert s_mus.is_subset_of(p) and p.is_subset_of(s_max)
-    assert p == ConstraintSet.from_indices(20, range(18))  # lowest-index fill
+    assert p == from_indices(20, range(18))  # lowest-index fill
 
-    assert choose_p(ConstraintSet.from_indices(4, range(3)), ConstraintSet.full(4), 0.9) is None
+    assert choose_p(from_indices(4, range(3)), ConstraintSet.full(4), 0.9) is None
 
-    p = choose_p(ConstraintSet.from_indices(10, [0, 1]), ConstraintSet.full(10), 0.9)
+    p = choose_p(from_indices(10, [0, 1]), ConstraintSet.full(10), 0.9)
     assert len(p) == 9
 
 
@@ -105,8 +106,8 @@ def test_choose_p_matches_the_per_member_fill():
         answers.append(p)
     assert None in answers and any(p is not None and p.n == 64 for p in answers)
     factor = RemusConfig(reduction_factor=0.9999999999).reduction_factor
-    p = choose_p(ConstraintSet.from_indices(10, [0, 1]), ConstraintSet.full(10), factor)
-    assert p == ConstraintSet.from_indices(10, range(9))
+    p = choose_p(from_indices(10, [0, 1]), ConstraintSet.full(10), factor)
+    assert p == from_indices(10, range(9))
 
 
 def test_choose_p_requires_proper_subset():

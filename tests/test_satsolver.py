@@ -94,7 +94,7 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
     rng = random.Random(7)
     kept_trail_clauses = 0
     cores = smaller = 0
-    for _ in range(400):
+    for _ in range(500):
         num_vars = rng.randint(1, 8)
         phase = rng.random() < 0.5
         clauses = [random_clause(rng, num_vars) for _ in range(rng.randint(0, 12))]
@@ -128,6 +128,42 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
             solver.add_clause(list(extra))
     assert kept_trail_clauses > 300
     assert cores > 300 and smaller > 250
+
+
+def test_a_repeated_assumption_list_answers_like_a_fresh_solver():
+    # a SAT answer leaves the model's branch levels on the trail; a clause
+    # added before the same assumptions are solved again keeps them, or cuts
+    # them back until two of its literals are free, and the next model must
+    # still be the first in branching order
+    rng = random.Random(11)
+    kept_branches = 0
+    for _ in range(400):
+        num_vars = rng.randint(2, 8)
+        phase = rng.random() < 0.5
+        clauses = [random_clause(rng, num_vars) for _ in range(rng.randint(0, 10))]
+        solver = SatSolver(num_vars, default_phase=phase)
+        for cl in clauses:
+            solver.add_clause(list(cl))
+        chosen = rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars // 2))
+        assumptions = [v if rng.random() < 0.5 else -v for v in chosen]
+        if not solver.solve(assumptions):
+            continue
+        model = solver.model_mask
+        true_lits = [v if model >> (v - 1) & 1 else -v for v in range(1, num_vars + 1)]
+        picked = rng.sample(true_lits, rng.randint(1, min(3, num_vars)))
+        extra = [lit if rng.random() < 0.5 else -lit for lit in picked]
+        clauses.append(extra)
+        solver.add_clause(list(extra))
+        kept_branches += len(solver._lim) > len(assumptions)  # a branch level survived the clause
+        fresh = SatSolver(num_vars, default_phase=phase)
+        for cl in clauses:
+            fresh.add_clause(list(cl))
+        sat = solver.solve(assumptions)
+        assert sat == fresh.solve(assumptions)
+        if sat:
+            assert solver.model_mask == fresh.model_mask
+            assert model_satisfies(solver.model_mask, num_vars, clauses, assumptions)
+    assert kept_branches > 80
 
 
 def test_default_phase_biases_model():
