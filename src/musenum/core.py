@@ -68,11 +68,7 @@ class ConstraintSet:
 
     def __iter__(self):
         """0-based member indices in ascending order."""
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return (b - 1 for b in set_bits(self.mask))
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.n and bool(self.mask >> i & 1)

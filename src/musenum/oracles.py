@@ -73,13 +73,14 @@ class CnfOracle(SatOracle):
     All subset checks run on one persistent incremental solver. Clause i is
     extended with the negated selector literal for constraint i, so a check
     only passes selector assumptions; learnt clauses stay valid across checks.
-    The solver is told where the selectors start: it assumes them in
-    constraint order, true for the queried constraints, and keeps the trail
-    of the selectors a check shares with the one before it, so checks that
-    differ late in that order (as consecutive shrink checks do) skip most of
-    the assumption propagation. It also keeps long runs of negated selectors
-    out of its learnt clauses, in guards (see musenum.satsolver), which makes
-    an UNSAT proof over many constraints cheaper.
+    The selectors follow the formula's variables in the solver, which
+    assumes them in constraint order, true for the queried constraints, and
+    keeps the trail of the selectors a check shares with the one before it,
+    so checks that differ late in that order (as consecutive shrink checks
+    do) skip most of the assumption propagation. It also keeps long runs of
+    negated selectors out of its learnt clauses, in guards (see
+    musenum.satsolver), which makes an UNSAT proof over many constraints
+    cheaper.
 
     The witness of a SAT answer is the set of clauses its model satisfies;
     verdicts, models and witnesses depend only on the subset. The core of an
@@ -123,7 +124,7 @@ class CnfOracle(SatOracle):
         self.num_vars = num_vars
         self.clauses = clauses
         self._top = top
-        self._solver = SatSolver(top + self.n, first_selector=top + 1)
+        self._solver = SatSolver(top, selectors=self.n)
         for i, cl in enumerate(clauses):
             self._solver.add_clause(cl + [-(top + 1 + i)])
         self._model = 0  # the model of the last SAT answer

@@ -1,10 +1,10 @@
 """Small incremental CDCL propositional solver.
 
 Supports adding clauses between solves, solving under assumptions,
-conflict clause learning (first-UIP) with backjumping, and a fixed default
-branching polarity. Clauses are never removed: there are no restarts and
-learnt clauses are never discarded; the intended workload is many related
-solves over formulas with at most a few hundred variables.
+conflict clause learning (first-UIP) with backjumping, and branching on the
+lowest free variable, false first. Clauses are never removed: there are no
+restarts and learnt clauses are never discarded; the intended workload is
+many related solves over formulas with at most a few hundred variables.
 
 The trail is kept between calls: every answer leaves it as it is, and a solve
 backtracks first only when its assumption list differs from the previous
@@ -27,19 +27,20 @@ Which assumptions the walk meets depends on the derivation, that is on the
 watch order and the learnt clauses, not only on the assumptions: a change to
 the search may move these cores, though each stays UNSAT.
 
-Selectors and guards: the variables from `first_selector` on may be declared
-selectors. They occur in clauses only negated, and every solve assumes each
-of them first, in variable order, as `selected` says, so level i + 1 decides
-selector i and the selectors assumed true up to level L are the low L bits of
-`selected`. Learnt clauses over many selectors are factored as in Lagniez &
-Biere, "Factoring Out Assumptions to Speed Up MUS Extraction" (SAT 2013):
-when at least GUARD_MIN negated selectors lie below the conflict level, they
-leave the learnt clause's literal list for an integer mask, its guard, except
-the one assumed last, which stays a literal so that the clause still wakes up
-when it is assumed. The clause still means its literals or the negation of any
-guard selector. When the watch scan of a guarded clause finds no other
-literal to watch, the clause is unit or conflicting only if every guard
-selector is assumed true at the current level. If not, one guard selector
+Selectors and guards: a solver made with `SatSolver(variables, selectors)`
+holds `selectors` more variables after its own, variables + 1 up to
+variables + selectors. They occur in clauses only negated, and every solve
+assumes each of them first, in variable order, as `selected` says, so level
+i + 1 decides selector i and the selectors assumed true up to level L are the
+low L bits of `selected`. Learnt clauses over many selectors are factored as
+in Lagniez & Biere, "Factoring Out Assumptions to Speed Up MUS Extraction"
+(SAT 2013): when at least GUARD_MIN negated selectors lie below the conflict
+level, they leave the learnt clause's literal list for an integer mask, its
+guard, except the one assumed last, which stays a literal so that the clause
+still wakes up when it is assumed. The clause still means its literals or the
+negation of any guard selector. When the watch scan of a guarded clause finds
+no other literal to watch, the clause is unit or conflicting only if every
+guard selector is assumed true at the current level. If not, one guard selector
 that is not assumed true moves back into the literal list as the new watch
 ("parking"), preferably one this solve assumes false, which satisfies the
 clause. Conflict analysis and the failed-assumption walk take in the guards
@@ -48,24 +49,27 @@ that clauses stay exact lists, which CPython indexes fastest.
 
 Model invariant: a SAT answer's model is the first model of the clauses and
 the assumptions in branching order, which tries variables from the lowest
-index up and prefers `default_phase`. Learnt clauses, the kept trail and the
-order of the assumptions never change which model that is, so callers may
-rely on the model being a function of the clause set and the assumption set.
+index up and tries false before true. Learnt clauses, the kept trail and
+the order of the assumptions never change which model that is, so callers
+may rely on the model being a function of the clause set and the assumption set.
 A guard is another way to store a learnt clause: the clause is still implied
 by the others, and it propagates only when all of its literals are false, so
 it prunes no model either, and guards add no variable. Likewise, adding a
 clause implied by the others leaves the set of models, and with it every
 later model, unchanged.
 
-Variables are the integers 1..num_vars, literals are signed integers, and
-clauses are lists of literals. Values are stored per literal in one list
-laid out as [0, v1..vn, -vn..-v1], so Python's negative indexing finds a
-negative literal's entry and `_val[lit]` is the literal's value with no sign
-test; assigning a variable writes both of its literals. The watch lists are
-laid out the same way, so `_watches[lit]` holds the clauses watching lit.
+Variables are the integers 1..num_vars (num_vars = variables + selectors),
+literals are signed integers, and clauses are lists of literals. Values are
+stored per literal in one list laid out as [0, v1..vn, -vn..-v1], so
+Python's negative indexing finds a negative literal's entry and `_val[lit]`
+is the literal's value with no sign test; assigning a variable writes both
+of its literals. The watch lists are laid out the same way, so
+`_watches[lit]` holds the clauses watching lit.
 """
 
 from __future__ import annotations
+
+from .core import set_bits
 
 # A learnt clause keeps its negated selectors in a guard only when it has at
 # least this many. A guard saves scanning its false selectors, but each time
@@ -75,13 +79,10 @@ GUARD_MIN = 16
 
 
 class SatSolver:
-    def __init__(self, num_vars: int = 0, default_phase: bool = False, first_selector: int | None = None):
-        self.num_vars = num_vars
-        self.default_phase = default_phase
+    def __init__(self, variables: int = 0, selectors: int = 0):
+        self.num_vars = num_vars = variables + selectors
         # variables from here on are selectors; the guard bit of variable v is v - _selector
-        self._selector = num_vars + 1 if first_selector is None else first_selector
-        if not 1 <= self._selector <= num_vars + 1:
-            raise ValueError(f"first selector {first_selector} outside 1..{num_vars + 1}")
+        self._selector = variables + 1
         self._selected = 0  # the selectors the last solve assumed true, as a guard mask
         self._guards: dict[int, int] = {}  # id of a learnt clause -> its guard, if not 0
         self.ok = True  # becomes False once the formula is unsat without assumptions
@@ -97,10 +98,6 @@ class SatSolver:
         self._assumed: list[int] = []  # assumption i was decided at level i + 1
         self._model_mask: int | None = None
         self._failed: int | None = None  # after UNSAT: the false assumption, or 0
-
-    def value(self, lit: int) -> int:
-        """Value of a literal on the kept trail: 1 true, -1 false, 0 unassigned."""
-        return self._val[lit]
 
     @property
     def model_mask(self) -> int:
@@ -121,6 +118,7 @@ class SatSolver:
         if not self.ok:
             return
         level = self._level
+        val = self._val
         seen = set()
         out = []
         for lit in lits:
@@ -130,9 +128,8 @@ class SatSolver:
                 return  # tautology
             if lit in seen:
                 continue
-            val = self.value(lit)
-            if val != 0 and level[abs(lit)] == 0:
-                if val == 1:
+            if val[lit] != 0 and level[abs(lit)] == 0:
+                if val[lit] == 1:
                     return  # satisfied at level 0
                 continue  # permanently false literal
             seen.add(lit)
@@ -159,8 +156,9 @@ class SatSolver:
         both front literals.
         """
         level = self._level
+        val = self._val
         free = len(self._lim) + 1
-        ranks = [level[abs(lit)] if self.value(lit) == -1 else free for lit in clause]
+        ranks = [level[abs(lit)] if val[lit] == -1 else free for lit in clause]
         for pos in (0, 1):
             best = max(range(pos, len(clause)), key=ranks.__getitem__)
             clause[pos], clause[best] = clause[best], clause[pos]
@@ -172,11 +170,11 @@ class SatSolver:
         """Decide satisfiability under the given assumption literals.
 
         A solver with selectors first assumes each selector, in variable
-        order: first_selector + i is assumed true if bit i of `selected` is
-        set and false if not. The assumption literals come after them. A
-        call with the previous call's assumptions keeps the whole trail, any
-        other the levels of the prefix the two share; see the module
-        docstring for the model this returns.
+        order: selector i, variable `variables + 1 + i`, is assumed true if
+        bit i of `selected` is set and false if not. The assumption literals
+        come after them. A call with the previous call's assumptions keeps
+        the whole trail, any other the levels of the prefix the two share;
+        see the module docstring for the model this returns.
         """
         self._model_mask = None
         self._failed = 0
@@ -247,7 +245,7 @@ class SatSolver:
                     self._save_model()
                     return True
                 lim.append(len(trail))
-                self._enqueue(branch_var if self.default_phase else -branch_var, None)
+                self._enqueue(-branch_var, None)
 
     def failed_assumptions(self) -> list[int]:
         """A subset of the last solve's assumptions that the clauses refute on their own.
@@ -289,8 +287,8 @@ class SatSolver:
             if guards:
                 guard |= guards.get(id(clause), 0)
         if guard:  # the selectors met only in guards
-            base = self._selector
-            out += [base + i for i in range(guard.bit_length()) if guard >> i & 1 and not seen[base + i]]
+            below = self._selector - 1  # guard bit i is variable below + i + 1
+            out += [below + b for b in set_bits(guard) if not seen[below + b]]
         return out
 
     def _enqueue(self, lit: int, reason) -> None:
@@ -454,7 +452,7 @@ class SatSolver:
             guards[id(learnt)] = guard ^ 1 << top
         elif guard != listed:  # add the selectors the walked clauses held only in their guards
             guard &= ~listed
-            learnt += [-(base + i) for i in range(guard.bit_length()) if guard >> i & 1]
+            learnt += [-(base - 1 + b) for b in set_bits(guard)]
         if len(learnt) == 1:
             return learnt, 0
         deepest = 1

@@ -1,11 +1,12 @@
 """Symbolic map of the constraint subsets whose satisfiability is still unknown.
 
-The map is a CNF formula over one indicator variable per constraint
-(variable i+1 for constraint index i); its models are exactly the
-undetermined subsets. Determined sets are removed by blocking clauses:
-all-positive clauses drop a satisfiable set together with its subsets,
-all-negative clauses drop an unsatisfiable set together with its supersets.
-Clauses are only ever added: the map learns each fact once and keeps it.
+The map is a CNF formula over one variable per constraint: variable i+1 is
+true when constraint index i is left out. Each model names the constraints
+a subset leaves out, and read so they are exactly the undetermined subsets.
+Determined sets are removed by blocking clauses: all-negative clauses drop a
+satisfiable set together with its subsets, all-positive clauses drop an
+unsatisfiable set together with its supersets. Clauses are only ever added:
+the map learns each fact once and keeps it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class UnexploredMap:
     solver; they are implied now, so the solver's models do not change.
     Up-blocks are kept as they come, in `block_log`, which holds every block
     in order; the enumerators block up only MUSes, which form an antichain
-    already. A query's answer is the solver's model itself, maximal because
+    already. A query's answer is p less the solver's model, maximal because
     of the order in which the solver branches.
     """
 
@@ -36,7 +37,7 @@ class UnexploredMap:
         self.covered_trials = 0  # shrink trials answered by covered_members; shrink counts them
         # always 0, as answers need no grow pass; kept because bench/tracing.py reads it
         self.grow_evals = 0
-        self._solver = SatSolver(n, default_phase=True)
+        self._solver = SatSolver(n)
         self._down = Antichain()  # the maximal down-blocked masks
         self._outside: list[int] = []  # the last call's assumptions, in order
 
@@ -50,7 +51,7 @@ class UnexploredMap:
         mask = sat_set.mask
         self.block_log.append(("down", mask))
         if self._down.add(mask):  # not inside a down-blocked set already
-            self._solver.add_clause(set_bits(~mask & ((1 << self.n) - 1)))
+            self._solver.add_clause([-v for v in set_bits(~mask & ((1 << self.n) - 1))])
 
     def covered_members(self, work: int) -> int:
         """The members c of the mask work whose trial work - {c} lies inside a down-blocked set.
@@ -70,7 +71,7 @@ class UnexploredMap:
         """Remove unsat_set and all of its supersets from the map."""
         self._require_same_universe(unsat_set)
         self.block_log.append(("up", unsat_set.mask))
-        self._solver.add_clause([-v for v in set_bits(unsat_set.mask)])
+        self._solver.add_clause(set_bits(unsat_set.mask))
 
     def _assumptions_outside(self, p_mask: int) -> list[int]:
         # restriction to subsets of p is per-call; never encoded as clauses.
@@ -81,34 +82,32 @@ class UnexploredMap:
         rest = ~p_mask & ((1 << self.n) - 1)
         outside = []
         for lit in self._outside:
-            bit = 1 << (-lit - 1)
+            bit = 1 << (lit - 1)
             if not rest & bit:
                 break
             rest ^= bit
             outside.append(lit)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            outside.append(-low.bit_length())
+        outside += set_bits(rest)
         self._outside = outside
         return outside
 
     def max_unexplored_subset_of(self, p: ConstraintSet) -> ConstraintSet | None:
         """An undetermined subset of p maximal within p, or None if none remains.
 
-        One solver call, whose model is the answer. The solver branches with
-        `default_phase=True`, so by the model invariant in `satsolver.py` its
-        model M is the first in branching order: the lexicographically
-        greatest model, variable 1 most significant. For a member x of p
-        outside M, M + {x} still satisfies every down-block clause (all
-        positive) and every assumption (only constraints outside p are
-        assumed false). Were it to satisfy every up-block clause too, it would
-        be a model greater than M; so M + {x} contains an up-blocked set, and
-        M is maximal within p. A branching order other than this one would
-        need a pass that grows the model.
+        One solver call, whose model M names the constraints left out; the
+        answer is p - M. The solver branches false first, so by the model
+        invariant in `satsolver.py` M is the first model in branching order:
+        the lexicographically least, variable 1 most significant, which keeps
+        each constraint in before it tries it out. For a member x of p inside
+        M, M - {x} still satisfies every down-block clause (all negative) and
+        every assumption (only constraints outside p are assumed left out).
+        Were it to satisfy every up-block clause too, it would be a model
+        before M; so (p - M) + {x} contains an up-blocked set, and p - M is
+        maximal within p. A branching order other than this one would need a
+        pass that grows the answer.
         """
         self._require_same_universe(p)
         self.solver_calls += 1
         if not self._solver.solve(self._assumptions_outside(p.mask)):
             return None
-        return ConstraintSet(self.n, self._solver.model_mask & p.mask)
+        return ConstraintSet(self.n, p.mask & ~self._solver.model_mask)

@@ -304,7 +304,9 @@ def explicit_map_reference(n: int, block_log) -> set[int]:
 def map_clauses(umap: UnexploredMap) -> list[list[int]]:
     """A formula equivalent to the map solver's blocking clauses, read from what the map stores.
 
-    The up-blocks of `block_log` in order, each as the negative clause over
+    Variable i+1 here is true when constraint i is in the subset, so each
+    clause is the negation, literal by literal, of the solver's, whose
+    variable i+1 means constraint i is left out. The up-blocks of `block_log` in order, each as the negative clause over
     its members, then the maximal down-blocked sets the map keeps, each as the
     positive clause over its complement. The solver also holds the clauses of
     down-blocks that a later block came to contain.

@@ -435,6 +435,51 @@ def test_remus_and_marco_agree_beyond_brute_force(seed):
     assert remus == marco and len(remus) == len(results[0].muses)
 
 
+def separable_cnf(seed: int):
+    """(num_vars, clauses, exact MUS set) of a formula too large for brute force as a whole.
+
+    The formula joins three unsatisfiable random 3-CNF parts of 12 clauses
+    over 4 variables each, every part on its own variables, and ten
+    distinct two-literal positive clauses over 5 fresh variables, which are
+    satisfiable; the clauses are then shuffled. A MUS cannot span clauses
+    that share no variable, nor hold a filler clause, so the MUSes are those
+    of the parts, each found by brute force over its 12 clauses.
+    """
+    rng = random.Random(seed)
+    tagged = []  # (clause, (part, index in the part), or None for a filler)
+    part_muses = []
+    while len(part_muses) < 3:
+        clauses = random_cnf(4, 12, 3, rng.randrange(1 << 30))
+        if CnfOracle(4, clauses).is_sat(ConstraintSet.full(12)):
+            continue
+        shift = 4 * len(part_muses)
+        for i, clause in enumerate(clauses):
+            tagged.append(([lit + shift if lit > 0 else lit - shift for lit in clause], (len(part_muses), i)))
+        part_muses.append(bruteforce_all_muses(CnfOracle(4, clauses)))
+    fresh = 4 * 3
+    pairs = rng.sample([(a, b) for a in range(1, 6) for b in range(a + 1, 6)], 10)
+    tagged += [([fresh + a, fresh + b], None) for a, b in pairs]
+    rng.shuffle(tagged)
+    position = {tag: k for k, (_, tag) in enumerate(tagged)}
+    n = len(tagged)
+    expected = {
+        from_indices(n, [position[(part, i)] for i in mus])
+        for part, muses in enumerate(part_muses)
+        for mus in muses
+    }
+    return fresh + 5, [clause for clause, _ in tagged], expected
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_both_algorithms_finish_with_the_exact_muses_beyond_30_clauses(seed):
+    num_vars, clauses, expected = separable_cnf(seed)
+    assert len(clauses) == 46 and len(expected) >= 9
+    for run in RUNNERS.values():
+        result = run(CnfOracle(num_vars, clauses))
+        assert result.complete
+        assert set(result.muses) == expected and len(result.muses) == len(expected)
+
+
 def test_emitted_muses_match_bruteforce_on_random_corpora():
     rng = random.Random(822)
     for trial in range(30):

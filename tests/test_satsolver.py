@@ -22,11 +22,10 @@ def brute_force_sat(num_vars, clauses, assumptions=()):
     return False
 
 
-def brute_force_first_model(num_vars, clauses, assumptions, default_phase):
-    """First model in branching order (variable 1 first, default phase first)."""
+def brute_force_first_model(num_vars, clauses, assumptions):
+    """First model in branching order (variable 1 first, false before true)."""
     fixed = {abs(lit): lit > 0 for lit in assumptions}
-    phases = (default_phase, not default_phase)
-    for bits in itertools.product(phases, repeat=num_vars):
+    for bits in itertools.product([False, True], repeat=num_vars):
         if any(bits[v - 1] != want for v, want in fixed.items()):
             continue
         if all(any((lit > 0) == bits[abs(lit) - 1] for lit in cl) for cl in clauses):
@@ -55,7 +54,7 @@ def test_agrees_with_brute_force_incrementally():
     for _ in range(600):
         num_vars = rng.randint(1, 7)
         clauses = [random_clause(rng, num_vars) for _ in range(rng.randint(0, 16))]
-        solver = SatSolver(num_vars, default_phase=rng.random() < 0.5)
+        solver = SatSolver(num_vars)
         for cl in clauses:
             solver.add_clause(list(cl))
         for _ in range(3):
@@ -80,10 +79,10 @@ def clause_against_trail(rng, solver, num_vars):
         lit
         for v in range(1, num_vars + 1)
         for lit in (v, -v)
-        if solver.value(lit) == -1
+        if solver._val[lit] == -1
     ]
     clause = rng.sample(false_lits, rng.randint(0, min(3, len(false_lits))))
-    free = [v for v in range(1, num_vars + 1) if solver.value(v) == 0]
+    free = [v for v in range(1, num_vars + 1) if solver._val[v] == 0]
     if free and (not clause or rng.random() < 0.5):
         clause.append(rng.choice(free) * rng.choice((1, -1)))
     rng.shuffle(clause)
@@ -96,9 +95,8 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
     cores = smaller = 0
     for _ in range(500):
         num_vars = rng.randint(1, 8)
-        phase = rng.random() < 0.5
         clauses = [random_clause(rng, num_vars) for _ in range(rng.randint(0, 12))]
-        solver = SatSolver(num_vars, default_phase=phase)
+        solver = SatSolver(num_vars)
         for cl in clauses:
             solver.add_clause(list(cl))
         literals = [v if rng.random() < 0.5 else -v for v in range(1, num_vars + 1)]
@@ -111,7 +109,7 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
             rng.shuffle(tail)
             literals[cut:] = [-lit if rng.random() < 0.3 else lit for lit in tail]
             assumptions = literals[: rng.randint(0, num_vars)]
-            want = brute_force_first_model(num_vars, clauses, assumptions, phase)
+            want = brute_force_first_model(num_vars, clauses, assumptions)
             assert solver.solve(assumptions) == (want is not None)
             if want is not None:
                 assert solver.model_mask == want
@@ -123,7 +121,7 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
                 cores += 1
                 smaller += len(set(failed)) < len(set(assumptions))
             extra = clause_against_trail(rng, solver, num_vars)
-            kept_trail_clauses += any(solver.value(lit) == -1 for lit in extra)
+            kept_trail_clauses += any(solver._val[lit] == -1 for lit in extra)
             clauses.append(extra)
             solver.add_clause(list(extra))
     assert kept_trail_clauses > 300
@@ -139,9 +137,8 @@ def test_a_repeated_assumption_list_answers_like_a_fresh_solver():
     kept_branches = 0
     for _ in range(400):
         num_vars = rng.randint(2, 8)
-        phase = rng.random() < 0.5
         clauses = [random_clause(rng, num_vars) for _ in range(rng.randint(0, 10))]
-        solver = SatSolver(num_vars, default_phase=phase)
+        solver = SatSolver(num_vars)
         for cl in clauses:
             solver.add_clause(list(cl))
         chosen = rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars // 2))
@@ -155,7 +152,7 @@ def test_a_repeated_assumption_list_answers_like_a_fresh_solver():
         clauses.append(extra)
         solver.add_clause(list(extra))
         kept_branches += len(solver._lim) > len(assumptions)  # a branch level survived the clause
-        fresh = SatSolver(num_vars, default_phase=phase)
+        fresh = SatSolver(num_vars)
         for cl in clauses:
             fresh.add_clause(list(cl))
         sat = solver.solve(assumptions)
@@ -166,11 +163,12 @@ def test_a_repeated_assumption_list_answers_like_a_fresh_solver():
     assert kept_branches > 80
 
 
-def test_default_phase_biases_model():
-    all_true = SatSolver(5, default_phase=True)
-    assert all_true.solve() and all_true.model_mask == 0b11111
-    all_false = SatSolver(5, default_phase=False)
-    assert all_false.solve() and all_false.model_mask == 0
+def test_branching_tries_false_first():
+    solver = SatSolver(5)
+    assert solver.solve() and solver.model_mask == 0
+    solver.add_clause([2, 4])  # variable 2 is tried false first, so 4 satisfies the clause
+    assert solver.solve() and solver.model_mask == 0b01000
+    assert solver.solve([-4]) and solver.model_mask == 0b00010
 
 
 def test_empty_clause_is_permanent_unsat():
@@ -332,7 +330,7 @@ def chain_solver_queries():
 
 def test_reused_assumptions_answer_like_a_fresh_solver():
     clauses, steps = chain_solver_queries()
-    solver = SatSolver(20, first_selector=11)
+    solver = SatSolver(10, selectors=10)
     for clause in clauses:
         solver.add_clause(list(clause))
     answers = []
@@ -342,7 +340,7 @@ def test_reused_assumptions_answer_like_a_fresh_solver():
             solver.add_clause(list(step[1]))
             continue
         _, selected, assumptions = step
-        fresh = SatSolver(20, first_selector=11)
+        fresh = SatSolver(10, selectors=10)
         for clause in clauses:
             fresh.add_clause(list(clause))
         sat = solver.solve(assumptions, selected=selected)
