@@ -119,7 +119,7 @@ def _cmd_solve(args) -> int:
         result = runner(oracle, config, sink)
         out.write(
             f"found={len(result.records)} oracle_checks={result.oracle_checks} "
-            f"map_calls={result.map_solver_calls} elapsed={result.elapsed():.3f}s "
+            f"map_calls={result.map_solver_calls} elapsed={result.elapsed_s:.3f}s "
             f"complete={'yes' if result.complete else 'no'}\n"
         )
         out.flush()

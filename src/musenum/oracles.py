@@ -84,20 +84,20 @@ class CnfOracle(SatOracle):
 
     The witness of a SAT answer is the set of clauses its model satisfies;
     verdicts, models and witnesses depend only on the subset. The core of an
-    UNSAT answer is the set of clauses whose selectors are among the solver's
-    failed assumptions; no clause holds a selector positively, so only
-    assumed-true selectors can occur there. Which ones do depends on the
+    UNSAT answer is the solver's mask of failed selectors as it comes, since
+    selector i is constraint i. Which selectors it names depends on the
     solver's derivation, and so on the checks before, not only on the query.
 
-    The oracle keeps the model of its last SAT answer (the formula's variables
-    only). Rotation (recursive model rotation; Belov & Marques-Silva, FMCAD
-    2011) starts from that model M, which satisfies work - {c} and falsifies c.
+    Rotation (recursive model rotation; Belov & Marques-Silva, FMCAD 2011)
+    starts from the solver's model M of the last SAT answer, which holds the
+    formula's variables only and satisfies work - {c} and falsifies c; after
+    an UNSAT answer there is no model, and rotation raises RuntimeError.
     Flipping one variable of c satisfies c; if it falsifies exactly one clause
     d of work, d is critical and the flipped model's clause set is its witness,
     and rotation goes on from there. It goes on through clauses already known
     to be critical (Wieringa, CP 2012) without naming them, visits each clause
     at most once per call, and stops once every other clause of work is named
-    or known. With M the oracle keeps every clause's count of true variables as
+    or known. For M the oracle keeps every clause's count of true variables as
     bit planes (plane k holds bit k of each count), made by one pass over the
     variables when the solver finds the model. A flip of v updates them from
     the two masks of the clauses v occurs in: a borrow on the clauses whose
@@ -127,19 +127,14 @@ class CnfOracle(SatOracle):
         self._solver = SatSolver(top, selectors=self.n)
         for i, cl in enumerate(clauses):
             self._solver.add_clause(cl + [-(top + 1 + i)])
-        self._model = 0  # the model of the last SAT answer
-        self._planes = [0]  # and the bit planes of its clauses' counts of true variables
+        self._planes = [0]  # the bit planes of the last model's clause counts of true variables
         self._satisfies: list[list[int]] = []  # per variable: [if true, if false]
 
     def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
-        if not self._solver.solve(selected=s.mask):
-            base = self._top + 1
-            core = 0
-            for lit in self._solver.failed_assumptions():
-                if lit > 0:
-                    core |= 1 << (lit - base)
-            return False, core
-        self._model = bits = self._solver.model_mask & ((1 << self._top) - 1)
+        solver = self._solver
+        if not solver.solve(selected=s.mask):
+            return False, solver.failed_selectors()
+        bits = solver.model_mask
         self._planes = planes = [0]
         for t, f in self._occurrences():
             _carry(planes, t if bits & 1 else f)
@@ -166,7 +161,7 @@ class CnfOracle(SatOracle):
         wanted = work.mask & ~(1 << critical) & ~known.mask
         found = []
         seen = 1 << critical
-        stack = [(self._model, self._planes, critical)]
+        stack = [(self._solver.model_mask, self._planes, critical)]
         while stack and wanted & ~seen:
             model, planes, c = stack.pop()
             twice = 0

@@ -78,6 +78,7 @@ def _run(oracle, config: RemusConfig | None, sink, descend: bool) -> Enumeration
         result.complete = True
     except BudgetReached:
         pass
+    result.elapsed_s = session.elapsed()
     result.oracle_checks = session.oracle_checks()
     result.map_solver_calls = session.map.solver_calls
     result.covered_trials = session.map.covered_trials

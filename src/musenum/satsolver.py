@@ -11,21 +11,32 @@ backtracks first only when its assumption list differs from the previous
 call's, to the longest common prefix of the two (as in Hickey & Bacchus,
 "Speeding Up Assumption-Based SAT", SAT 2019). Assumption i is decided at
 level i + 1. Clauses added above level 0 keep the trail when two of their
-literals are unfalsified. The assumption list itself is reused too: it starts
-with the selectors, so the previous call's list holds up to the first
+literals are unfalsified. The solver orders its assumptions itself, so that
+the lists of consecutive calls share a long prefix. The selectors come
+first, in variable order, so the previous call's list holds up to the first
 selector whose bit changed, the lowest set bit of `selected ^ previous`, and
-only the rest is built anew. An assumption whose negation no clause watches
-is decided without a propagation pass, since that pass would find nothing; a
-selector assumed false is one, as no clause holds a selector positively.
+only the rest is built anew. The plain assumptions are a set: those of the
+previous call keep their old order while each one is still assumed, and the
+rest follow in the order given. This pays off for the map of subsets: a
+remus child frame restricts it to a subset of its parent's p, so the child
+assumes every constraint its parent leaves out and more. The parent's list
+stays the prefix on the descent, the child's extra assumptions follow it,
+and on the return only those are dropped. An assumption whose negation
+no clause watches is decided without a propagation pass, since that pass
+would find nothing; a selector assumed false is one, as no clause holds a
+selector positively.
 
-Failed assumptions: after a solve answers UNSAT, `failed_assumptions()`
-names assumptions whose conjunction with the clauses is already UNSAT, found
-by walking the kept trail back from the falsified assumption along reason
-clauses (MiniSat's analyzeFinal). It is computed on demand, so callers that
-do not ask pay nothing, and is valid until the next `solve` or `add_clause`.
-Which assumptions the walk meets depends on the derivation, that is on the
-watch order and the learnt clauses, not only on the assumptions: a change to
-the search may move these cores, though each stays UNSAT.
+Failed selectors: after a solve answers UNSAT, `failed_selectors()` names
+selectors that, assumed true together with the plain assumptions, already
+make the clauses UNSAT, as a mask with bit i for selector i. It is found by
+walking the kept trail back from the falsified assumption along reason
+clauses (MiniSat's analyzeFinal), and the guards of the clauses it passes
+are OR-ed in as they are; plain assumptions the walk meets are not named.
+It is computed on demand, so callers that do not ask pay nothing, and is
+valid until the next `solve` or `add_clause`. Which selectors the walk meets
+depends on the derivation, that is on the watch order and the learnt
+clauses, not only on the assumptions: a change to the search may move these
+cores, though each stays UNSAT.
 
 Selectors and guards: a solver made with `SatSolver(variables, selectors)`
 holds `selectors` more variables after its own, variables + 1 up to
@@ -43,7 +54,7 @@ no other literal to watch, the clause is unit or conflicting only if every
 guard selector is assumed true at the current level. If not, one guard selector
 that is not assumed true moves back into the literal list as the new watch
 ("parking"), preferably one this solve assumes false, which satisfies the
-clause. Conflict analysis and the failed-assumption walk take in the guards
+clause. Conflict analysis and the failed-selector walk take in the guards
 of the clauses they pass. Guards live in a dict keyed by the clause's id, so
 that clauses stay exact lists, which CPython indexes fastest.
 
@@ -56,7 +67,8 @@ A guard is another way to store a learnt clause: the clause is still implied
 by the others, and it propagates only when all of its literals are false, so
 it prunes no model either, and guards add no variable. Likewise, adding a
 clause implied by the others leaves the set of models, and with it every
-later model, unchanged.
+later model, unchanged. `model_mask` holds the model's variables below the
+first selector only: a caller that assumes the selectors knows their values.
 
 Variables are the integers 1..num_vars (num_vars = variables + selectors),
 literals are signed integers, and clauses are lists of literals. Values are
@@ -101,7 +113,7 @@ class SatSolver:
 
     @property
     def model_mask(self) -> int:
-        """Bitmask of true variables (bit v-1 for variable v) from the last SAT solve."""
+        """Bitmask of the true non-selector variables (bit v-1 for variable v) from the last SAT solve."""
         if self._model_mask is None:
             raise RuntimeError("no model available; last solve was unsat or never ran")
         return self._model_mask
@@ -171,23 +183,26 @@ class SatSolver:
 
         A solver with selectors first assumes each selector, in variable
         order: selector i, variable `variables + 1 + i`, is assumed true if
-        bit i of `selected` is set and false if not. The assumption literals
-        come after them. A call with the previous call's assumptions keeps
-        the whole trail, any other the levels of the prefix the two share;
-        see the module docstring for the model this returns.
+        bit i of `selected` is set and false if not; a bit beyond the last
+        selector is refused. The assumption literals come after them, as a
+        set, ordered as the module docstring says. A call with the previous
+        call's assumptions keeps the whole trail, any other the levels of the
+        prefix the two share; see the module docstring for the model this
+        returns.
         """
         self._model_mask = None
         self._failed = 0
-        if not self.ok:
-            return False
         n = self.num_vars
         base = self._selector
         count = n + 1 - base  # selectors
-        selected &= (1 << count) - 1
-        assumptions = list(assumptions)
-        if assumptions and (0 in assumptions or max(assumptions) > n or min(assumptions) < -n):
-            bad = next(lit for lit in assumptions if lit == 0 or abs(lit) > n)
+        if not 0 <= selected < 1 << count:
+            raise ValueError(f"selector mask {selected:#x} out of range for {count} selectors")
+        given = dict.fromkeys(assumptions)  # an ordered set
+        if given and (0 in given or max(given) > n or min(given) < -n):
+            bad = next(lit for lit in given if lit == 0 or abs(lit) > n)
             raise ValueError(f"assumption literal {bad} out of range")
+        if not self.ok:
+            return False
         # the previous list holds its selectors first, so it stays valid up to
         # the first selector whose bit changed
         previous = self._assumed
@@ -195,7 +210,12 @@ class SatSolver:
         same = min(len(previous), (changed & -changed).bit_length() - 1 if changed else count)
         assume = previous[:same]
         assume += [base + i if selected >> i & 1 else -(base + i) for i in range(same, count)]
-        assume += assumptions
+        for lit in previous[count:]:  # the previous plain assumptions, while still assumed
+            if lit not in given:
+                break
+            assume.append(lit)
+            del given[lit]
+        assume += given
         if assume != previous:
             limit = min(len(self._lim), len(assume), len(previous))
             kept = min(same, limit)
@@ -247,28 +267,26 @@ class SatSolver:
                 lim.append(len(trail))
                 self._enqueue(-branch_var, None)
 
-    def failed_assumptions(self) -> list[int]:
-        """A subset of the last solve's assumptions that the clauses refute on their own.
+    def failed_selectors(self) -> int:
+        """A mask of selectors that, with the last solve's plain assumptions, the clauses refute.
 
-        Valid after an UNSAT answer until the next `solve` or `add_clause`. The
-        list holds the assumption found false and every assumption its
-        negation was derived from, including the selectors in the guards of
-        the clauses it was derived by; it is empty when the clauses are UNSAT
-        without assumptions.
+        Valid after an UNSAT answer until the next `solve` or `add_clause`.
+        Bit i stands for selector i. The mask holds the selector found false
+        and every selector its negation was derived from, including those in
+        the guards of the clauses it was derived by; it is 0 when the clauses
+        are UNSAT without assumptions. Plain assumptions are never named.
         """
         failed = self._failed
         if failed is None:
-            raise RuntimeError("no failed assumptions; last solve was sat or never ran")
-        if not failed:
-            return []
-        out = [failed]
+            raise RuntimeError("no failed selectors; last solve was sat or never ran")
+        base = self._selector
+        core = 1 << (failed - base) if failed >= base else 0
         level = self._level
-        if level[abs(failed)] == 0:
-            return out
+        if level[abs(failed)] == 0:  # also when no assumption failed: level[0] is 0
+            return core
         reason = self._reason
         trail = self._trail
         guards = self._guards
-        guard = 0
         seen = bytearray(self.num_vars + 1)
         seen[abs(failed)] = 1
         for idx in range(len(trail) - 1, self._lim[0] - 1, -1):
@@ -278,18 +296,16 @@ class SatSolver:
                 continue
             clause = reason[v]
             if clause is None:  # every decision so far is an assumption
-                out.append(lit)
+                if lit >= base:
+                    core |= 1 << (lit - base)
                 continue
             for other in clause[1:]:
                 w = other if other > 0 else -other
                 if level[w] > 0:
                     seen[w] = 1
             if guards:
-                guard |= guards.get(id(clause), 0)
-        if guard:  # the selectors met only in guards
-            below = self._selector - 1  # guard bit i is variable below + i + 1
-            out += [below + b for b in set_bits(guard) if not seen[below + b]]
-        return out
+                core |= guards.get(id(clause), 0)
+        return core
 
     def _enqueue(self, lit: int, reason) -> None:
         self._val[lit] = 1
@@ -465,7 +481,7 @@ class SatSolver:
     def _save_model(self) -> None:
         mask = 0
         val = self._val
-        for v in range(1, self.num_vars + 1):
+        for v in range(1, self._selector):
             if val[v] == 1:
                 mask |= 1 << (v - 1)
         self._model_mask = mask

@@ -68,7 +68,9 @@ class EnumerationResult:
     The session fills `records`, one per emitted MUS and its shrink, as the run
     goes. When the run ends it writes the rest once: the counts are copies, so
     they do not move if the oracle is queried again; `covered_trials` counts
-    the shrink trials the map answered satisfiable, with no check.
+    the shrink trials the map answered satisfiable, with no check; and
+    `elapsed_s` is the run's time from the session's start to its end, at
+    least the last record's.
 
     block_log is the map's chronological ("down"|"up", subset mask) record;
     replaying it against the oracle is the standard soundness check. Each
@@ -77,15 +79,12 @@ class EnumerationResult:
     """
 
     records: list[MusRecord] = field(default_factory=list)
-    start_time: float = field(default_factory=time.monotonic)
+    elapsed_s: float = 0.0
     oracle_checks: int = 0
     map_solver_calls: int = 0
     covered_trials: int = 0
     complete: bool = False
     block_log: list[tuple[str, int]] = field(default_factory=list)
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start_time
 
     @property
     def muses(self) -> list[ConstraintSet]:
@@ -100,6 +99,7 @@ class Session:
     """Single-threaded enumeration state: one map, one oracle, one run record."""
 
     def __init__(self, oracle, config: RemusConfig, sink=None):
+        self._start = time.monotonic()
         self.oracle = oracle
         self.config = config
         self.sink = sink
@@ -108,13 +108,17 @@ class Session:
         self.full = ConstraintSet.full(oracle.n)
         self._checks_before = oracle.checks
 
+    def elapsed(self) -> float:
+        """Seconds since this session started."""
+        return time.monotonic() - self._start
+
     def oracle_checks(self) -> int:
         """Checks this session has made; the oracle may have served others before."""
         return self.oracle.checks - self._checks_before
 
     def check_budget(self) -> None:
         cfg = self.config
-        if cfg.time_limit is not None and self.result.elapsed() >= cfg.time_limit:
+        if cfg.time_limit is not None and self.elapsed() >= cfg.time_limit:
             raise BudgetReached
         if cfg.check_limit is not None and self.oracle_checks() >= cfg.check_limit:
             raise BudgetReached
@@ -124,7 +128,7 @@ class Session:
         # mus and depth stay first: bench/tracing.py reads depth by position
         records = self.result.records
         record = MusRecord(
-            len(records) + 1, mus, self.result.elapsed(), self.oracle_checks(),
+            len(records) + 1, mus, self.elapsed(), self.oracle_checks(),
             self.map.solver_calls, depth, seed, criticals, shrink_checks,
         )
         records.append(record)

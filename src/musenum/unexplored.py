@@ -24,8 +24,9 @@ class UnexploredMap:
     solver; they are implied now, so the solver's models do not change.
     Up-blocks are kept as they come, in `block_log`, which holds every block
     in order; the enumerators block up only MUSes, which form an antichain
-    already. A query's answer is p less the solver's model, maximal because
-    of the order in which the solver branches.
+    already. A query assumes the constraints outside p left out, as a set
+    that the solver orders for its kept trail; its answer is p less the
+    solver's model, maximal because of the order in which the solver branches.
     """
 
     def __init__(self, n: int):
@@ -39,7 +40,6 @@ class UnexploredMap:
         self.grow_evals = 0
         self._solver = SatSolver(n)
         self._down = Antichain()  # the maximal down-blocked masks
-        self._outside: list[int] = []  # the last call's assumptions, in order
 
     def _require_same_universe(self, s: ConstraintSet) -> None:
         if s.n != self.n:
@@ -73,24 +73,6 @@ class UnexploredMap:
         self.block_log.append(("up", unsat_set.mask))
         self._solver.add_clause(set_bits(unsat_set.mask))
 
-    def _assumptions_outside(self, p_mask: int) -> list[int]:
-        # restriction to subsets of p is per-call; never encoded as clauses.
-        # The solver keeps the levels of the assumption prefix it saw last, so
-        # the last call's order is reused while its literals stay outside p; a
-        # remus child restricts to a subset of its parent's p, so the parent's
-        # prefix survives the descent and the return.
-        rest = ~p_mask & ((1 << self.n) - 1)
-        outside = []
-        for lit in self._outside:
-            bit = 1 << (lit - 1)
-            if not rest & bit:
-                break
-            rest ^= bit
-            outside.append(lit)
-        outside += set_bits(rest)
-        self._outside = outside
-        return outside
-
     def max_unexplored_subset_of(self, p: ConstraintSet) -> ConstraintSet | None:
         """An undetermined subset of p maximal within p, or None if none remains.
 
@@ -108,6 +90,7 @@ class UnexploredMap:
         """
         self._require_same_universe(p)
         self.solver_calls += 1
-        if not self._solver.solve(self._assumptions_outside(p.mask)):
+        # restriction to subsets of p is per call, never encoded as clauses
+        if not self._solver.solve(set_bits(~p.mask & ((1 << self.n) - 1))):
             return None
         return ConstraintSet(self.n, p.mask & ~self._solver.model_mask)

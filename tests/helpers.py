@@ -171,7 +171,7 @@ def full_pass_rotate(oracle: CnfOracle, work, critical, known):
     wanted = work.mask & ~(1 << critical) & ~known.mask
     found = []
     seen = 1 << critical
-    stack = [(oracle._model, critical)]
+    stack = [(oracle._solver.model_mask, critical)]
     while stack and wanted & ~seen:
         model, c = stack.pop()
         once, twice = true_in(model)

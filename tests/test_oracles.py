@@ -293,6 +293,17 @@ def test_every_check_is_one_solve_with_a_fresh_oracles_witness(monkeypatch):
     assert oracle.witness is None
 
 
+def test_rotation_right_after_an_unsat_answer_raises():
+    # there is no model to rotate; a stale one from an earlier SAT answer
+    # would name constraints on the strength of a different query
+    oracle = parse_dimacs(EXAMPLE1_DIMACS)
+    assert oracle.is_sat(cs("1000"))
+    assert not oracle.is_sat(cs("1100"))
+    with pytest.raises(RuntimeError):
+        oracle.rotate(cs("1100"), 1, ConstraintSet.empty(4))
+    assert oracle.checks == 2
+
+
 def test_rotation_after_a_repeated_answer_starts_from_its_model():
     oracle = parse_dimacs(EXAMPLE1_DIMACS)
     assert oracle.is_sat(cs("1000"))  # a true, b false satisfies 1001
@@ -425,7 +436,7 @@ def test_rotation_matches_the_full_pass_reference():
             for c in work:
                 if not oracle.is_sat(work.remove(c)):
                     continue
-                model = oracle._model
+                model = oracle._solver.model_mask
                 most_true = max(
                     most_true,
                     *(len({abs(lit) for lit in cl if (model >> (abs(lit) - 1) & 1) == (lit > 0)}) for cl in clauses),
@@ -483,9 +494,8 @@ def answer_like_fresh_oracles(num_vars, clauses, seed) -> int:
             # learnt clauses do not move
             assert oracle.witness == fresh.witness, mask
             continue
-        # the core is read from the failed assumptions, which are positive selectors
-        failed = oracle._solver.failed_assumptions()
-        assert sorted(failed) == [num_vars + 1 + i for i in oracle.core]
+        # the core is the solver's mask of failed selectors as it comes
+        assert oracle._solver.failed_selectors() == oracle.core.mask
         assert oracle.core.is_subset_of(query)
         assert not CnfOracle(num_vars, clauses).is_sat(oracle.core), mask
     return len(guards)

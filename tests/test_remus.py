@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import time
 
 import pytest
 
@@ -298,6 +299,16 @@ def test_stats_snapshots_are_monotone():
             assert a.elapsed_s <= b.elapsed_s
             assert a.oracle_checks <= b.oracle_checks
             assert a.map_solver_calls <= b.map_solver_calls
+
+
+def test_elapsed_time_is_written_once():
+    # the run's time is a figure of the run: it must not grow after the run ends
+    for run in RUNNERS.values():
+        result = run(parse_dimacs(EXAMPLE1_DIMACS))
+        elapsed = result.elapsed_s
+        assert elapsed >= result.records[-1].elapsed_s
+        time.sleep(0.05)
+        assert result.elapsed_s == elapsed
 
 
 def test_stats_reconcile_with_oracle_and_map(monkeypatch):

@@ -89,43 +89,85 @@ def clause_against_trail(rng, solver, num_vars):
     return clause
 
 
+def selector_formula(rng, num_vars, count):
+    """A solver over `count` random clauses, clause i switched on by selector i, and the clauses."""
+    clauses = [random_clause(rng, num_vars) for _ in range(count)]
+    solver = SatSolver(num_vars, selectors=count)
+    for i, cl in enumerate(clauses):
+        solver.add_clause(cl + [-(num_vars + 1 + i)])
+    return solver, clauses
+
+
+def switched_on(clauses, mask):
+    return [cl for i, cl in enumerate(clauses) if mask >> i & 1]
+
+
 def test_kept_trail_returns_the_first_model_in_branching_order():
+    # clause i of the formula is switched on by selector i; clauses added
+    # later against the kept trail are always on
     rng = random.Random(7)
     kept_trail_clauses = 0
     cores = smaller = 0
     for _ in range(500):
         num_vars = rng.randint(1, 8)
-        clauses = [random_clause(rng, num_vars) for _ in range(rng.randint(0, 12))]
-        solver = SatSolver(num_vars)
-        for cl in clauses:
-            solver.add_clause(list(cl))
+        count = rng.randint(0, 12)
+        solver, clauses = selector_formula(rng, num_vars, count)
+        added = []
+        selected = (1 << count) - 1
         literals = [v if rng.random() < 0.5 else -v for v in range(1, num_vars + 1)]
         for _ in range(6):
             if not solver.ok:
                 break
-            # reorder a random suffix, so consecutive calls share a prefix
+            # change a random suffix of the selectors and of the literals, so
+            # consecutive calls share a prefix
+            cut = rng.randint(0, count)
+            selected ^= rng.getrandbits(count - cut) << cut
             cut = rng.randint(0, num_vars)
             tail = literals[cut:]
             rng.shuffle(tail)
             literals[cut:] = [-lit if rng.random() < 0.3 else lit for lit in tail]
             assumptions = literals[: rng.randint(0, num_vars)]
-            want = brute_force_first_model(num_vars, clauses, assumptions)
-            assert solver.solve(assumptions) == (want is not None)
+            on = switched_on(clauses, selected) + added
+            want = brute_force_first_model(num_vars, on, assumptions)
+            assert solver.solve(assumptions, selected=selected) == (want is not None)
             if want is not None:
                 assert solver.model_mask == want
             else:
-                # the failed assumptions alone refute the clauses
-                failed = solver.failed_assumptions()
-                assert set(failed) <= set(assumptions)
-                assert not brute_force_sat(num_vars, clauses, failed)
+                # the clauses the failed selectors switch on, with the added
+                # clauses, are unsatisfiable under the plain assumptions
+                failed = solver.failed_selectors()
+                assert failed & ~selected == 0
+                assert not brute_force_sat(num_vars, switched_on(clauses, failed) + added, assumptions)
                 cores += 1
-                smaller += len(set(failed)) < len(set(assumptions))
+                smaller += failed.bit_count() < selected.bit_count()
             extra = clause_against_trail(rng, solver, num_vars)
             kept_trail_clauses += any(solver._val[lit] == -1 for lit in extra)
-            clauses.append(extra)
+            added.append(extra)
             solver.add_clause(list(extra))
     assert kept_trail_clauses > 300
     assert cores > 300 and smaller > 250
+
+
+def test_failed_selectors_with_plain_assumptions():
+    # the plain assumptions are not named, and may be the one found false
+    rng = random.Random(12)
+    cores = plain_false = 0
+    for _ in range(400):
+        num_vars = rng.randint(1, 6)
+        count = rng.randint(1, 10)
+        solver, clauses = selector_formula(rng, num_vars, count)
+        for _ in range(4):
+            selected = rng.getrandbits(count)
+            chosen = rng.sample(range(1, num_vars + 1), rng.randint(1, num_vars))
+            assumptions = [v if rng.random() < 0.5 else -v for v in chosen]
+            if solver.solve(assumptions, selected=selected):
+                continue
+            failed = solver.failed_selectors()
+            assert failed & ~selected == 0
+            assert not brute_force_sat(num_vars, switched_on(clauses, failed), assumptions)
+            cores += 1
+            plain_false += abs(solver._failed) <= num_vars
+    assert cores > 300 and plain_false > 100
 
 
 def test_a_repeated_assumption_list_answers_like_a_fresh_solver():
@@ -176,7 +218,7 @@ def test_empty_clause_is_permanent_unsat():
     solver.add_clause([])
     assert not solver.solve([1])
     assert not solver.ok
-    assert solver.failed_assumptions() == []
+    assert solver.failed_selectors() == 0
 
 
 def test_tautology_and_duplicate_literals():
@@ -231,16 +273,38 @@ def test_literal_range_checked():
             solver.solve([1, -2, bad, 2, -4])
 
 
+def test_selector_mask_range_checked():
+    # a bit at or beyond the selector count names no selector; the kept
+    # trail is left as the last solve left it
+    solver = SatSolver(1, selectors=1)
+    solver.add_clause([1, -2])
+    assert solver.solve(selected=1) and solver.model_mask == 1
+    trail, assumed = list(solver._trail), list(solver._assumed)
+    for bad in (0b10, 0b11, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            solver.solve(selected=bad)
+        assert (solver._trail, solver._assumed) == (trail, assumed)
+    with pytest.raises(ValueError, match="out of range"):
+        SatSolver(2).solve(selected=1)
+    solver.add_clause([])  # refused on an unsatisfiable solver too
+    for bad in (0b10, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            solver.solve(selected=bad)
+
+
 def test_model_unavailable_after_unsat():
-    solver = SatSolver(1)
+    solver = SatSolver(1, selectors=1)
     solver.add_clause([1])
+    solver.add_clause([-1, -2])  # selector 0 switches on the clause not x1
     assert not solver.solve([-1])
     with pytest.raises(RuntimeError):
         _ = solver.model_mask
-    assert solver.failed_assumptions() == [-1]  # refuted by a level-0 unit
+    assert solver.failed_selectors() == 0  # a plain assumption is never named
+    assert not solver.solve(selected=1)
+    assert solver.failed_selectors() == 1  # refuted by level-0 units
     assert solver.solve()
     with pytest.raises(RuntimeError):
-        solver.failed_assumptions()
+        solver.failed_selectors()
 
 
 def digest(rows) -> str:
@@ -303,7 +367,7 @@ def chain_solver_queries():
     link 9, added later, is x10 -> x9. Each implied literal has one clause
     that can imply it, and the one conflict (x10 implies x9 and, once
     [-10, -9] is added, not x9) teaches [-10, -20], which implies nothing
-    else; so the failed assumptions of an UNSAT answer are the same for any
+    else; so the failed selectors of an UNSAT answer are the same for any
     solver holding these clauses. Consecutive selector masks differ at the
     first, a middle and the last selector; clauses are added between them,
     and some queries add explicit assumptions.
@@ -348,7 +412,7 @@ def test_reused_assumptions_answer_like_a_fresh_solver():
         if sat:
             assert solver.model_mask == fresh.model_mask, step
         else:
-            assert sorted(solver.failed_assumptions()) == sorted(fresh.failed_assumptions()), step
+            assert solver.failed_selectors() == fresh.failed_selectors(), step
         answers.append(sat)
     assert True in answers and False in answers
     # an out-of-range assumption is refused before the kept trail changes
