@@ -20,8 +20,7 @@ from .oracles import (
     is_mus,
     parse_dimacs,
 )
-from .remus import choose_p, enumerate_marco, enumerate_remus
-from .session import EnumerationResult, RemusConfig
+from .session import EnumerationResult, RemusConfig, choose_p, enumerate_marco, enumerate_remus
 from .shrink import shrink
 from .unexplored import UnexploredMap
 

@@ -1,9 +1,9 @@
 """Command-line front end: enumerate MUSes of DIMACS instances, emit metrics CSV.
 
 Exit codes: 0 clean finish or budget stop, 1 output that cannot be written
-(the `solve --stats` CSV or the `gen -o` file, or stdout once its reader has
-gone: a `solve` run stops there, quietly), 2 unreadable/ill-formed input
-or bad flags, 3 satisfiable instance.
+(the `solve --stats` CSV, opened before the run, or the `gen -o` file, or
+stdout once its reader has gone: a `solve` run stops there, quietly), 2
+unreadable/ill-formed input or bad flags, 3 satisfiable instance.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import sys
 from .core import DimacsParseError, InstanceSatisfiableError, PreconditionError
 from .oracles import parse_dimacs
 from .reference import random_cnf, to_dimacs
-from .remus import enumerate_marco, enumerate_remus
-from .session import EnumerationResult, RemusConfig
+from .session import EnumerationResult, RemusConfig, enumerate_marco, enumerate_remus
 
 
 def _positive_int(text: str) -> int:
@@ -72,16 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def write_stats_csv(result: EnumerationResult, path: str) -> None:
+def write_stats_csv(result: EnumerationResult, handle) -> None:
     """One CSV row per emitted MUS, cumulative counters at emission time."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["mus_index", "elapsed_s", "oracle_checks", "map_solver_calls", "depth"])
-        for record in result.records:
-            writer.writerow(
-                [record.ordinal, f"{record.elapsed_s:.6f}", record.oracle_checks,
-                 record.map_solver_calls, record.depth]
-            )
+    writer = csv.writer(handle)
+    writer.writerow(["mus_index", "elapsed_s", "oracle_checks", "map_solver_calls", "depth"])
+    for record in result.records:
+        writer.writerow(
+            [record.ordinal, f"{record.elapsed_s:.6f}", record.oracle_checks,
+             record.map_solver_calls, record.depth]
+        )
 
 
 def _cmd_solve(args) -> int:
@@ -105,6 +103,23 @@ def _cmd_solve(args) -> int:
     except DimacsParseError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 2
+    if oracle.n == 0:  # the run would reject it, but only after the CSV is opened
+        print(f"error: {args.input}: the instance must contain at least one constraint", file=sys.stderr)
+        return 2
+    # opened before the run, so that an unwritable path does not cost the run
+    try:
+        stats = open(args.stats, "w", newline="") if args.stats else None
+    except OSError as exc:
+        print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
+        return 1
+    try:
+        return _solve(args, config, oracle, stats)
+    finally:
+        if stats is not None:
+            stats.close()
+
+
+def _solve(args, config: RemusConfig, oracle, stats) -> int:
     out = sys.stdout
 
     def sink(record):
@@ -123,17 +138,15 @@ def _cmd_solve(args) -> int:
             f"complete={'yes' if result.complete else 'no'}\n"
         )
         out.flush()
-    except PreconditionError as exc:  # the instance has no constraint
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 2
     except InstanceSatisfiableError:
         print("instance is satisfiable", file=sys.stderr)
         return 3
     except BrokenPipeError:  # the reader of stdout went away
         return 1
-    if args.stats:
+    if stats is not None:
         try:
-            write_stats_csv(result, args.stats)
+            write_stats_csv(result, stats)
+            stats.close()  # a write the buffer held fails here, not in the caller's close
         except OSError as exc:
             print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
             return 1

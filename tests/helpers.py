@@ -221,7 +221,7 @@ def per_trial_shrink(oracle, seed, criticals, core, known_sat):
 
 
 def per_member_choose_p(s_mus, s_max, factor):
-    """remus.choose_p adding one member at a time: the reference its mask arithmetic must match."""
+    """choose_p adding one member at a time: the reference its mask arithmetic must match."""
     target = min(math.floor(factor * len(s_max) + 1e-9), len(s_max) - 1)
     if target <= len(s_mus):
         return None

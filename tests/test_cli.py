@@ -110,7 +110,8 @@ def test_solve_malformed_input_exits_2_with_line(tmp_path):
 def test_zero_constraint_instance_exits_2(tmp_path):
     path = tmp_path / "empty.cnf"
     path.write_text("p cnf 3 0\n")
-    proc = run_cli("solve", str(path))
+    # an input error outranks a --stats path that cannot be written
+    proc = run_cli("solve", str(path), "--stats", str(tmp_path / "no" / "dir.csv"))
     assert proc.returncode == 2
     assert "at least one constraint" in proc.stderr
 
@@ -218,9 +219,21 @@ def test_run_in_process_matches_subprocess(example1_path, capsys, tmp_path):
     }
 
 
-def test_write_stats_csv_unwritable_path(example1_path, tmp_path):
+def test_write_stats_csv_unwritable_path(example1_path, tmp_path, capsys):
+    # the CSV is opened before the run, so a path that cannot be written costs no run
     code = run(["solve", example1_path, "--stats", str(tmp_path / "no" / "dir.csv")])
     assert code == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_stats_csv_write_error_exits_1(example1_path, capsys):
+    # /dev/full opens, and every write to it fails
+    code = run(["solve", example1_path, "--stats", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "cannot write /dev/full" in captured.err
+    assert captured.out.splitlines()[-1].endswith("complete=yes")
 
 
 def test_gen_unwritable_output_exits_1(tmp_path):
@@ -248,6 +261,19 @@ def test_readme_synopsis_names_every_long_option():
         for name, sub in commands.items()
     }
     assert documented == defined
+
+
+def test_readme_cli_example_is_a_real_run(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```")[3]
+    _, cnf, output = re.split(r"^\$ .*\n", block, flags=re.M)
+    assert cnf == EXAMPLE1_DIMACS
+    path = tmp_path / "demo.cnf"
+    path.write_text(cnf)
+    proc = run_cli("solve", str(path))
+    assert proc.returncode == 0, proc.stderr
+    elapsed = re.compile(r"elapsed=[0-9.]+s")
+    assert elapsed.sub("elapsed=", proc.stdout) == elapsed.sub("elapsed=", output)
 
 
 def test_readme_layout_lists_every_module():

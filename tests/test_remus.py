@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import random
 import sys
@@ -309,6 +310,8 @@ def test_elapsed_time_is_written_once():
         assert elapsed >= result.records[-1].elapsed_s
         time.sleep(0.05)
         assert result.elapsed_s == elapsed
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.oracle_checks += 1
 
 
 def test_stats_reconcile_with_oracle_and_map(monkeypatch):
