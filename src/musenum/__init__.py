@@ -20,8 +20,7 @@ from .oracles import (
     is_mus,
     parse_dimacs,
 )
-from .session import EnumerationResult, RemusConfig, choose_p, enumerate_marco, enumerate_remus
-from .shrink import shrink
+from .session import EnumerationResult, RemusConfig, choose_p, enumerate_marco, enumerate_remus, shrink
 from .unexplored import UnexploredMap
 
 __version__ = "0.1.0"

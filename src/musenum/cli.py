@@ -9,6 +9,7 @@ unreadable/ill-formed input or bad flags, 3 satisfiable instance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -112,11 +113,8 @@ def _cmd_solve(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
         return 1
-    try:
+    with stats or contextlib.nullcontext():
         return _solve(args, config, oracle, stats)
-    finally:
-        if stats is not None:
-            stats.close()
 
 
 def _solve(args, config: RemusConfig, oracle, stats) -> int:

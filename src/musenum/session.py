@@ -1,4 +1,4 @@
-"""The enumeration run: remus and its flat baseline marco, one frame loop, two seed policies.
+"""The enumeration run: remus and its flat baseline marco, one frame loop and its shrink.
 
 remus restricts, after each found MUS, the next seed search to a set strictly
 between the MUS and its seed, so successive seeds shrink; satisfiable maximal
@@ -14,9 +14,11 @@ universe and every shrink starts with no criticals. Map, oracle, shrink,
 run record and budgets are the same code for both, so check-count
 comparisons isolate the seed-selection strategy.
 
-Oracle checks and map calls are counted only by the oracle and the map; the
-session reads them there, and builds the run's EnumerationResult once, when
-the run ends.
+Every budget is one stop rule, `Session._spent`, which the loop tests
+between steps and right after each emit; a stopped loop returns, and the
+run's EnumerationResult says it is incomplete. Oracle checks and map calls
+are counted only by the oracle and the map; the session reads them there,
+and builds the result once, when the run ends.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import time
 from dataclasses import dataclass
 
 from .core import ConstraintSet, InstanceSatisfiableError, MusRecord, PreconditionError, is_int
-from .shrink import shrink
 from .unexplored import UnexploredMap
 
 # floor() on the float product; the epsilon undoes binary representation
@@ -42,7 +43,8 @@ class RemusConfig:
     reduction_factor sizes the reduced search space after each found MUS (only
     the recursive algorithm uses it).
 
-    All budgets are optional and are checked between steps. check_limit caps
+    All budgets are optional and form one stop rule, tested between steps
+    and right after each emit, so mus_limit is exact. check_limit caps
     cumulative oracle checks deterministically, where wall-clock limits would
     make runs irreproducible, but it may be overshot: the full-set check
     always runs, and a shrink in flight is never cut. A run ends with at most
@@ -109,10 +111,6 @@ class EnumerationResult:
         return [record.mus for record in self.records]
 
 
-class BudgetReached(Exception):
-    """Internal stop signal: a budget expired; all emitted state stays valid."""
-
-
 def choose_p(s_mus: ConstraintSet, s_max: ConstraintSet, factor: float) -> ConstraintSet | None:
     """Pick the reduced search space strictly between a found MUS and its seed.
 
@@ -131,6 +129,64 @@ def choose_p(s_mus: ConstraintSet, s_max: ConstraintSet, factor: float) -> Const
     for _ in range(target - len(s_mus)):
         rest &= rest - 1  # clear the lowest member
     return ConstraintSet(s_max.n, s_mus.mask | (extra ^ rest))
+
+
+def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: ConstraintSet, umap):
+    """Minimize an unsatisfiable seed without ever dropping known criticals.
+
+    The working set starts as `core`, the unsatisfiable subset of the seed
+    that the caller's own check of the seed returned. Its members outside the
+    criticals are tried in ascending index order, skipping those no longer in
+    the working set: if removal leaves the set satisfiable the constraint is
+    critical and kept, otherwise the working set jumps to the oracle's core of
+    that trial (clause-set refinement), which may drop several candidates at
+    once. A core keeps every critical, since removing a critical leaves a
+    satisfiable set, so the result is a MUS of the seed.
+
+    A trial inside a down-blocked set of `umap`, the run's map, is satisfiable
+    and needs no check. The map names those candidates once per working set
+    (`covered_members`), which holds because the frame loop changes the map
+    only after a shrink returns; each one the loop reaches is counted in
+    `umap.covered_trials`.
+
+    After each satisfiable check the oracle's `rotate` may prove further
+    members of the working set critical without a check; they are skipped
+    like the given criticals, and stay critical in every later working set,
+    which is a subset holding them. Uses at most
+    |core \\ criticals| <= |seed \\ criticals| oracle checks.
+
+    Returns (mus, sat_discoveries) where sat_discoveries holds the oracle's
+    witness (a satisfiable superset of the trial) of every satisfiable check,
+    and for every member that rotation proved critical, the satisfiable set
+    it came with.
+    """
+    if not criticals.is_subset_of(seed):
+        raise PreconditionError("criticals must be a subset of the seed")
+    n = seed.n
+    work = core.mask
+    covered = umap.covered_members(work)
+    proven = criticals.mask
+    discoveries: list[ConstraintSet] = []
+    candidates = work & ~proven
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        if not work & bit or proven & bit:
+            continue
+        if covered & bit:
+            proven |= bit
+            umap.covered_trials += 1
+        elif oracle.is_sat(ConstraintSet(n, work ^ bit)):
+            proven |= bit
+            discoveries.append(oracle.witness)
+            rotated = oracle.rotate(ConstraintSet(n, work), bit.bit_length() - 1, ConstraintSet(n, proven))
+            for d, witness in rotated:
+                proven |= 1 << d
+                discoveries.append(witness)
+        else:
+            work = oracle.core.mask
+            covered = umap.covered_members(work)
+    return ConstraintSet(n, work), discoveries
 
 
 class Session:
@@ -154,12 +210,14 @@ class Session:
         """Checks this session has made; the oracle may have served others before."""
         return self.oracle.checks - self._checks_before
 
-    def check_budget(self) -> None:
+    def _spent(self) -> bool:
+        """Whether a budget is used up: the MUS cap, the time limit or the check limit."""
         cfg = self.config
-        if cfg.time_limit is not None and self.elapsed() >= cfg.time_limit:
-            raise BudgetReached
-        if cfg.check_limit is not None and self.oracle_checks() >= cfg.check_limit:
-            raise BudgetReached
+        return (
+            (cfg.mus_limit is not None and len(self.records) >= cfg.mus_limit)
+            or (cfg.time_limit is not None and self.elapsed() >= cfg.time_limit)
+            or (cfg.check_limit is not None and self.oracle_checks() >= cfg.check_limit)
+        )
 
     def emit(self, mus: ConstraintSet, depth: int, seed: ConstraintSet, criticals: ConstraintSet,
              shrink_checks: int) -> None:
@@ -172,20 +230,12 @@ class Session:
         records.append(record)
         if self.sink is not None:
             self.sink(record)
-        limit = self.config.mus_limit
-        if limit is not None and len(records) >= limit:
-            raise BudgetReached
 
     def run(self, descend: bool) -> EnumerationResult:
         """Run the frame loop to its end or to a budget stop and build the result."""
         if self.oracle.is_sat(self.full):
             raise InstanceSatisfiableError("the full constraint set is satisfiable")
-        complete = False
-        try:
-            self._search(descend)
-            complete = True
-        except BudgetReached:
-            pass
+        complete = self._search(descend)
         return EnumerationResult(
             records=self.records,
             elapsed_s=self.elapsed(),
@@ -196,7 +246,7 @@ class Session:
             block_log=self.map.block_log,
         )
 
-    def _search(self, descend: bool) -> None:
+    def _search(self, descend: bool) -> bool:
         """Emit every MUS, running each FindMUSes call of the paper as a frame.
 
         A frame (s, criticals, depth) emits every not-yet-emitted MUS of the
@@ -204,11 +254,13 @@ class Session:
         only on their parent's state at the answer that spawns them and leave
         it unchanged, so one answer pushes all of them, the first on top.
         Without `descend` the first frame, over the full set, is the only one,
-        and its criticals stay empty.
+        and its criticals stay empty. Returns True when the map runs out and
+        False at a budget stop.
         """
         stack = [(self.full, ConstraintSet.empty(self.full.n), 0)]
         while stack:
-            self.check_budget()
+            if self._spent():
+                return False
             s, criticals, depth = stack[-1]
             s_max = self.map.max_unexplored_subset_of(s)
             if s_max is None:
@@ -228,16 +280,16 @@ class Session:
                     # siblings skip whatever earlier ones already resolved
                     stack.extend((s_max.add(c), criticals.add(c), depth + 1) for c in reversed(list(s_mcs)))
             else:
-                # s_max's check, unsatisfiable, is the oracle's last, so the shrink
-                # starts from its core, an unsatisfiable subset of the seed
-                self.check_budget()
+                if self._spent():
+                    return False
+                # s_max's check, unsatisfiable, is the oracle's last: shrink starts from its core
                 before = self.oracle_checks()
                 mus, discoveries = shrink(self.oracle, s_max, criticals, self.oracle.core, self.map)
                 self.emit(mus, depth, s_max, criticals, self.oracle_checks() - before)
-                self.check_budget()
+                if self._spent():
+                    return False
                 # down-block the witness of every satisfiable set the shrink met, so
-                # later seeds skip them: after the emit, so the MUS is out first, and
-                # never during the shrink, which reads the map as it stood at its start
+                # later seeds skip them; after the emit, so the MUS is out first
                 for sat_set in discoveries:
                     self.map.block_down(sat_set)
                 # no down-block: a proper subset lies in the blocked witness that proved a member critical
@@ -246,6 +298,7 @@ class Session:
                     p = choose_p(mus, s_max, self.config.reduction_factor)
                     if p is not None:
                         stack.append((p, criticals, depth + 1))
+        return True
 
 
 def enumerate_remus(oracle, config: RemusConfig | None = None, sink=None) -> EnumerationResult:

@@ -26,7 +26,8 @@ class UnexploredMap:
     in order; the enumerators block up only MUSes, which form an antichain
     already. A query assumes the constraints outside p left out, as a set
     that the solver orders for its kept trail; its answer is p less the
-    solver's model, maximal because of the order in which the solver branches.
+    solver's model, maximal because the solver decides every variable false
+    first, whatever the order it branches in.
     """
 
     def __init__(self, n: int):
@@ -77,16 +78,16 @@ class UnexploredMap:
         """An undetermined subset of p maximal within p, or None if none remains.
 
         One solver call, whose model M names the constraints left out; the
-        answer is p - M. The solver branches false first, so by the model
-        invariant in `satsolver.py` M is the first model in branching order:
-        the lexicographically least, variable 1 most significant, which keeps
-        each constraint in before it tries it out. For a member x of p inside
-        M, M - {x} still satisfies every down-block clause (all negative) and
-        every assumption (only constraints outside p are assumed left out).
-        Were it to satisfy every up-block clause too, it would be a model
-        before M; so (p - M) + {x} contains an up-blocked set, and p - M is
-        maximal within p. A branching order other than this one would need a
-        pass that grows the answer.
+        answer is p - M, maximal within p by the solver's polarity alone. Every
+        decision is false first, so it keeps a constraint in, and only the
+        constraints outside p are assumed left out. A member x of p inside M
+        was therefore implied by a clause whose other literals M falsifies:
+        putting x back in, M - {x} falsifies that clause, a block clause or a
+        learnt clause that the block clauses imply, and so some block clause.
+        Down-blocks are negative clauses, which M - {x} still satisfies, so
+        that is an up-block, and (p - M) + {x} holds a found MUS. MARCO gets
+        its maximal models the same way (Liffiton, Previti, Malik &
+        Marques-Silva, "Fast, flexible MUS enumeration", Constraints 2016).
         """
         self._require_same_universe(p)
         self.solver_calls += 1

@@ -41,6 +41,9 @@ GOLDEN, WITNESS_GOLDEN and CORE_GOLDEN did not change, since such a trial
 has the answer a check would have; those of ROTATION_GOLDEN did, since
 rotation does not follow it. The CORE_ and ROTATION_ runs now end before
 200 or 120 checks, so their second budget stop is at 70.
+
+BLOCK_LOG_STOPS was recorded when the budgets became one stop rule, tested
+at the same three points of the frame loop as the checks it replaced.
 """
 
 import hashlib
@@ -199,6 +202,38 @@ ROTATION_BUDGET_STOPS = [
     ((6, 24, 1), 50, "marco", 50, 21, 16, "23a58da6d376ce9f", "e728ca6572bc2dec"),
     ((6, 24, 1), 70, "remus", 70, 61, 27, "433bfc43a1bda712", "c801a4f8c8299302"),
     ((6, 24, 1), 70, "marco", 70, 34, 28, "a69e4e0e0f709b8e", "a6d42c9429ba797e"),
+]
+
+# Every kind of stop, on CnfOracle: (vars, clauses, seed) of random_cnf, the
+# budgets, algorithm, MUSes, oracle checks, map calls and the sha256 prefix
+# of repr(block_log). The budget-stop tables above pin records and counters;
+# a stop one step earlier or later can move a block across it and leave
+# those as they are, so this table pins the block log too.
+BLOCK_LOG_STOPS = [
+    ((4, 16, 5), {"mus_limit": 3}, "remus", 3, 4, 3, "4314e269c415fae7"),
+    ((4, 16, 5), {"mus_limit": 3}, "marco", 3, 4, 3, "ad434214726cb47e"),
+    ((4, 16, 5), {"check_limit": 20}, "remus", 18, 20, 23, "be2b630e37d22774"),
+    ((4, 16, 5), {"check_limit": 20}, "marco", 18, 20, 19, "29df4fd064616655"),
+    ((4, 16, 5), {"time_limit": 0.0}, "remus", 0, 1, 0, "4f53cda18c2baa0c"),
+    ((4, 16, 5), {"time_limit": 0.0}, "marco", 0, 1, 0, "4f53cda18c2baa0c"),
+    ((4, 16, 5), {"mus_limit": 2, "check_limit": 9}, "remus", 2, 3, 2, "969d3510210806e5"),
+    ((4, 16, 5), {"mus_limit": 2, "check_limit": 9}, "marco", 2, 3, 2, "969d3510210806e5"),
+    ((5, 22, 3), {"mus_limit": 3}, "remus", 3, 13, 6, "c48258a58d8e08fb"),
+    ((5, 22, 3), {"mus_limit": 3}, "marco", 3, 9, 3, "47e4e821de9e705e"),
+    ((5, 22, 3), {"check_limit": 20}, "remus", 5, 20, 10, "db166dbd88e195e2"),
+    ((5, 22, 3), {"check_limit": 20}, "marco", 8, 20, 9, "ff4d1870a223a25c"),
+    ((5, 22, 3), {"time_limit": 0.0}, "remus", 0, 1, 0, "4f53cda18c2baa0c"),
+    ((5, 22, 3), {"time_limit": 0.0}, "marco", 0, 1, 0, "4f53cda18c2baa0c"),
+    ((5, 22, 3), {"mus_limit": 2, "check_limit": 9}, "remus", 2, 6, 2, "85da7cb38c428d15"),
+    ((5, 22, 3), {"mus_limit": 2, "check_limit": 9}, "marco", 2, 7, 2, "85da7cb38c428d15"),
+    ((6, 24, 1), {"mus_limit": 3}, "remus", 3, 12, 6, "137a62f289b84dd0"),
+    ((6, 24, 1), {"mus_limit": 3}, "marco", 3, 13, 6, "55efdf3f6141cce5"),
+    ((6, 24, 1), {"check_limit": 20}, "remus", 5, 20, 12, "38f46c68df2c06b5"),
+    ((6, 24, 1), {"check_limit": 20}, "marco", 4, 20, 9, "1aeaacbec23efb4c"),
+    ((6, 24, 1), {"time_limit": 0.0}, "remus", 0, 1, 0, "4f53cda18c2baa0c"),
+    ((6, 24, 1), {"time_limit": 0.0}, "marco", 0, 1, 0, "4f53cda18c2baa0c"),
+    ((6, 24, 1), {"mus_limit": 2, "check_limit": 9}, "remus", 2, 10, 5, "e0ae5e63f8c6cf54"),
+    ((6, 24, 1), {"mus_limit": 2, "check_limit": 9}, "marco", 2, 8, 2, "07dbc7352efdbd1d"),
 ]
 
 # The tests on GOLDEN, GOLDEN_COUNTERS, BUDGET_STOPS and the WITNESS_ tables
@@ -456,3 +491,25 @@ def test_rotation_budget_stop_matches_the_recorded_run(
 ):
     result = run(formula, algorithm, CnfOracle, check_limit=check_limit)
     assert_budget_stop(result, checks, map_calls, muses, digest, counters)
+
+
+def stop_id(row) -> str:
+    """Test id from a row's formula, budgets and algorithm: "5-22-3-mus_limit=2,check_limit=9-remus"."""
+    budgets = ",".join(f"{name}={value}" for name, value in row[1].items())
+    return "-".join(map(str, (*row[0], budgets, row[2])))
+
+
+@pytest.mark.parametrize(
+    "formula, budgets, algorithm, muses, checks, map_calls, blocks",
+    BLOCK_LOG_STOPS,
+    ids=map(stop_id, BLOCK_LOG_STOPS),
+)
+def test_stopped_run_keeps_the_recorded_block_log(
+    formula, budgets, algorithm, muses, checks, map_calls, blocks
+):
+    result = run(formula, algorithm, CnfOracle, **budgets)
+    assert not result.complete
+    assert len(result.records) == muses
+    assert result.oracle_checks == checks
+    assert result.map_solver_calls == map_calls
+    assert hashlib.sha256(repr(result.block_log).encode()).hexdigest()[:16] == blocks
