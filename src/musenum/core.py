@@ -120,33 +120,6 @@ def set_bits(mask: int) -> list[int]:
     return out
 
 
-class Antichain(set):
-    """Subset masks of which none lies inside another: the maximal masks added so far.
-
-    Adding a mask that lies inside a stored one stores nothing; adding any
-    other mask drops the stored masks inside it. A mask lies inside some added
-    mask exactly when it lies inside a stored one.
-    """
-
-    def add(self, mask: int) -> bool:
-        """Store mask and return True, unless it is covered.
-
-        A covered mask is not stored and returns False. Storing drops the
-        stored masks inside mask; one pass decides both, since in an antichain
-        no mask lies inside one stored mask and contains another.
-        """
-        inside = []
-        for m in self:
-            common = mask & m
-            if common == mask:
-                return False
-            if common == m:
-                inside.append(m)
-        self.difference_update(inside)
-        super().add(mask)
-        return True
-
-
 @dataclass(frozen=True)
 class MusRecord:
     """One emitted MUS, the run's cumulative counters at its emission, and the shrink that found it."""

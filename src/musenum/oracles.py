@@ -132,7 +132,7 @@ class CnfOracle(SatOracle):
 
     def _solve(self, s: ConstraintSet) -> tuple[bool, int]:
         solver = self._solver
-        if not solver.solve(selected=s.mask):
+        if not solver.solve(s.mask << self._top):
             return False, solver.failed_selectors()
         bits = solver.model_mask
         self._planes = planes = [0]

@@ -7,24 +7,25 @@ restarts and learnt clauses are never discarded; the intended workload is
 many related solves over formulas with at most a few hundred variables.
 
 The trail is kept between calls: every answer leaves it as it is, and a solve
-backtracks first only when its assumption list differs from the previous
-call's, to the longest common prefix of the two (as in Hickey & Bacchus,
-"Speeding Up Assumption-Based SAT", SAT 2019). Assumption i is decided at
-level i + 1. Clauses added above level 0 keep the trail when two of their
-literals are unfalsified. The solver orders its assumptions itself, so that
-the lists of consecutive calls share a long prefix. The selectors come
-first, in variable order, so the previous call's list holds up to the first
-selector whose bit changed, the lowest set bit of `selected ^ previous`, and
-only the rest is built anew. The plain assumptions are a set: those of the
-previous call keep their old order while each one is still assumed, and the
-rest follow in the order given. This pays off for the map of subsets: a
-remus child frame restricts it to a subset of its parent's p, so the child
-assumes every constraint its parent leaves out and more. The parent's list
-stays the prefix on the descent, the child's extra assumptions follow it,
-and on the return only those are dropped. An assumption whose negation
-no clause watches is decided without a propagation pass, since that pass
-would find nothing; a selector assumed false is one, as no clause holds a
-selector positively.
+backtracks first only when its assumptions, in the order it decides them,
+differ from the previous call's, to the longest common prefix of the two (as
+in Hickey & Bacchus, "Speeding Up Assumption-Based SAT", SAT 2019).
+Assumption i is decided at level i + 1. Clauses added above level 0 keep the
+trail when two of their literals are unfalsified. A solve takes its
+assumptions as one mask, bit v - 1 for variable v, and orders them itself,
+so that the orders of consecutive calls share a long prefix. The selectors
+come first, in variable order, each assumed true or false as its bit says,
+so the previous call's order holds up to the first selector whose bit
+changed, and only the rest is built anew. Every other set bit assumes its
+variable true: those of the previous call keep their old order while their
+bits stay set, and the rest follow in ascending order. This pays off for the
+map of subsets: a remus child frame restricts it to a subset of its parent's
+p, so the child assumes every constraint its parent leaves out and more. The
+parent's order stays the prefix on the descent, the child's extra
+assumptions follow it, and on the return only those are dropped. An
+assumption whose negation no clause watches is decided without a
+propagation pass, since that pass would find nothing; a selector assumed
+false is one, as no clause holds a selector positively.
 
 Failed selectors: after a solve answers UNSAT, `failed_selectors()` names
 selectors that, assumed true together with the plain assumptions, already
@@ -41,9 +42,9 @@ cores, though each stays UNSAT.
 Selectors and guards: a solver made with `SatSolver(variables, selectors)`
 holds `selectors` more variables after its own, variables + 1 up to
 variables + selectors. They occur in clauses only negated, and every solve
-assumes each of them first, in variable order, as `selected` says, so level
+assumes each of them first, in variable order, as its bit says, so level
 i + 1 decides selector i and the selectors assumed true up to level L are the
-low L bits of `selected`. Learnt clauses over many selectors are factored as
+low L selector bits. Learnt clauses over many selectors are factored as
 in Lagniez & Biere, "Factoring Out Assumptions to Speed Up MUS Extraction"
 (SAT 2013): when at least GUARD_MIN negated selectors lie below the conflict
 level, they leave the learnt clause's literal list for an integer mask, its
@@ -62,7 +63,7 @@ Model invariant: a SAT answer's model is the first model of the clauses and
 the assumptions in branching order, which tries variables from the lowest
 index up and tries false before true. Learnt clauses, the kept trail and
 the order of the assumptions never change which model that is, so callers
-may rely on the model being a function of the clause set and the assumption set.
+may rely on the model being a function of the clauses and the assumption mask.
 A guard is another way to store a learnt clause: the clause is still implied
 by the others, and it propagates only when all of its literals are false, so
 it prunes no model either, and guards add no variable. Likewise, adding a
@@ -178,44 +179,41 @@ class SatSolver:
         if ranks[1] < free:
             self._backtrack(ranks[1] - 1)
 
-    def solve(self, assumptions=(), selected: int = 0) -> bool:
-        """Decide satisfiability under the given assumption literals.
+    def solve(self, assumed: int = 0) -> bool:
+        """Decide satisfiability under the assumptions of one mask.
 
-        A solver with selectors first assumes each selector, in variable
-        order: selector i, variable `variables + 1 + i`, is assumed true if
-        bit i of `selected` is set and false if not; a bit beyond the last
-        selector is refused. The assumption literals come after them, as a
-        set, ordered as the module docstring says. A call with the previous
-        call's assumptions keeps the whole trail, any other the levels of the
-        prefix the two share; see the module docstring for the model this
-        returns.
+        Bit v - 1 of `assumed` set assumes variable v true. A selector whose
+        bit is clear is assumed false, and any other variable whose bit is
+        clear is free; a bit beyond the last variable, or a negative mask, is
+        refused. The solver orders the assumptions as the module docstring
+        says. A call with the previous call's mask keeps the whole trail, any
+        other the levels of the prefix the two orders share; see the module
+        docstring for the model this returns.
         """
         self._model_mask = None
         self._failed = 0
         n = self.num_vars
         base = self._selector
         count = n + 1 - base  # selectors
-        if not 0 <= selected < 1 << count:
-            raise ValueError(f"selector mask {selected:#x} out of range for {count} selectors")
-        given = dict.fromkeys(assumptions)  # an ordered set
-        if given and (0 in given or max(given) > n or min(given) < -n):
-            bad = next(lit for lit in given if lit == 0 or abs(lit) > n)
-            raise ValueError(f"assumption literal {bad} out of range")
+        if not 0 <= assumed < 1 << n:
+            raise ValueError(f"assumption mask {assumed:#x} out of range for {n} variables")
         if not self.ok:
             return False
-        # the previous list holds its selectors first, so it stays valid up to
-        # the first selector whose bit changed
+        selected = assumed >> (base - 1)
+        plain = assumed ^ selected << (base - 1)
+        # the previous order holds its selectors first, so it stays valid up
+        # to the first selector whose bit changed
         previous = self._assumed
         changed = selected ^ self._selected
         same = min(len(previous), (changed & -changed).bit_length() - 1 if changed else count)
         assume = previous[:same]
         assume += [base + i if selected >> i & 1 else -(base + i) for i in range(same, count)]
-        for lit in previous[count:]:  # the previous plain assumptions, while still assumed
-            if lit not in given:
+        for v in previous[count:]:  # the previous plain assumptions, while still assumed
+            if not plain >> (v - 1) & 1:
                 break
-            assume.append(lit)
-            del given[lit]
-        assume += given
+            assume.append(v)
+            plain ^= 1 << (v - 1)
+        assume += set_bits(plain)
         if assume != previous:
             limit = min(len(self._lim), len(assume), len(previous))
             kept = min(same, limit)

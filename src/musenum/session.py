@@ -106,10 +106,6 @@ class EnumerationResult:
     complete: bool
     block_log: list[tuple[str, int]]
 
-    @property
-    def muses(self) -> list[ConstraintSet]:
-        return [record.mus for record in self.records]
-
 
 def choose_p(s_mus: ConstraintSet, s_max: ConstraintSet, factor: float) -> ConstraintSet | None:
     """Pick the reduced search space strictly between a found MUS and its seed.

@@ -11,23 +11,24 @@ the map learns each fact once and keeps it.
 
 from __future__ import annotations
 
-from .core import Antichain, ConstraintSet, PreconditionError, UniverseMismatchError, set_bits
+from .core import ConstraintSet, PreconditionError, UniverseMismatchError, set_bits
 from .satsolver import SatSolver
 
 
 class UnexploredMap:
     """The map over n constraints, on one incremental solver.
 
-    Down-blocks are kept as an antichain of maximal blocked sets: a block
-    inside a stored set adds no clause, since a stored clause implies it. A
-    block containing stored sets adds its clause and leaves theirs in the
+    Down-blocks are kept as a set of masks of which none lies inside
+    another, the maximal blocked sets: a block inside a stored set adds no
+    clause, since a stored clause implies it. A block containing stored sets
+    replaces them in the set, adds its clause and leaves theirs in the
     solver; they are implied now, so the solver's models do not change.
     Up-blocks are kept as they come, in `block_log`, which holds every block
     in order; the enumerators block up only MUSes, which form an antichain
-    already. A query assumes the constraints outside p left out, as a set
-    that the solver orders for its kept trail; its answer is p less the
-    solver's model, maximal because the solver decides every variable false
-    first, whatever the order it branches in.
+    already. A query assumes the constraints outside p left out, as one mask
+    whose set bits the solver orders for its kept trail; its answer is p
+    less the solver's model, maximal because the solver decides every
+    variable false first, whatever the order it branches in.
     """
 
     def __init__(self, n: int):
@@ -39,8 +40,9 @@ class UnexploredMap:
         self.covered_trials = 0  # shrink trials answered by covered_members; shrink counts them
         # always 0, as answers need no grow pass; kept because bench/tracing.py reads it
         self.grow_evals = 0
+        self._full = (1 << n) - 1
         self._solver = SatSolver(n)
-        self._down = Antichain()  # the maximal down-blocked masks
+        self._down: set[int] = set()  # the maximal down-blocked masks
 
     def _require_same_universe(self, s: ConstraintSet) -> None:
         if s.n != self.n:
@@ -51,8 +53,18 @@ class UnexploredMap:
         self._require_same_universe(sat_set)
         mask = sat_set.mask
         self.block_log.append(("down", mask))
-        if self._down.add(mask):  # not inside a down-blocked set already
-            self._solver.add_clause([-v for v in set_bits(~mask & ((1 << self.n) - 1))])
+        # one pass decides both whether mask lies inside a stored set and
+        # which stored sets lie inside it, as none lies inside another
+        inside = []
+        for d in self._down:
+            common = mask & d
+            if common == mask:
+                return  # a stored clause implies this block's
+            if common == d:
+                inside.append(d)
+        self._down.difference_update(inside)
+        self._down.add(mask)
+        self._solver.add_clause([-v for v in set_bits(self._full & ~mask)])
 
     def covered_members(self, work: int) -> int:
         """The members c of the mask work whose trial work - {c} lies inside a down-blocked set.
@@ -92,6 +104,6 @@ class UnexploredMap:
         self._require_same_universe(p)
         self.solver_calls += 1
         # restriction to subsets of p is per call, never encoded as clauses
-        if not self._solver.solve(set_bits(~p.mask & ((1 << self.n) - 1))):
+        if not self._solver.solve(self._full & ~p.mask):
             return None
         return ConstraintSet(self.n, p.mask & ~self._solver.model_mask)

@@ -56,6 +56,11 @@ def bitsets(sets) -> set[str]:
     return {s.bits() for s in sets}
 
 
+def muses_of(result) -> list[ConstraintSet]:
+    """The MUSes of an enumeration result, in the order they were emitted."""
+    return [record.mus for record in result.records]
+
+
 class MonotonicityError(MusError):
     """A status table claims an unsatisfiable set with a satisfiable superset."""
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from musenum import ConstraintSet, PreconditionError, UniverseMismatchError
-from musenum.core import Antichain
 
 from helpers import cs, from_indices
 
@@ -83,30 +82,6 @@ def test_sets_are_hashable_and_immutable():
     assert {s, cs("1010")} == {s}
     with pytest.raises(AttributeError):
         s.mask = 3
-
-
-def test_antichain_keeps_the_maximal_masks():
-    rng = random.Random(11)
-    for _ in range(200):
-        chain = Antichain()
-        added = []
-        for _ in range(rng.randint(0, 12)):
-            mask = rng.randrange(1 << 6)
-            before = set(chain)
-            stored = chain.add(mask)
-            added.append(mask)
-            assert stored == (before != chain)
-            if not stored:
-                assert chain == before
-                assert any(mask & m == mask for m in before)
-                continue
-            # the masks inside mask are dropped, every other mask stays
-            assert chain == {m for m in before if m & mask != m} | {mask}
-        maximal = {m for m in added if not any(m & o == m and m != o for o in added)}
-        assert chain == maximal
-        # the maximality law: a mask lies inside an added mask exactly when it lies inside a stored one
-        for probe in range(1 << 6):
-            assert any(probe & m == probe for m in chain) == any(probe & m == probe for m in added)
 
 
 @st.composite

@@ -19,6 +19,7 @@ from helpers import (
     assert_block_log_replays,
     bitsets,
     bruteforce_all_muses,
+    muses_of,
     random_antichain,
     small_unsat_cnfs,
     table_from_antichain,
@@ -27,8 +28,8 @@ from helpers import (
 
 def test_example1_emits_both_muses_once():
     result = enumerate_marco(parse_dimacs(EXAMPLE1_DIMACS))
-    assert bitsets(result.muses) == EXAMPLE1_MUSES
-    assert len(result.muses) == 2
+    assert bitsets(muses_of(result)) == EXAMPLE1_MUSES
+    assert len(muses_of(result)) == 2
     assert result.complete
 
 
@@ -38,7 +39,7 @@ def test_mus_limit_one_emits_one_valid_mus():
     )
     assert len(result.records) == 1
     assert not result.complete
-    assert is_mus(parse_dimacs(EXAMPLE1_DIMACS), result.muses[0])
+    assert is_mus(parse_dimacs(EXAMPLE1_DIMACS), muses_of(result)[0])
 
 
 def test_satisfiable_instance_is_rejected():
@@ -53,8 +54,8 @@ def test_matches_bruteforce_on_random_corpora():
         antichain = random_antichain(n, rng)
         expected = {ConstraintSet(n, a) for a in antichain}
         result = enumerate_marco(table_from_antichain(n, antichain))
-        assert set(result.muses) == expected
-        assert len(result.muses) == len(expected)
+        assert set(muses_of(result)) == expected
+        assert len(muses_of(result)) == len(expected)
         assert result.complete
 
     accepted = 0
@@ -69,7 +70,7 @@ def test_matches_bruteforce_on_random_corpora():
         accepted += 1
         expected = bruteforce_all_muses(CnfOracle(num_vars, clauses))
         result = enumerate_marco(CnfOracle(num_vars, clauses))
-        assert set(result.muses) == expected
+        assert set(muses_of(result)) == expected
 
 
 def test_never_recurses_and_never_passes_criticals():

@@ -32,6 +32,7 @@ from helpers import (
     cs,
     example1_table,
     from_indices,
+    muses_of,
     per_member_choose_p,
     per_trial_shrink,
     random_antichain,
@@ -44,20 +45,20 @@ RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
 
 def test_example1_emits_both_muses_once():
     result = enumerate_remus(parse_dimacs(EXAMPLE1_DIMACS))
-    assert bitsets(result.muses) == EXAMPLE1_MUSES
-    assert len(result.muses) == 2
+    assert bitsets(muses_of(result)) == EXAMPLE1_MUSES
+    assert len(muses_of(result)) == 2
     assert result.complete
 
 
 def test_example1_on_the_status_table():
     result = enumerate_remus(example1_table())
-    assert bitsets(result.muses) == EXAMPLE1_MUSES
+    assert bitsets(muses_of(result)) == EXAMPLE1_MUSES
 
 
 def test_single_unsatisfiable_constraint():
     # one constraint that is itself unsatisfiable: the empty clause
     result = enumerate_remus(parse_dimacs("p cnf 0 1\n0\n"))
-    assert bitsets(result.muses) == {"1"}
+    assert bitsets(muses_of(result)) == {"1"}
     assert result.complete
 
 
@@ -133,7 +134,7 @@ def test_mus_limit_stops_cleanly():
     )
     assert len(result.records) == 1
     assert not result.complete
-    assert result.muses[0].bits() in EXAMPLE1_MUSES
+    assert muses_of(result)[0].bits() in EXAMPLE1_MUSES
 
 
 @pytest.fixture
@@ -168,7 +169,7 @@ def test_deep_search_needs_no_interpreter_stack():
     finally:
         sys.setrecursionlimit(saved)
     assert result.complete
-    assert len(set(result.muses)) == 200
+    assert len(set(muses_of(result))) == 200
     assert max(record.depth for record in result.records) > 40
 
 
@@ -255,7 +256,7 @@ def test_shrink_discoveries_are_always_blocked(algorithm, monkeypatch):
         clauses = random_cnf(num_vars, num_clauses, 2, seed)
         discovered.clear()
         result = RUNNERS[algorithm](CnfOracle(num_vars, clauses))
-        assert set(result.muses) == bruteforce_all_muses(CnfOracle(num_vars, clauses))
+        assert set(muses_of(result)) == bruteforce_all_muses(CnfOracle(num_vars, clauses))
         # one down-block per satisfiable seed check (its MSS), one per shrink find;
         # an unsatisfiable seed check leads to a shrink and is down-blocked by none,
         # and the first seed's check is the run's check of the full set
@@ -280,7 +281,7 @@ def test_every_mus_is_down_blocked_by_the_witnesses_before_it(algorithm):
     for oracle in runs:
         result = RUNNERS[algorithm](oracle)
         assert result.complete
-        muses = {mus.mask for mus in result.muses}
+        muses = {mus.mask for mus in muses_of(result)}
         downs = []
         for kind, mask in result.block_log:
             if kind == "down":
@@ -445,8 +446,8 @@ def test_remus_and_marco_agree_beyond_brute_force(seed):
     clauses = random_cnf(7, 30, 3, seed)
     results = [run(CnfOracle(7, clauses)) for run in RUNNERS.values()]
     assert all(result.complete for result in results)
-    remus, marco = (set(result.muses) for result in results)
-    assert remus == marco and len(remus) == len(results[0].muses)
+    remus, marco = (set(muses_of(result)) for result in results)
+    assert remus == marco and len(remus) == len(muses_of(results[0]))
 
 
 def separable_cnf(seed: int):
@@ -491,7 +492,7 @@ def test_both_algorithms_finish_with_the_exact_muses_beyond_30_clauses(seed):
     for run in RUNNERS.values():
         result = run(CnfOracle(num_vars, clauses))
         assert result.complete
-        assert set(result.muses) == expected and len(result.muses) == len(expected)
+        assert set(muses_of(result)) == expected and len(muses_of(result)) == len(expected)
 
 
 def test_emitted_muses_match_bruteforce_on_random_corpora():
@@ -501,8 +502,8 @@ def test_emitted_muses_match_bruteforce_on_random_corpora():
         antichain = random_antichain(n, rng)
         expected = {ConstraintSet(n, a) for a in antichain}
         result = enumerate_remus(table_from_antichain(n, antichain))
-        assert set(result.muses) == expected
-        assert len(result.muses) == len(expected)
+        assert set(muses_of(result)) == expected
+        assert len(muses_of(result)) == len(expected)
         assert result.complete
 
     accepted = 0
@@ -517,8 +518,8 @@ def test_emitted_muses_match_bruteforce_on_random_corpora():
         accepted += 1
         expected = bruteforce_all_muses(CnfOracle(num_vars, clauses))
         result = enumerate_remus(CnfOracle(num_vars, clauses))
-        assert set(result.muses) == expected
-        for mus in result.muses:
+        assert set(muses_of(result)) == expected
+        for mus in muses_of(result):
             assert is_mus(CnfOracle(num_vars, clauses), mus)
 
 
@@ -530,6 +531,6 @@ def test_runs_are_deterministic():
         for run in RUNNERS.values():
             first = run(table_from_antichain(n, antichain))
             second = run(table_from_antichain(n, antichain))
-            assert [m.mask for m in first.muses] == [m.mask for m in second.muses]
+            assert [m.mask for m in muses_of(first)] == [m.mask for m in muses_of(second)]
             assert first.block_log == second.block_log
             assert first.oracle_checks == second.oracle_checks

@@ -43,6 +43,11 @@ def model_satisfies(mask, num_vars, clauses, assumptions):
     )
 
 
+def mask_of(variables) -> int:
+    """The assumption mask that assumes each of the variables true."""
+    return sum(1 << (v - 1) for v in set(variables))
+
+
 def random_clause(rng, num_vars):
     width = rng.randint(1, min(3, num_vars))
     variables = rng.sample(range(1, num_vars + 1), width)
@@ -58,12 +63,8 @@ def test_agrees_with_brute_force_incrementally():
         for cl in clauses:
             solver.add_clause(list(cl))
         for _ in range(3):
-            k = rng.randint(0, num_vars)
-            assumptions = [
-                v if rng.random() < 0.5 else -v
-                for v in rng.sample(range(1, num_vars + 1), k)
-            ]
-            got = solver.solve(assumptions)
+            assumptions = rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars))
+            got = solver.solve(mask_of(assumptions))
             assert got == brute_force_sat(num_vars, clauses, assumptions)
             if got:
                 assert model_satisfies(solver.model_mask, num_vars, clauses, assumptions)
@@ -114,22 +115,23 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
         solver, clauses = selector_formula(rng, num_vars, count)
         added = []
         selected = (1 << count) - 1
-        literals = [v if rng.random() < 0.5 else -v for v in range(1, num_vars + 1)]
+        variables = list(range(1, num_vars + 1))
         for _ in range(6):
             if not solver.ok:
                 break
-            # change a random suffix of the selectors and of the literals, so
-            # consecutive calls share a prefix
+            # change a random suffix of the selectors and of the variables, and
+            # assume a prefix of the variables true, so consecutive calls share
+            # a prefix
             cut = rng.randint(0, count)
             selected ^= rng.getrandbits(count - cut) << cut
             cut = rng.randint(0, num_vars)
-            tail = literals[cut:]
+            tail = variables[cut:]
             rng.shuffle(tail)
-            literals[cut:] = [-lit if rng.random() < 0.3 else lit for lit in tail]
-            assumptions = literals[: rng.randint(0, num_vars)]
+            variables[cut:] = tail
+            assumptions = variables[: rng.randint(0, num_vars)]
             on = switched_on(clauses, selected) + added
             want = brute_force_first_model(num_vars, on, assumptions)
-            assert solver.solve(assumptions, selected=selected) == (want is not None)
+            assert solver.solve(mask_of(assumptions) | selected << num_vars) == (want is not None)
             if want is not None:
                 assert solver.model_mask == want
             else:
@@ -158,9 +160,8 @@ def test_failed_selectors_with_plain_assumptions():
         solver, clauses = selector_formula(rng, num_vars, count)
         for _ in range(4):
             selected = rng.getrandbits(count)
-            chosen = rng.sample(range(1, num_vars + 1), rng.randint(1, num_vars))
-            assumptions = [v if rng.random() < 0.5 else -v for v in chosen]
-            if solver.solve(assumptions, selected=selected):
+            assumptions = rng.sample(range(1, num_vars + 1), rng.randint(1, num_vars))
+            if solver.solve(mask_of(assumptions) | selected << num_vars):
                 continue
             failed = solver.failed_selectors()
             assert failed & ~selected == 0
@@ -183,9 +184,8 @@ def test_a_repeated_assumption_list_answers_like_a_fresh_solver():
         solver = SatSolver(num_vars)
         for cl in clauses:
             solver.add_clause(list(cl))
-        chosen = rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars // 2))
-        assumptions = [v if rng.random() < 0.5 else -v for v in chosen]
-        if not solver.solve(assumptions):
+        assumptions = rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars // 2))
+        if not solver.solve(mask_of(assumptions)):
             continue
         model = solver.model_mask
         true_lits = [v if model >> (v - 1) & 1 else -v for v in range(1, num_vars + 1)]
@@ -197,8 +197,8 @@ def test_a_repeated_assumption_list_answers_like_a_fresh_solver():
         fresh = SatSolver(num_vars)
         for cl in clauses:
             fresh.add_clause(list(cl))
-        sat = solver.solve(assumptions)
-        assert sat == fresh.solve(assumptions)
+        sat = solver.solve(mask_of(assumptions))
+        assert sat == fresh.solve(mask_of(assumptions))
         if sat:
             assert solver.model_mask == fresh.model_mask
             assert model_satisfies(solver.model_mask, num_vars, clauses, assumptions)
@@ -210,13 +210,13 @@ def test_branching_tries_false_first():
     assert solver.solve() and solver.model_mask == 0
     solver.add_clause([2, 4])  # variable 2 is tried false first, so 4 satisfies the clause
     assert solver.solve() and solver.model_mask == 0b01000
-    assert solver.solve([-4]) and solver.model_mask == 0b00010
+    assert solver.solve(0b00010) and solver.model_mask == 0b00010  # 2 assumed true, so 4 stays false
 
 
 def test_empty_clause_is_permanent_unsat():
     solver = SatSolver(3)
     solver.add_clause([])
-    assert not solver.solve([1])
+    assert not solver.solve(0b1)
     assert not solver.ok
     assert solver.failed_selectors() == 0
 
@@ -224,9 +224,9 @@ def test_empty_clause_is_permanent_unsat():
 def test_tautology_and_duplicate_literals():
     solver = SatSolver(2)
     solver.add_clause([1, -1])  # dropped
-    solver.add_clause([2, 2])  # collapses to unit
-    assert solver.solve([-1])
-    assert not solver.solve([-2])
+    solver.add_clause([-2, -2])  # collapses to unit
+    assert solver.solve(0b01)
+    assert not solver.solve(0b10)
 
 
 def test_contradicting_units():
@@ -239,8 +239,8 @@ def test_contradicting_units():
 
 def test_assumption_against_level0_unit_is_recoverable():
     solver = SatSolver(2)
-    solver.add_clause([1])
-    assert not solver.solve([-1])
+    solver.add_clause([-1])
+    assert not solver.solve(0b1)
     assert solver.ok  # only unsat under those assumptions
     assert solver.solve()
 
@@ -258,19 +258,50 @@ def test_branching_cost_is_linear_in_the_variable_count():
     solver.add_clause([1, 2])
     began = time.perf_counter()
     assert solver.solve() and solver.model_mask == 0b10
-    assert solver.solve([20000]) and solver.model_mask == 1 << 19999 | 0b10
+    assert solver.solve(1 << 19999) and solver.model_mask == 1 << 19999 | 0b10
     assert time.perf_counter() - began < 1.0
 
 
 def test_literal_range_checked():
     solver = SatSolver(2)
-    with pytest.raises(ValueError):
-        solver.add_clause([3])
-    with pytest.raises(ValueError):
-        solver.solve([0])
     for bad in (3, -3, 0):
         with pytest.raises(ValueError, match=f"literal {bad} out of range"):
-            solver.solve([1, -2, bad, 2, -4])
+            solver.add_clause([1, -2, bad])
+    assert solver.solve(0b11) and solver.model_mask == 0b11  # no clause was added
+
+
+def test_assumption_mask_range_checked():
+    # a bit beyond the last variable names none, and a negative mask has
+    # endless set bits; both are refused before the kept trail changes
+    solver = SatSolver(3)
+    solver.add_clause([1, 2])
+    assert solver.solve(0b100)
+    for unsat in (False, True):
+        if unsat:  # refused on an unsatisfiable solver too
+            solver.add_clause([-1])
+            solver.add_clause([-2])
+            assert not solver.ok
+        trail, assumed = list(solver._trail), list(solver._assumed)
+        for bad in (1 << 3, 0b1101, -1, -8):
+            with pytest.raises(ValueError, match="out of range"):
+                solver.solve(bad)
+            assert (solver._trail, solver._assumed) == (trail, assumed)
+
+
+def test_plain_assumptions_keep_the_previous_order():
+    # the previous call's plain assumptions come first while their bits stay
+    # set, so a call that assumes more keeps the levels the two share; sorting
+    # each mask afresh would put 2 before 5 and undo level 1
+    solver = SatSolver(8)
+    solver.add_clause([1, 3])
+    solver.add_clause([-2, 4, -7])
+    assert solver.solve(mask_of([5])) and solver._assumed == [5]
+    assert solver.solve(mask_of([2, 5])) and solver._assumed == [5, 2]
+    levels = []
+    backtrack = solver._backtrack
+    solver._backtrack = lambda level: levels.append(level) or backtrack(level)
+    assert solver.solve(mask_of([2, 5, 7])) and solver._assumed == [5, 2, 7]
+    assert levels and min(levels) >= 2
 
 
 def test_selector_mask_range_checked():
@@ -278,29 +309,29 @@ def test_selector_mask_range_checked():
     # trail is left as the last solve left it
     solver = SatSolver(1, selectors=1)
     solver.add_clause([1, -2])
-    assert solver.solve(selected=1) and solver.model_mask == 1
+    assert solver.solve(0b10) and solver.model_mask == 1
     trail, assumed = list(solver._trail), list(solver._assumed)
-    for bad in (0b10, 0b11, -1):
+    for bad in (0b100, 0b110, -1):
         with pytest.raises(ValueError, match="out of range"):
-            solver.solve(selected=bad)
+            solver.solve(bad)
         assert (solver._trail, solver._assumed) == (trail, assumed)
     with pytest.raises(ValueError, match="out of range"):
-        SatSolver(2).solve(selected=1)
+        SatSolver(2).solve(0b100)
     solver.add_clause([])  # refused on an unsatisfiable solver too
-    for bad in (0b10, -1):
+    for bad in (0b100, -1):
         with pytest.raises(ValueError, match="out of range"):
-            solver.solve(selected=bad)
+            solver.solve(bad)
 
 
 def test_model_unavailable_after_unsat():
     solver = SatSolver(1, selectors=1)
-    solver.add_clause([1])
-    solver.add_clause([-1, -2])  # selector 0 switches on the clause not x1
-    assert not solver.solve([-1])
+    solver.add_clause([-1])
+    solver.add_clause([1, -2])  # selector 0 switches on the clause x1
+    assert not solver.solve(0b01)
     with pytest.raises(RuntimeError):
         _ = solver.model_mask
     assert solver.failed_selectors() == 0  # a plain assumption is never named
-    assert not solver.solve(selected=1)
+    assert not solver.solve(0b10)
     assert solver.failed_selectors() == 1  # refuted by level-0 units
     assert solver.solve()
     with pytest.raises(RuntimeError):
@@ -368,26 +399,31 @@ def chain_solver_queries():
     that can imply it, and the one conflict (x10 implies x9 and, once
     [-10, -9] is added, not x9) teaches [-10, -20], which implies nothing
     else; so the failed selectors of an UNSAT answer are the same for any
-    solver holding these clauses. Consecutive selector masks differ at the
-    first, a middle and the last selector; clauses are added between them,
-    and some queries add explicit assumptions.
+    solver holding these clauses. Each query is one assumption mask:
+    consecutive selector masks differ at the first, a middle and the last
+    selector; clauses are added between them, and some queries also assume
+    plain variables true that the links make false.
     """
     clauses = [[1, -11]] + [[-i, i + 1, -(11 + i)] for i in range(1, 8)] + [[-8, -19]]
     every = (1 << 10) - 1
-    steps = [("solve", every, [])]
+
+    def query(selected, *plain):
+        return selected << 10 | sum(1 << (v - 1) for v in plain)
+
+    steps = [("solve", query(every))]
     for bit in (0, 4, 9, 4, 0, 9):  # a SAT answer when a link is missing, else UNSAT
-        steps.append(("solve", steps[-1][1] ^ 1 << bit, []))
+        steps.append(("solve", steps[-1][1] ^ 1 << (10 + bit)))
     steps += [
         ("add", [9, -10, -20]),
-        ("solve", every, [-9]),
-        ("solve", every ^ 1 << 9, [10, -9]),
-        ("solve", every & ~(1 << 8), [-5]),  # links 0..4 imply x5, so -5 fails
-        ("solve", every & ~(1 << 8) & ~(1 << 2), [-5]),
+        ("solve", query(every & ~(1 << 8), 10)),  # x10 implies x9
+        ("solve", query(every & ~(1 << 8), 10, 3)),
+        ("solve", query(0b111100000, 5)),  # links 5..8 make x5 false
+        ("solve", query(0b111100000 & ~(1 << 6), 5, 7)),  # links 7..8 make x7 false
         ("add", [-10, -9]),
-        ("solve", every & ~(1 << 8), [10, 9]),
-        ("solve", 1 << 9, [10]),
-        ("solve", every, []),
-        ("solve", 0, [8]),
+        ("solve", query(every & ~(1 << 8), 10, 9)),
+        ("solve", query(1 << 9, 10)),
+        ("solve", query(every)),
+        ("solve", query(0, 8)),
     ]
     return clauses, steps
 
@@ -398,25 +434,27 @@ def test_reused_assumptions_answer_like_a_fresh_solver():
     for clause in clauses:
         solver.add_clause(list(clause))
     answers = []
+    plain_false = 0
     for step in steps:
         if step[0] == "add":
             clauses.append(step[1])
             solver.add_clause(list(step[1]))
             continue
-        _, selected, assumptions = step
+        _, assumed = step
         fresh = SatSolver(10, selectors=10)
         for clause in clauses:
             fresh.add_clause(list(clause))
-        sat = solver.solve(assumptions, selected=selected)
-        assert sat == fresh.solve(assumptions, selected=selected), step
+        sat = solver.solve(assumed)
+        assert sat == fresh.solve(assumed), step
         if sat:
             assert solver.model_mask == fresh.model_mask, step
         else:
             assert solver.failed_selectors() == fresh.failed_selectors(), step
+            plain_false += 0 < solver._failed <= 10
         answers.append(sat)
-    assert True in answers and False in answers
-    # an out-of-range assumption is refused before the kept trail changes
-    for bad in (0, 21, -21):
-        with pytest.raises(ValueError, match=f"literal {bad} out of range"):
-            solver.solve([1, bad], selected=(1 << 10) - 1)
-    assert not solver.solve(selected=(1 << 10) - 1)
+    assert True in answers and False in answers and plain_false >= 2
+    # an out-of-range mask is refused before the kept trail changes
+    for bad in (1 << 20, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            solver.solve(bad)
+    assert not solver.solve(((1 << 10) - 1) << 10)

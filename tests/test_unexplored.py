@@ -69,6 +69,32 @@ def test_block_down_keeps_only_the_maximal_sets_as_clauses():
     assert enumerate_map_models(umap) == {cs(b).mask for b in ("001", "101", "011", "111")}
 
 
+def test_block_down_keeps_the_maximal_masks():
+    # a block inside a stored mask stores nothing and adds no clause; any
+    # other block drops the stored masks inside it and adds its clause
+    rng = random.Random(11)
+    for _ in range(200):
+        umap = UnexploredMap(6)
+        clauses = []
+        umap._solver.add_clause = clauses.append
+        added = []
+        for _ in range(rng.randint(0, 12)):
+            mask = rng.randrange(1 << 6)
+            before, count = set(umap._down), len(clauses)
+            umap.block_down(ConstraintSet(6, mask))
+            added.append(mask)
+            if any(mask & m == mask for m in before):
+                assert umap._down == before and len(clauses) == count
+                continue
+            assert umap._down == {m for m in before if m & mask != m} | {mask}
+            assert len(clauses) == count + 1
+        maximal = {m for m in added if not any(m & o == m and m != o for o in added)}
+        assert umap._down == maximal
+        # a mask lies inside an added mask exactly when it lies inside a stored one
+        for probe in range(1 << 6):
+            assert any(probe & m == probe for m in umap._down) == any(probe & m == probe for m in added)
+
+
 def test_example3_formula_models():
     umap = example3_map()
     assert map_clauses(umap) == [[-1, -3], [3]]
