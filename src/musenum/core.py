@@ -73,18 +73,12 @@ class ConstraintSet:
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.n and bool(self.mask >> i & 1)
 
-    def _require_same_universe(self, other: "ConstraintSet") -> None:
-        if self.n != other.n:
-            raise UniverseMismatchError(
-                f"universe sizes differ: {self.n} vs {other.n}"
-            )
-
     def __or__(self, other: "ConstraintSet") -> "ConstraintSet":
-        self._require_same_universe(other)
+        require_universe(other, self.n)
         return ConstraintSet(self.n, self.mask | other.mask)
 
     def __sub__(self, other: "ConstraintSet") -> "ConstraintSet":
-        self._require_same_universe(other)
+        require_universe(other, self.n)
         return ConstraintSet(self.n, self.mask & ~other.mask)
 
     def add(self, i: int) -> "ConstraintSet":
@@ -98,11 +92,17 @@ class ConstraintSet:
         return ConstraintSet(self.n, self.mask & ~(1 << i))
 
     def is_subset_of(self, other: "ConstraintSet") -> bool:
-        self._require_same_universe(other)
+        require_universe(other, self.n)
         return self.mask & ~other.mask == 0
 
     def indices_1based(self) -> list[int]:
         return set_bits(self.mask)
+
+
+def require_universe(s: ConstraintSet, n: int) -> None:
+    """Raise UniverseMismatchError unless s is a set over a universe of n constraints."""
+    if s.n != n:
+        raise UniverseMismatchError(f"set over universe {s.n}, expected universe {n}")
 
 
 def is_int(value) -> bool:

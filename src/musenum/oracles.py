@@ -6,7 +6,7 @@
 
 from __future__ import annotations
 
-from .core import ConstraintSet, DimacsParseError, PreconditionError, UniverseMismatchError, is_int
+from .core import ConstraintSet, DimacsParseError, PreconditionError, is_int, require_universe
 from .satsolver import SatSolver
 
 
@@ -40,10 +40,7 @@ class SatOracle:
         self.core: ConstraintSet | None = None
 
     def is_sat(self, s: ConstraintSet) -> bool:
-        if s.n != self.n:
-            raise UniverseMismatchError(
-                f"set over universe {s.n}, oracle over universe {self.n}"
-            )
+        require_universe(s, self.n)
         self.checks += 1
         sat, mask = self._solve(s)
         found = ConstraintSet(self.n, mask)

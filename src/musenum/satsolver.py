@@ -46,18 +46,24 @@ assumes each of them first, in variable order, as its bit says, so level
 i + 1 decides selector i and the selectors assumed true up to level L are the
 low L selector bits. Learnt clauses over many selectors are factored as
 in Lagniez & Biere, "Factoring Out Assumptions to Speed Up MUS Extraction"
-(SAT 2013): when at least GUARD_MIN negated selectors lie below the conflict
-level, they leave the learnt clause's literal list for an integer mask, its
-guard, except the one assumed last, which stays a literal so that the clause
-still wakes up when it is assumed. The clause still means its literals or the
-negation of any guard selector. When the watch scan of a guarded clause finds
-no other literal to watch, the clause is unit or conflicting only if every
-guard selector is assumed true at the current level. If not, one guard selector
-that is not assumed true moves back into the literal list as the new watch
-("parking"), preferably one this solve assumes false, which satisfies the
-clause. Conflict analysis and the failed-selector walk take in the guards
-of the clauses they pass. Guards live in a dict keyed by the clause's id, so
-that clauses stay exact lists, which CPython indexes fastest.
+(SAT 2013), by one rule: a learnt clause takes a guard, an integer mask, when
+it has at least GUARD_MIN negated selectors below the conflict level, or when
+a guard that conflict analysis passed brought one that its literals lack. All
+its selectors but the one assumed last, which stays a literal so that the
+clause still wakes up when it is assumed, leave the literal list for the
+guard; an empty guard is never stored. The clause still means its literals or
+the negation of any guard selector. When the watch scan of a guarded clause
+finds no other literal to watch, the clause is unit or conflicting only if
+every guard selector is assumed true at the current level. If not, one
+guard selector that is not assumed true moves back into the literal list as
+the new watch ("parking"), preferably one this solve assumes false, which
+satisfies the clause. So every guard lies below a selector literal of its
+own clause, and a clause that fires at level L has its whole guard decided
+below L; a selector implied false falsifies no literal, so its reason is
+never passed. Conflict analysis and the failed-selector walk OR in the
+guards of the clauses they pass as they are. Guards live in a dict keyed by
+the clause's id, so that clauses stay exact lists, which CPython indexes
+fastest.
 
 Model invariant: a SAT answer's model is the first model of the clauses and
 the assumptions in branching order, which tries variables from the lowest
@@ -84,10 +90,10 @@ from __future__ import annotations
 
 from .core import set_bits
 
-# A learnt clause keeps its negated selectors in a guard only when it has at
-# least this many. A guard saves scanning its false selectors, but each time
-# its clause runs out of literals to watch it costs a lookup, a mask test and
-# often parking; with fewer selectors than this, that cost was the larger.
+# A learnt clause keeps its selectors in a guard when it has this many, or a
+# guard it took in brings one. A guard saves scanning its false selectors, but
+# each time its clause runs out of literals to watch it costs a lookup, a mask
+# test and often parking; with fewer selectors than this, that cost was larger.
 GUARD_MIN = 16
 
 
@@ -409,9 +415,9 @@ class SatSolver:
     def _analyze(self, conflict):
         """First-UIP conflict analysis; returns (learnt clause, backjump level).
 
-        When at least GUARD_MIN negated selectors lie below the conflict
-        level, they go into the learnt clause's guard, all but the one
-        assumed last, which stays a literal.
+        A passed clause's guard was decided below this level, so it joins the
+        learnt clause's selectors as it is; the one guard rule of the module
+        docstring then factors them.
         """
         level = self._level
         reason = self._reason
@@ -438,13 +444,7 @@ class SatSolver:
                         if v >= base:
                             listed |= 1 << (v - base)
             if guards:
-                walked = guards.get(id(conflict), 0)
-                if walked >> (current - 1) & 1:  # the selector decided at this level
-                    walked ^= 1 << (current - 1)
-                    if not seen[base + current - 1]:
-                        seen[base + current - 1] = 1
-                        counter += 1
-                guard |= walked
+                guard |= guards.get(id(conflict), 0)
             while not seen[abs(trail[idx])]:
                 idx -= 1
             pivot = trail[idx]
@@ -457,16 +457,15 @@ class SatSolver:
             conflict = reason[pv]
         learnt[0] = -pivot
         guard |= listed
-        if guard.bit_count() >= GUARD_MIN:
+        if guard != listed or guard.bit_count() >= GUARD_MIN:
             # the selector assumed last stays a literal, so the clause still
             # fires when it is assumed; the others leave the literal list
             top = guard.bit_length() - 1
             learnt[1:] = [lit for lit in learnt[1:] if lit > -base]
             learnt.append(-(base + top))
-            guards[id(learnt)] = guard ^ 1 << top
-        elif guard != listed:  # add the selectors the walked clauses held only in their guards
-            guard &= ~listed
-            learnt += [-(base - 1 + b) for b in set_bits(guard)]
+            guard ^= 1 << top
+            if guard:
+                guards[id(learnt)] = guard
         if len(learnt) == 1:
             return learnt, 0
         deepest = 1

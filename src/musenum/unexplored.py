@@ -11,7 +11,7 @@ the map learns each fact once and keeps it.
 
 from __future__ import annotations
 
-from .core import ConstraintSet, PreconditionError, UniverseMismatchError, set_bits
+from .core import ConstraintSet, PreconditionError, require_universe, set_bits
 from .satsolver import SatSolver
 
 
@@ -44,13 +44,9 @@ class UnexploredMap:
         self._solver = SatSolver(n)
         self._down: set[int] = set()  # the maximal down-blocked masks
 
-    def _require_same_universe(self, s: ConstraintSet) -> None:
-        if s.n != self.n:
-            raise UniverseMismatchError(f"set over universe {s.n}, map over {self.n}")
-
     def block_down(self, sat_set: ConstraintSet) -> None:
         """Remove sat_set and all of its subsets from the map."""
-        self._require_same_universe(sat_set)
+        require_universe(sat_set, self.n)
         mask = sat_set.mask
         self.block_log.append(("down", mask))
         # one pass decides both whether mask lies inside a stored set and
@@ -82,7 +78,7 @@ class UnexploredMap:
 
     def block_up(self, unsat_set: ConstraintSet) -> None:
         """Remove unsat_set and all of its supersets from the map."""
-        self._require_same_universe(unsat_set)
+        require_universe(unsat_set, self.n)
         self.block_log.append(("up", unsat_set.mask))
         self._solver.add_clause(set_bits(unsat_set.mask))
 
@@ -101,7 +97,7 @@ class UnexploredMap:
         its maximal models the same way (Liffiton, Previti, Malik &
         Marques-Silva, "Fast, flexible MUS enumeration", Constraints 2016).
         """
-        self._require_same_universe(p)
+        require_universe(p, self.n)
         self.solver_calls += 1
         # restriction to subsets of p is per call, never encoded as clauses
         if not self._solver.solve(self._full & ~p.mask):

@@ -14,6 +14,7 @@ from musenum import (
     is_mus,
     parse_dimacs,
 )
+from musenum import satsolver
 from musenum.satsolver import SatSolver
 from musenum.reference import random_cnf
 
@@ -469,6 +470,19 @@ def guarded_formulas(count):
 GUARDED_FORMULAS = guarded_formulas(12)
 
 
+def assert_guards_lie_below_a_selector_literal(solver):
+    """Each guard lies wholly below a negated selector among its clause's literals.
+
+    So a clause that fires at level L has its guard decided below L, which
+    conflict analysis relies on.
+    """
+    clauses = {id(clause): clause for ws in solver._watches for clause in ws}
+    base = solver._selector
+    for key, guard in solver._guards.items():
+        top = max(-lit - base for lit in clauses[key] if lit <= -base)
+        assert guard >> top == 0, (clauses[key], bin(guard))
+
+
 def answer_like_fresh_oracles(num_vars, clauses, seed) -> int:
     """Drive one oracle through shrink-shaped and seeded random queries; returns the guards it made.
 
@@ -488,6 +502,7 @@ def answer_like_fresh_oracles(num_vars, clauses, seed) -> int:
         query = ConstraintSet(n, mask)
         sat = oracle.is_sat(query)
         guards.update(oracle._solver._guards)
+        assert_guards_lie_below_a_selector_literal(oracle._solver)
         fresh = CnfOracle(num_vars, clauses)
         assert fresh.is_sat(query) == sat, mask
         if sat:
@@ -502,8 +517,15 @@ def answer_like_fresh_oracles(num_vars, clauses, seed) -> int:
     return len(guards)
 
 
-@pytest.mark.parametrize("formula", range(len(GUARDED_FORMULAS)))
-def test_factored_learnts_keep_every_answer(formula):
+# GUARD_MIN 4 keeps about nine times the guards of the default 16 on these
+# formulas, and parks and empties more of them
+@pytest.mark.parametrize(
+    "formula, guard_min",
+    [pytest.param(k, 16, id=str(k)) for k in range(len(GUARDED_FORMULAS))]
+    + [pytest.param(k, 4, id=f"{k}-guard_min=4") for k in range(len(GUARDED_FORMULAS))],
+)
+def test_factored_learnts_keep_every_answer(formula, guard_min, monkeypatch):
+    monkeypatch.setattr(satsolver, "GUARD_MIN", guard_min)
     num_vars, clauses = GUARDED_FORMULAS[formula]
     answer_like_fresh_oracles(num_vars, clauses, formula)
 

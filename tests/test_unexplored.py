@@ -270,3 +270,5 @@ def test_universe_mismatch_rejected():
         umap.block_down(cs("1100"))
     with pytest.raises(UniverseMismatchError):
         umap.max_unexplored_subset_of(cs("10"))
+    with pytest.raises(UniverseMismatchError):
+        umap.block_up(cs("1"))
