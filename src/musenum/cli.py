@@ -15,8 +15,7 @@ import os
 import sys
 
 from .core import DimacsParseError, InstanceSatisfiableError, PreconditionError
-from .oracles import parse_dimacs
-from .reference import random_cnf, to_dimacs
+from .oracles import parse_dimacs, random_cnf, to_dimacs
 from .session import EnumerationResult, RemusConfig, enumerate_marco, enumerate_remus
 
 
@@ -52,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop cleanly after emitting N MUSes",
     )
     solve.add_argument(
-        "--reduction-factor", type=float, default=0.9, metavar="F",
-        help="search-space reduction factor for remus (default: 0.9)",
+        "--reduction-factor", type=float, default=RemusConfig.reduction_factor, metavar="F",
+        help="search-space reduction factor for remus (default: %(default)s)",
     )
     solve.add_argument(
         "--stats", metavar="PATH", default=None,
@@ -83,6 +82,11 @@ def write_stats_csv(result: EnumerationResult, handle) -> None:
         )
 
 
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
 def _cmd_solve(args) -> int:
     try:
         config = RemusConfig(
@@ -90,64 +94,49 @@ def _cmd_solve(args) -> int:
             mus_limit=args.mus_limit,
             time_limit=args.time_limit,
         )
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         with open(args.input, "rb") as handle:
             text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 2
-    try:
         oracle = parse_dimacs(text)
+    except PreconditionError as exc:
+        return _fail(2, f"error: {exc}")
+    except OSError as exc:
+        return _fail(2, f"error: cannot read {args.input}: {exc}")
     except DimacsParseError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {args.input}: {exc}")
     if oracle.n == 0:  # the run would reject it, but only after the CSV is opened
-        print(f"error: {args.input}: the instance must contain at least one constraint", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {args.input}: the instance must contain at least one constraint")
     # opened before the run, so that an unwritable path does not cost the run
     try:
         stats = open(args.stats, "w", newline="") if args.stats else None
     except OSError as exc:
-        print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
-        return 1
-    with stats or contextlib.nullcontext():
-        return _solve(args, config, oracle, stats)
-
-
-def _solve(args, config: RemusConfig, oracle, stats) -> int:
+        return _fail(1, f"error: cannot write {args.stats}: {exc}")
     out = sys.stdout
 
-    def sink(record):
-        if args.quiet:
-            return
+    def report(record):
         indices = " ".join(str(i) for i in record.mus.indices_1based())
         out.write(f"MUS {record.ordinal}: {indices}\n")
         out.flush()  # the line must be out before the next oracle check starts
 
     runner = enumerate_remus if args.algorithm == "remus" else enumerate_marco
-    try:
-        result = runner(oracle, config, sink)
-        out.write(
-            f"found={len(result.records)} oracle_checks={result.oracle_checks} "
-            f"map_calls={result.map_solver_calls} elapsed={result.elapsed_s:.3f}s "
-            f"complete={'yes' if result.complete else 'no'}\n"
-        )
-        out.flush()
-    except InstanceSatisfiableError:
-        print("instance is satisfiable", file=sys.stderr)
-        return 3
-    except BrokenPipeError:  # the reader of stdout went away
-        return 1
-    if stats is not None:
+    with stats or contextlib.nullcontext():
         try:
-            write_stats_csv(result, stats)
-            stats.close()  # a write the buffer held fails here, not in the caller's close
-        except OSError as exc:
-            print(f"error: cannot write {args.stats}: {exc}", file=sys.stderr)
+            result = runner(oracle, config, None if args.quiet else report)
+            out.write(
+                f"found={len(result.records)} oracle_checks={result.oracle_checks} "
+                f"map_calls={result.map_solver_calls} elapsed={result.elapsed_s:.3f}s "
+                f"complete={'yes' if result.complete else 'no'}\n"
+            )
+            out.flush()
+        except InstanceSatisfiableError:
+            return _fail(3, "instance is satisfiable")
+        except BrokenPipeError:  # the reader of stdout went away
             return 1
+        if stats is not None:
+            try:
+                write_stats_csv(result, stats)
+                stats.close()  # a write the buffer held fails here, not in the caller's close
+            except OSError as exc:
+                return _fail(1, f"error: cannot write {args.stats}: {exc}")
     return 0
 
 
@@ -161,8 +150,7 @@ def _cmd_gen(args) -> int:
         with open(args.output, "w") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"error: cannot write {args.output}: {exc}")
     return 0
 
 

@@ -1,10 +1,12 @@
-"""Satisfiability oracles over constraint subsets: the CNF oracle, its DIMACS parser and `is_mus`.
+"""Satisfiability oracles over constraint subsets: the CNF oracle, DIMACS in and out, and `is_mus`.
 
 `SatOracle` is the interface an enumerator needs from any constraint domain;
 `CnfOracle` is the one domain the package ships.
 """
 
 from __future__ import annotations
+
+import random
 
 from .core import ConstraintSet, DimacsParseError, PreconditionError, is_int, require_universe
 from .satsolver import SatSolver
@@ -269,6 +271,25 @@ def parse_dimacs(text) -> CnfOracle:
             header_line,
         )
     return CnfOracle(num_vars, clauses)
+
+
+def to_dimacs(num_vars: int, clauses) -> str:
+    lines = [f"p cnf {num_vars} {len(clauses)}"]
+    lines.extend(" ".join(map(str, clause)) + " 0" for clause in clauses)
+    return "\n".join(lines) + "\n"
+
+
+def random_cnf(num_vars: int, num_clauses: int, width: int = 3, seed: int = 0) -> list[list[int]]:
+    """Seeded random CNF clause list; each clause uses `width` distinct variables."""
+    if num_vars < 1 or num_clauses < 0 or width < 1:
+        raise PreconditionError("invalid generator parameters")
+    rng = random.Random(seed)
+    actual_width = min(width, num_vars)
+    clauses = []
+    for _ in range(num_clauses):
+        chosen = sorted(rng.sample(range(1, num_vars + 1), actual_width))
+        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+    return clauses
 
 
 def is_mus(oracle: SatOracle, s: ConstraintSet) -> bool:

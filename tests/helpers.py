@@ -9,7 +9,7 @@ import math
 import random
 
 from musenum import CnfOracle, ConstraintSet, MusError, PreconditionError, SatOracle, UnexploredMap
-from musenum.reference import random_cnf
+from musenum.oracles import random_cnf
 
 # the four-constraint demo system over two variables:
 #   c1 = a, c2 = not a, c3 = b, c4 = (not a or not b)

@@ -25,7 +25,7 @@ from musenum import (
     enumerate_remus,
     is_mus,
 )
-from musenum.reference import random_cnf, to_dimacs
+from musenum.oracles import random_cnf, to_dimacs
 
 from helpers import (
     bruteforce_all_muses,

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from musenum import enumerate_marco, enumerate_remus, parse_dimacs
-from musenum.reference import to_dimacs
+from musenum.oracles import to_dimacs
 
 from helpers import EXAMPLE1_DIMACS, small_unsat_cnfs
 

@@ -99,6 +99,13 @@ def test_solve_unreadable_input_exits_2(tmp_path):
     assert "cannot read" in proc.stderr
 
 
+def test_bad_flag_outranks_unreadable_input(tmp_path):
+    proc = run_cli("solve", str(tmp_path / "missing.cnf"), "--time-limit", "-1")
+    assert proc.returncode == 2
+    assert "non-negative number" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_solve_malformed_input_exits_2_with_line(tmp_path):
     path = tmp_path / "broken.cnf"
     path.write_text("p cnf 2 3\n1 0\n2 0\n")
@@ -207,6 +214,23 @@ def test_gen_to_file_then_solve(tmp_path):
     proc = run_cli("solve", str(cnf_path), "--mus-limit", "2")
     assert proc.returncode == 0
     assert len(parse_mus_lines(proc.stdout)) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, named, reason",
+    [
+        (["--vars", "0", "--clauses", "3"], "--vars", "at least 1"),
+        (["--vars", "3", "--clauses", "0"], "--clauses", "at least 1"),
+        (["--vars", "3", "--clauses", "3", "--width", "0"], "--width", "at least 1"),
+        (["--vars", "x", "--clauses", "3"], "--vars", "'x' is not an integer"),
+    ],
+)
+def test_gen_bad_counts_exit_2(flags, named, reason):
+    proc = run_cli("gen", *flags)
+    assert proc.returncode == 2
+    assert f"argument {named}: " in proc.stderr and reason in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_run_in_process_matches_subprocess(example1_path, capsys, tmp_path):

@@ -51,7 +51,7 @@ import hashlib
 import pytest
 
 from musenum import CnfOracle, RemusConfig, enumerate_marco, enumerate_remus
-from musenum.reference import random_cnf
+from musenum.oracles import random_cnf
 
 from helpers import CoreCnfOracle
 

@@ -11,7 +11,7 @@ from musenum import (
     is_mus,
     parse_dimacs,
 )
-from musenum.reference import random_cnf
+from musenum.oracles import random_cnf
 
 from helpers import (
     EXAMPLE1_DIMACS,

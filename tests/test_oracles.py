@@ -15,8 +15,8 @@ from musenum import (
     parse_dimacs,
 )
 from musenum import satsolver
+from musenum.oracles import random_cnf
 from musenum.satsolver import SatSolver
-from musenum.reference import random_cnf
 
 from helpers import (
     EXAMPLE1_DIMACS,
@@ -67,6 +67,8 @@ def test_parse_empty_clause_is_a_constraint():
         ("p cnf 3 3\n1 0\n2 0\n", 1),  # declared three clauses, file has two
         ("p cnf 2\n1 0\n", 1),  # malformed header
         ("p dnf 2 1\n1 0\n", 1),
+        ("p cnf two 1\n1 0\n", 1),  # non-integer counts
+        ("p cnf 2 -1\n", 1),  # negative counts
         ("1 0\n", 1),  # clause before header
         ("p cnf 2 1\n3 0\n", 2),  # literal out of range
         ("p cnf 2 1\n1 x 0\n", 2),  # non-integer token

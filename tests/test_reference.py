@@ -3,7 +3,7 @@ import random
 import pytest
 
 from musenum import ConstraintSet, PreconditionError, UnexploredMap, parse_dimacs
-from musenum.reference import random_cnf, to_dimacs
+from musenum.oracles import random_cnf, to_dimacs
 
 from helpers import (
     EXAMPLE1_STATUSES,

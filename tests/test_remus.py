@@ -20,7 +20,7 @@ from musenum import (
     parse_dimacs,
     shrink,
 )
-from musenum.reference import random_cnf
+from musenum.oracles import random_cnf
 from musenum.unexplored import UnexploredMap
 
 from helpers import (

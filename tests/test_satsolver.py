@@ -6,7 +6,7 @@ import time
 import pytest
 
 from musenum import CnfOracle, ConstraintSet, RemusConfig, enumerate_remus
-from musenum.reference import random_cnf
+from musenum.oracles import random_cnf
 from musenum.satsolver import SatSolver
 
 from helpers import pigeonhole
