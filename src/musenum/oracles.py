@@ -213,8 +213,9 @@ def parse_dimacs(text) -> CnfOracle:
     Accepts str or bytes. Comment lines start with 'c'; exactly one
     'p cnf <vars> <clauses>' header must precede the clause data; clauses are
     whitespace-separated nonzero integer literals, each clause terminated by 0
-    (clauses may span lines). Any malformation raises DimacsParseError naming
-    the offending line.
+    (clauses may span lines). A line that begins with '%' ends the clause
+    data, as in SATLIB's uniform random 3-SAT files. Any malformation raises
+    DimacsParseError naming the offending line.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8", errors="replace")
@@ -248,6 +249,8 @@ def parse_dimacs(text) -> CnfOracle:
             try:
                 lit = int(token)
             except ValueError:
+                if line.startswith("%"):
+                    break
                 raise DimacsParseError(
                     f"expected integer literal, got {token!r}", line_no
                 ) from None
@@ -261,6 +264,9 @@ def parse_dimacs(text) -> CnfOracle:
                         line_no,
                     )
                 current.append(lit)
+        else:
+            continue
+        break  # the '%' line: nothing after it is clause data
     if num_vars is None:
         raise DimacsParseError("missing 'p cnf' header", max(line_no, 1))
     if current:

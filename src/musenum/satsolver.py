@@ -61,9 +61,8 @@ satisfies the clause. So every guard lies below a selector literal of its
 own clause, and a clause that fires at level L has its whole guard decided
 below L; a selector implied false falsifies no literal, so its reason is
 never passed. Conflict analysis and the failed-selector walk OR in the
-guards of the clauses they pass as they are. Guards live in a dict keyed by
-the clause's id, so that clauses stay exact lists, which CPython indexes
-fastest.
+guards of the clauses they pass as they are. A clause keeps its guard in its
+own slot 0 (0 for none), so reading it costs one index into a list in hand.
 
 Model invariant: a SAT answer's model is the first model of the clauses and
 the assumptions in branching order, which tries variables from the lowest
@@ -77,13 +76,17 @@ clause implied by the others leaves the set of models, and with it every
 later model, unchanged. `model_mask` holds the model's variables below the
 first selector only: a caller that assumes the selectors knows their values.
 
-Variables are the integers 1..num_vars (num_vars = variables + selectors),
-literals are signed integers, and clauses are lists of literals. Values are
-stored per literal in one list laid out as [0, v1..vn, -vn..-v1], so
-Python's negative indexing finds a negative literal's entry and `_val[lit]`
-is the literal's value with no sign test; assigning a variable writes both
-of its literals. The watch lists are laid out the same way, so
-`_watches[lit]` holds the clauses watching lit.
+Variables are the integers 1..num_vars (num_vars = variables + selectors).
+The methods take literals as signed integers, but inside, as in MiniSat, a
+literal is a code: v is 2v and -v is 2v + 1, so a literal's negation is
+`code ^ 1` and its variable `code >> 1`. Values are stored per code, 1 true,
+-1 false, 0 unassigned, so `_val[code]` is the literal's value with no sign
+test, and `_watches[code]` holds the clauses watching it. Every index is
+non-negative because CPython (3.11 on) specializes list indexing only for
+those: a negative index takes the generic path, about twice as slow per read
+in a plain loop on CPython 3.11.7. A clause is a list [guard, watch, watch,
+rest...]: slot 0 holds its guard, slots 1 and 2 its watched literals, and a
+reason clause keeps its implied literal at slot 1.
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ from .core import set_bits
 
 # A learnt clause keeps its selectors in a guard when it has this many, or a
 # guard it took in brings one. A guard saves scanning its false selectors, but
-# each time its clause runs out of literals to watch it costs a lookup, a mask
-# test and often parking; with fewer selectors than this, that cost was larger.
+# each time its clause runs out of literals to watch it costs a mask test and
+# often parking; with fewer selectors than this, that cost was larger.
 GUARD_MIN = 16
 
 
@@ -103,16 +106,14 @@ class SatSolver:
         # variables from here on are selectors; the guard bit of variable v is v - _selector
         self._selector = variables + 1
         self._selected = 0  # the selectors the last solve assumed true, as a guard mask
-        self._guards: dict[int, int] = {}  # id of a learnt clause -> its guard, if not 0
         self.ok = True  # becomes False once the formula is unsat without assumptions
-        # per literal: 1 true, -1 false, 0 unassigned; layout [0, v1..vn, -vn..-v1]
-        self._val: list[int] = [0] * (2 * num_vars + 1)
+        self._val: list[int] = [0] * (2 * num_vars + 2)  # per literal code: 1 true, -1 false, 0 unassigned
         self._level: list[int] = [0] * (num_vars + 1)
         self._reason: list = [None] * (num_vars + 1)
-        self._watches: list[list] = [[] for _ in range(2 * num_vars + 1)]  # laid out like _val
+        self._watches: list[list] = [[] for _ in range(2 * num_vars + 2)]  # per literal code
         self._trail: list[int] = []
         self._lim: list[int] = []  # trail length at the start of each decision level
-        self._free = 1  # every variable below this one is assigned; branching scans from it
+        self._free = 2  # every code below this one is assigned; branching scans from it
         self._qhead = 0
         self._assumed: list[int] = []  # assumption i was decided at level i + 1
         self._model_mask: int | None = None
@@ -138,52 +139,55 @@ class SatSolver:
             return
         level = self._level
         val = self._val
+        trail = self._trail  # no literal has a value while it is empty
+        top = 2 * self.num_vars + 1
         seen = set()
-        out = []
+        out = [0]  # no guard
         for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
+            code = lit + lit if lit > 0 else 1 - lit - lit
+            if code > top or code < 2:
                 raise ValueError(f"literal {lit} out of range")
-            if -lit in seen:
-                return  # tautology
-            if lit in seen:
+            if code in seen:
                 continue
-            if val[lit] != 0 and level[abs(lit)] == 0:
-                if val[lit] == 1:
+            if code ^ 1 in seen:
+                return  # tautology
+            if trail and val[code] != 0 and level[code >> 1] == 0:
+                if val[code] == 1:
                     return  # satisfied at level 0
                 continue  # permanently false literal
-            seen.add(lit)
-            out.append(lit)
-        if not out:
+            seen.add(code)
+            out.append(code)
+        if len(out) == 1:
             self.ok = False
             return
-        if len(out) == 1:
+        if len(out) == 2:
             self._backtrack(0)
-            self._enqueue(out[0], None)
+            self._enqueue(out[1], None)
             if self._propagate() is not None:
                 self.ok = False
             return
         if self._lim:
             self._free_watches(out)
-        self._watches[out[0]].append(out)
         self._watches[out[1]].append(out)
+        self._watches[out[2]].append(out)
 
     def _free_watches(self, clause) -> None:
-        """Move the two literals that stay unfalsified longest to the front.
+        """Move the two literals that stay unfalsified longest to the watch slots.
 
         Unfalsified literals rank above false ones, which rank by level. If the
         second literal is false, backtrack to just below its level, which frees
-        both front literals.
+        both watched literals.
         """
         level = self._level
         val = self._val
         free = len(self._lim) + 1
-        ranks = [level[abs(lit)] if val[lit] == -1 else free for lit in clause]
-        for pos in (0, 1):
+        ranks = [level[lit >> 1] if val[lit] == -1 else free for lit in clause]
+        for pos in (1, 2):
             best = max(range(pos, len(clause)), key=ranks.__getitem__)
             clause[pos], clause[best] = clause[best], clause[pos]
             ranks[pos], ranks[best] = ranks[best], ranks[pos]
-        if ranks[1] < free:
-            self._backtrack(ranks[1] - 1)
+        if ranks[2] < free:
+            self._backtrack(ranks[2] - 1)
 
     def solve(self, assumed: int = 0) -> bool:
         """Decide satisfiability under the assumptions of one mask.
@@ -213,13 +217,14 @@ class SatSolver:
         changed = selected ^ self._selected
         same = min(len(previous), (changed & -changed).bit_length() - 1 if changed else count)
         assume = previous[:same]
-        assume += [base + i if selected >> i & 1 else -(base + i) for i in range(same, count)]
-        for v in previous[count:]:  # the previous plain assumptions, while still assumed
-            if not plain >> (v - 1) & 1:
+        assume += [2 * (base + i) + (not selected >> i & 1) for i in range(same, count)]
+        for code in previous[count:]:  # the previous plain assumptions, while still assumed
+            bit = 1 << (code >> 1) - 1
+            if not plain & bit:
                 break
-            assume.append(v)
-            plain ^= 1 << (v - 1)
-        assume += set_bits(plain)
+            assume.append(code)
+            plain ^= bit
+        assume += [2 * v for v in set_bits(plain)]
         if assume != previous:
             limit = min(len(self._lim), len(assume), len(previous))
             kept = min(same, limit)
@@ -240,12 +245,12 @@ class SatSolver:
                     return False
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
-                if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
+                if len(learnt) == 2:
+                    self._enqueue(learnt[1], None)
                 else:
-                    watches[learnt[0]].append(learnt)
                     watches[learnt[1]].append(learnt)
-                    self._enqueue(learnt[0], learnt)
+                    watches[learnt[2]].append(learnt)
+                    self._enqueue(learnt[1], learnt)
                 continue
             # decide assumptions up to the first one whose negation a clause watches
             level = len(lim)
@@ -258,18 +263,19 @@ class SatSolver:
                 level += 1
                 if val[lit] == 0:
                     self._enqueue(lit, None)
-                    if watches[-lit]:
+                    if watches[lit ^ 1]:
                         break
                     self._qhead += 1  # nothing to propagate
             else:
                 try:
-                    branch_var = self._free = val.index(0, self._free, n + 1)
+                    # both codes of a variable are assigned together, so this is 2v
+                    branch = self._free = val.index(0, self._free)
                 except ValueError:  # no variable is free
                     self._failed = None
                     self._save_model()
                     return True
                 lim.append(len(trail))
-                self._enqueue(-branch_var, None)
+                self._enqueue(branch | 1, None)
 
     def failed_selectors(self) -> int:
         """A mask of selectors that, with the last solve's plain assumptions, the clauses refute.
@@ -283,38 +289,35 @@ class SatSolver:
         failed = self._failed
         if failed is None:
             raise RuntimeError("no failed selectors; last solve was sat or never ran")
-        base = self._selector
-        core = 1 << (failed - base) if failed >= base else 0
+        first = 2 * self._selector  # the code of the first selector assumed true
+        core = 1 << (failed - first >> 1) if failed >= first and not failed & 1 else 0
         level = self._level
-        if level[abs(failed)] == 0:  # also when no assumption failed: level[0] is 0
+        if level[failed >> 1] == 0:  # also when no assumption failed: level[0] is 0
             return core
         reason = self._reason
         trail = self._trail
-        guards = self._guards
         seen = bytearray(self.num_vars + 1)
-        seen[abs(failed)] = 1
+        seen[failed >> 1] = 1
         for idx in range(len(trail) - 1, self._lim[0] - 1, -1):
             lit = trail[idx]
-            v = lit if lit > 0 else -lit
-            if not seen[v]:
+            if not seen[lit >> 1]:
                 continue
-            clause = reason[v]
+            clause = reason[lit >> 1]
             if clause is None:  # every decision so far is an assumption
-                if lit >= base:
-                    core |= 1 << (lit - base)
+                if lit >= first and not lit & 1:
+                    core |= 1 << (lit - first >> 1)
                 continue
-            for other in clause[1:]:
-                w = other if other > 0 else -other
+            for other in clause[2:]:
+                w = other >> 1
                 if level[w] > 0:
                     seen[w] = 1
-            if guards:
-                core |= guards.get(id(clause), 0)
+            core |= clause[0]
         return core
 
     def _enqueue(self, lit: int, reason) -> None:
         self._val[lit] = 1
-        self._val[-lit] = -1
-        v = lit if lit > 0 else -lit
+        self._val[lit ^ 1] = -1
+        v = lit >> 1
         self._level[v] = len(self._lim)
         self._reason[v] = reason
         self._trail.append(lit)
@@ -326,8 +329,8 @@ class SatSolver:
         val = self._val
         for lit in self._trail[head:]:
             val[lit] = 0
-            val[-lit] = 0
-        self._free = 1  # cheaper than finding the lowest variable undone
+            val[lit ^ 1] = 0
+        self._free = 2  # cheaper than finding the lowest variable undone
         del self._trail[head:]
         del self._lim[level:]
         self._qhead = head
@@ -343,12 +346,11 @@ class SatSolver:
         reason = self._reason
         watches = self._watches
         trail = self._trail
-        guards = self._guards
         current = len(self._lim)
         assumed = -1  # the selectors assumed true at this level, once a guard needs them
         qhead = self._qhead
         while qhead < len(trail):
-            false_lit = -trail[qhead]
+            false_lit = trail[qhead] ^ 1
             qhead += 1
             ws = watches[false_lit]
             if not ws:
@@ -356,24 +358,24 @@ class SatSolver:
             j = 0  # ws[:j] holds the clauses visited so far that keep watching false_lit
             visiting = iter(ws)
             for clause in visiting:
-                first = clause[0]
+                first = clause[1]
                 if first == false_lit:
-                    first = clause[1]
-                    clause[0] = first
-                    clause[1] = false_lit
+                    first = clause[2]
+                    clause[1] = first
+                    clause[2] = false_lit
                 if val[first] == 1:
                     ws[j] = clause
                     j += 1
                     continue
-                for k in range(2, len(clause)):
+                for k in range(3, len(clause)):
                     other = clause[k]
                     if val[other] != -1:
-                        clause[1] = other
+                        clause[2] = other
                         clause[k] = false_lit
                         watches[other].append(clause)
                         break
                 else:
-                    guard = guards.get(id(clause), 0) if guards else 0
+                    guard = clause[0]
                     if guard:
                         if assumed < 0:  # level i decided selector i - 1
                             assumed = self._selected & ((1 << current) - 1)
@@ -382,15 +384,11 @@ class SatSolver:
                             # park a selector that is not assumed true as the new watch,
                             # preferring one this solve assumes false
                             top = (missing & ~self._selected or missing).bit_length() - 1
-                            sel = -(self._selector + top)
-                            clause[1] = sel
+                            sel = 2 * (self._selector + top) + 1
+                            clause[0] = guard ^ 1 << top
+                            clause[2] = sel
                             clause.append(false_lit)
                             watches[sel].append(clause)
-                            guard ^= 1 << top
-                            if guard:
-                                guards[id(clause)] = guard
-                            else:
-                                del guards[id(clause)]
                             continue
                     ws[j] = clause
                     j += 1
@@ -403,8 +401,8 @@ class SatSolver:
                         return clause
                     # enqueue first with clause as its reason
                     val[first] = 1
-                    val[-first] = -1
-                    v = first if first > 0 else -first
+                    val[first ^ 1] = -1
+                    v = first >> 1
                     level[v] = current
                     reason[v] = clause
                     trail.append(first)
@@ -422,19 +420,18 @@ class SatSolver:
         level = self._level
         reason = self._reason
         trail = self._trail
-        guards = self._guards
         base = self._selector
         current = len(self._lim)
         seen = bytearray(self.num_vars + 1)
-        learnt = [0]
+        learnt = [0, 0]  # the guard, then the asserting literal
         guard = listed = 0  # selectors below this level: all of them, those among the literals
         counter = 0
         pivot = 0
         idx = len(trail) - 1
         while True:
-            # reason clauses keep their implied literal at position 0; skip it
-            for lit in conflict[1 if pivot else 0:]:
-                v = lit if lit > 0 else -lit
+            # reason clauses keep their implied literal at slot 1; skip it
+            for lit in conflict[2 if pivot else 1:]:
+                v = lit >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     if level[v] >= current:
@@ -443,42 +440,39 @@ class SatSolver:
                         learnt.append(lit)
                         if v >= base:
                             listed |= 1 << (v - base)
-            if guards:
-                guard |= guards.get(id(conflict), 0)
-            while not seen[abs(trail[idx])]:
+            guard |= conflict[0]
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
             pivot = trail[idx]
             idx -= 1
-            pv = pivot if pivot > 0 else -pivot
+            pv = pivot >> 1
             seen[pv] = 0
             counter -= 1
             if counter == 0:
                 break
             conflict = reason[pv]
-        learnt[0] = -pivot
+        learnt[1] = pivot ^ 1
         guard |= listed
         if guard != listed or guard.bit_count() >= GUARD_MIN:
             # the selector assumed last stays a literal, so the clause still
             # fires when it is assumed; the others leave the literal list
             top = guard.bit_length() - 1
-            learnt[1:] = [lit for lit in learnt[1:] if lit > -base]
-            learnt.append(-(base + top))
-            guard ^= 1 << top
-            if guard:
-                guards[id(learnt)] = guard
-        if len(learnt) == 1:
+            first = 2 * base
+            learnt[2:] = [lit for lit in learnt[2:] if lit < first or not lit & 1]
+            learnt.append(2 * (base + top) + 1)
+            learnt[0] = guard ^ 1 << top
+        if len(learnt) == 2:
             return learnt, 0
-        deepest = 1
-        for k in range(2, len(learnt)):
-            if level[abs(learnt[k])] > level[abs(learnt[deepest])]:
+        deepest = 2
+        for k in range(3, len(learnt)):
+            if level[learnt[k] >> 1] > level[learnt[deepest] >> 1]:
                 deepest = k
-        learnt[1], learnt[deepest] = learnt[deepest], learnt[1]
-        return learnt, level[abs(learnt[1])]
+        learnt[2], learnt[deepest] = learnt[deepest], learnt[2]
+        return learnt, level[learnt[2] >> 1]
 
     def _save_model(self) -> None:
         mask = 0
-        val = self._val
-        for v in range(1, self._selector):
-            if val[v] == 1:
-                mask |= 1 << (v - 1)
+        for v, value in enumerate(self._val[2 : 2 * self._selector : 2]):
+            if value == 1:
+                mask |= 1 << v
         self._model_mask = mask

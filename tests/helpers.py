@@ -2,7 +2,8 @@
 
 The package ships only what its callers use; the references the tests check
 it against live here: an explicit-table oracle, brute-force MUS enumeration,
-bitstring sets and the map's clauses read back as lists of literals.
+bitstring sets, the map's clauses read back as lists of literals, and the
+solver's stored clauses read back as signed literals and guards.
 """
 
 import math
@@ -59,6 +60,35 @@ def bitsets(sets) -> set[str]:
 def muses_of(result) -> list[ConstraintSet]:
     """The MUSes of an enumeration result, in the order they were emitted."""
     return [record.mus for record in result.records]
+
+
+def literal(code: int) -> int:
+    """The signed literal of a SatSolver literal code: 2v is v and 2v + 1 is -v (0 stays 0)."""
+    return -(code >> 1) if code & 1 else code >> 1
+
+
+def stored_clause(clause) -> tuple[list[int], int]:
+    """A clause as SatSolver stores it, read back as (signed literals, guard mask)."""
+    return [literal(code) for code in clause[1:]], clause[0]
+
+
+def watched_clauses(solver) -> list[list[int]]:
+    """Each clause a SatSolver watches, once, as it stores it."""
+    return list({id(clause): clause for ws in solver._watches for clause in ws}.values())
+
+
+def assert_guards_lie_below_a_selector_literal(solver) -> None:
+    """Each guard lies wholly below a negated selector among its clause's literals.
+
+    So a clause that fires at level L has its guard decided below L, which
+    conflict analysis relies on.
+    """
+    base = solver._selector
+    for clause in watched_clauses(solver):
+        literals, guard = stored_clause(clause)
+        if guard:
+            top = max(-lit - base for lit in literals if lit <= -base)
+            assert guard >> top == 0, (literals, bin(guard))
 
 
 class MonotonicityError(MusError):

@@ -24,6 +24,7 @@ from helpers import (
     EXAMPLE1_STATUSES,
     MonotonicityError,
     TableOracle,
+    assert_guards_lie_below_a_selector_literal,
     bitsets,
     bruteforce_all_muses,
     cs,
@@ -32,6 +33,8 @@ from helpers import (
     muses_of,
     pigeonhole,
     small_unsat_cnfs,
+    stored_clause,
+    watched_clauses,
 )
 
 
@@ -54,6 +57,12 @@ def test_parse_accepts_bytes_comments_and_multiline_clauses():
     assert oracle.clauses == [[1, -2, 3], [2]]
 
 
+def test_parse_stops_at_a_satlib_trailer():
+    # SATLIB's uf*/uuf* files end with a '%' line, a '0' line and a blank line
+    oracle = parse_dimacs("c uf3-01.cnf\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n")
+    assert oracle.clauses == [[1, -2, 3], [-1, 2]]
+
+
 def test_parse_empty_clause_is_a_constraint():
     oracle = parse_dimacs("p cnf 0 1\n0\n")
     assert oracle.n == 1
@@ -72,6 +81,7 @@ def test_parse_empty_clause_is_a_constraint():
         ("1 0\n", 1),  # clause before header
         ("p cnf 2 1\n3 0\n", 2),  # literal out of range
         ("p cnf 2 1\n1 x 0\n", 2),  # non-integer token
+        ("p cnf 2 1\n1 %\n0\n", 2),  # a '%' that does not begin its line
         ("p cnf 2 1\n1 2\n", 2),  # unterminated clause
         ("p cnf 2 1\np cnf 2 1\n1 0\n", 2),  # duplicate header
         ("", 1),  # missing header
@@ -472,19 +482,6 @@ def guarded_formulas(count):
 GUARDED_FORMULAS = guarded_formulas(12)
 
 
-def assert_guards_lie_below_a_selector_literal(solver):
-    """Each guard lies wholly below a negated selector among its clause's literals.
-
-    So a clause that fires at level L has its guard decided below L, which
-    conflict analysis relies on.
-    """
-    clauses = {id(clause): clause for ws in solver._watches for clause in ws}
-    base = solver._selector
-    for key, guard in solver._guards.items():
-        top = max(-lit - base for lit in clauses[key] if lit <= -base)
-        assert guard >> top == 0, (clauses[key], bin(guard))
-
-
 def answer_like_fresh_oracles(num_vars, clauses, seed) -> int:
     """Drive one oracle through shrink-shaped and seeded random queries; returns the guards it made.
 
@@ -503,7 +500,7 @@ def answer_like_fresh_oracles(num_vars, clauses, seed) -> int:
     for mask in queries:
         query = ConstraintSet(n, mask)
         sat = oracle.is_sat(query)
-        guards.update(oracle._solver._guards)
+        guards.update(id(clause) for clause in watched_clauses(oracle._solver) if stored_clause(clause)[1])
         assert_guards_lie_below_a_selector_literal(oracle._solver)
         fresh = CnfOracle(num_vars, clauses)
         assert fresh.is_sat(query) == sat, mask

@@ -9,7 +9,13 @@ from musenum import CnfOracle, ConstraintSet, RemusConfig, enumerate_remus
 from musenum.oracles import random_cnf
 from musenum.satsolver import SatSolver
 
-from helpers import pigeonhole
+from helpers import (
+    assert_guards_lie_below_a_selector_literal,
+    literal,
+    pigeonhole,
+    stored_clause,
+    watched_clauses,
+)
 
 
 def brute_force_sat(num_vars, clauses, assumptions=()):
@@ -75,16 +81,16 @@ def test_agrees_with_brute_force_incrementally():
                 solver.add_clause(list(extra))
 
 
+def false_literals(solver, num_vars):
+    """The literals over variables 1..num_vars that the solver's kept trail makes false: v, then -v."""
+    return [literal(code) for code in range(2, 2 * num_vars + 2) if solver._val[code] == -1]
+
+
 def clause_against_trail(rng, solver, num_vars):
     """A clause that is unit or fully falsified under the solver's kept trail."""
-    false_lits = [
-        lit
-        for v in range(1, num_vars + 1)
-        for lit in (v, -v)
-        if solver._val[lit] == -1
-    ]
+    false_lits = false_literals(solver, num_vars)
     clause = rng.sample(false_lits, rng.randint(0, min(3, len(false_lits))))
-    free = [v for v in range(1, num_vars + 1) if solver._val[v] == 0]
+    free = [v for v in range(1, num_vars + 1) if solver._val[2 * v] == 0]
     if free and (not clause or rng.random() < 0.5):
         clause.append(rng.choice(free) * rng.choice((1, -1)))
     rng.shuffle(clause)
@@ -144,7 +150,7 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
                 cores += 1
                 smaller += failed.bit_count() < selected.bit_count()
             extra = clause_against_trail(rng, solver, num_vars)
-            kept_trail_clauses += any(solver._val[lit] == -1 for lit in extra)
+            kept_trail_clauses += not set(extra).isdisjoint(false_literals(solver, num_vars))
             added.append(extra)
             solver.add_clause(list(extra))
     assert kept_trail_clauses > 300
@@ -168,7 +174,7 @@ def test_failed_selectors_with_plain_assumptions():
             assert failed & ~selected == 0
             assert not brute_force_sat(num_vars, switched_on(clauses, failed), assumptions)
             cores += 1
-            plain_false += abs(solver._failed) <= num_vars
+            plain_false += abs(literal(solver._failed)) <= num_vars
     assert cores > 300 and plain_false > 100
 
 
@@ -296,12 +302,12 @@ def test_plain_assumptions_keep_the_previous_order():
     solver = SatSolver(8)
     solver.add_clause([1, 3])
     solver.add_clause([-2, 4, -7])
-    assert solver.solve(mask_of([5])) and solver._assumed == [5]
-    assert solver.solve(mask_of([2, 5])) and solver._assumed == [5, 2]
+    assert solver.solve(mask_of([5])) and list(map(literal, solver._assumed)) == [5]
+    assert solver.solve(mask_of([2, 5])) and list(map(literal, solver._assumed)) == [5, 2]
     levels = []
     backtrack = solver._backtrack
     solver._backtrack = lambda level: levels.append(level) or backtrack(level)
-    assert solver.solve(mask_of([2, 5, 7])) and solver._assumed == [5, 2, 7]
+    assert solver.solve(mask_of([2, 5, 7])) and list(map(literal, solver._assumed)) == [5, 2, 7]
     assert levels and min(levels) >= 2
 
 
@@ -384,7 +390,7 @@ def test_derivation_matches_the_recorded_one(holes, monkeypatch):
 
     def recording(self, conflict):
         learnt, back_level = analyze(self, conflict)
-        learnts.append((learnt, id(learnt) in self._guards))
+        learnts.append((learnt, stored_clause(learnt)[1] != 0))
         return learnt, back_level
 
     monkeypatch.setattr(SatSolver, "_analyze", recording)
@@ -398,14 +404,13 @@ def test_derivation_matches_the_recorded_one(holes, monkeypatch):
     for query in [full] + [full.remove(i) for i in full]:
         if not oracle.is_sat(query):
             cores.append(oracle.core.indices_1based())
-    guards = oracle._solver._guards
     # a learnt clause means its literals or the negation of a guard selector;
     # parking moves selectors from the guard to the literals, so the union of
     # the two stays the clause
-    unions = [
-        sorted(learnt + [-(num_vars + 1 + i) for i in ConstraintSet(len(clauses), guards.get(id(learnt), 0))])
-        for learnt, _ in learnts
-    ]
+    unions = []
+    for learnt, _ in learnts:
+        literals, guard = stored_clause(learnt)
+        unions.append(sorted(literals + [-(num_vars + 1 + i) for i in ConstraintSet(len(clauses), guard)]))
     formed = sum(guarded for _, guarded in learnts)
     assert formed >= 1
     assert (len(learnts), formed, digest(unions), digest(cores)) == DERIVATIONS[holes]
@@ -470,7 +475,7 @@ def test_reused_assumptions_answer_like_a_fresh_solver():
             assert solver.model_mask == fresh.model_mask, step
         else:
             assert solver.failed_selectors() == fresh.failed_selectors(), step
-            plain_false += 0 < solver._failed <= 10
+            plain_false += 0 < literal(solver._failed) <= 10
         answers.append(sat)
     assert True in answers and False in answers and plain_false >= 2
     # an out-of-range mask is refused before the kept trail changes
@@ -478,3 +483,53 @@ def test_reused_assumptions_answer_like_a_fresh_solver():
         with pytest.raises(ValueError, match="out of range"):
             solver.solve(bad)
     assert not solver.solve(((1 << 10) - 1) << 10)
+
+
+
+def test_literal_codes_stay_in_range_and_guards_in_slot_0():
+    # the shrink-shaped queries of an UNSAT proof, then random subsets; every
+    # code a clause, the trail or the assumptions store is 2v or 2v + 1 for a
+    # variable v of the solver, and slot 0 of a clause is its guard
+    rng = random.Random(30)
+    guarded = 0
+    for holes in (4, 5):
+        num_vars, clauses = pigeonhole(holes)
+        oracle = CnfOracle(num_vars, clauses)
+        solver = oracle._solver
+        top = 2 * solver.num_vars + 1
+        full = ConstraintSet.full(len(clauses))
+        queries = [full] + [full.remove(i) for i in full]
+        for _ in range(40):  # about three quarters of the clauses each
+            queries.append(ConstraintSet(full.n, rng.getrandbits(full.n) | rng.getrandbits(full.n)))
+        for query in queries:
+            oracle.is_sat(query)
+            stored = [clause[1:] for clause in watched_clauses(solver)] + [solver._trail, solver._assumed]
+            assert all(2 <= code <= top for codes in stored for code in codes)
+            assert_guards_lie_below_a_selector_literal(solver)
+        guarded += sum(1 for clause in watched_clauses(solver) if stored_clause(clause)[1])
+    assert guarded >= 10
+
+
+@pytest.mark.parametrize("selectors", [False, True])
+def test_the_highest_variable_negated_answers_like_a_truth_table(selectors):
+    # -n is the last literal code, 2n + 1, where a value or watch array one
+    # entry short would fail. Without selectors the clauses hold -n; with
+    # them, clause i is switched on by selector i and the last selector's
+    # clause holds its negation, the last code
+    rng = random.Random(13)
+    for _ in range(150):
+        num_vars = rng.randint(1, 5)
+        clauses = [random_clause(rng, num_vars) for _ in range(rng.randint(1, 6))]
+        clauses = [[lit for lit in cl if lit != num_vars] + [-num_vars] for cl in clauses]
+        count = len(clauses) if selectors else 0
+        solver = SatSolver(num_vars, selectors=count)
+        for i, cl in enumerate(clauses):
+            solver.add_clause(cl + [-(num_vars + 1 + i)] if selectors else list(cl))
+        for selected in range(1 << count):
+            on = switched_on(clauses, selected) if selectors else clauses
+            for plain in range(1 << num_vars):
+                assumptions = [v for v in range(1, num_vars + 1) if plain >> (v - 1) & 1]
+                want = brute_force_first_model(num_vars, on, assumptions)
+                assert solver.solve(plain | selected << num_vars) == (want is not None)
+                if want is not None:
+                    assert solver.model_mask == want
