@@ -129,34 +129,37 @@ class SatSolver:
     def add_clause(self, lits) -> None:
         """Add a clause. Tautologies are dropped; level-0 false literals are stripped.
 
+        Every literal must name a variable, in a dropped clause too.
+
         A unit clause is asserted at level 0, and an empty one makes the
         solver unsat. Otherwise the clause is watched on two literals, and
         above level 0 the trail is kept if two literals are unfalsified; if
         not, it is backtracked just far enough to free two.
         """
         self._failed = None
-        if not self.ok:
-            return
         level = self._level
         val = self._val
         trail = self._trail  # no literal has a value while it is empty
         top = 2 * self.num_vars + 1
         seen = set()
         out = [0]  # no guard
+        dropped = not self.ok  # the rest of the clause is only range-checked
         for lit in lits:
             code = lit + lit if lit > 0 else 1 - lit - lit
             if code > top or code < 2:
                 raise ValueError(f"literal {lit} out of range")
-            if code in seen:
+            if dropped or code in seen:
                 continue
             if code ^ 1 in seen:
-                return  # tautology
+                dropped = True  # tautology
+                continue
             if trail and val[code] != 0 and level[code >> 1] == 0:
-                if val[code] == 1:
-                    return  # satisfied at level 0
-                continue  # permanently false literal
+                dropped = val[code] == 1  # satisfied at level 0
+                continue  # or permanently false
             seen.add(code)
             out.append(code)
+        if dropped:
+            return
         if len(out) == 1:
             self.ok = False
             return

@@ -6,11 +6,16 @@ bitstring sets, the map's clauses read back as lists of literals, and the
 solver's stored clauses read back as signed literals and guards.
 """
 
+import json
 import math
 import random
+from pathlib import Path
 
-from musenum import CnfOracle, ConstraintSet, MusError, PreconditionError, SatOracle, UnexploredMap
+from musenum import CnfOracle, ConstraintSet, MusError, PreconditionError, SatOracle, UnexploredMap, is_mus
 from musenum.oracles import random_cnf
+
+# every pinned run figure, by run name; only tests/record.py writes the file
+RECORDED = json.loads(Path(__file__).with_name("recorded.json").read_text())
 
 # the four-constraint demo system over two variables:
 #   c1 = a, c2 = not a, c3 = b, c4 = (not a or not b)
@@ -300,17 +305,28 @@ def small_unsat_cnfs(count: int, seed: int) -> list[tuple[int, list[list[int]]]]
 
 
 def assert_block_log_replays(result, verifier) -> None:
-    """Replay a run's block log against a fresh oracle.
+    """Replay a run's block log against a fresh oracle and a fresh map.
 
     Nothing may leave the map unless its status is implied by a completed
-    check: up-blocks are unsatisfiable sets; down-blocks are satisfiable sets
-    (the oracle's witnesses, which may reach beyond the sets it was asked
-    about).
+    check: up-blocks are MUSes; down-blocks are satisfiable sets (the
+    oracle's witnesses, which may reach beyond the sets it was asked about).
+    A run marked complete must leave the replayed map empty: then a MUS that
+    was not emitted would lie in no satisfiable block, so it would hold an
+    emitted MUS and, being minimal, equal it.
     """
     n = verifier.n
     assert result.block_log
+    umap = UnexploredMap(n)
     for kind, mask in result.block_log:
-        assert verifier.is_sat(ConstraintSet(n, mask)) == (kind == "down")
+        s = ConstraintSet(n, mask)
+        if kind == "down":
+            assert verifier.is_sat(s)
+            umap.block_down(s)
+        else:
+            assert is_mus(verifier, s)
+            umap.block_up(s)
+    if result.complete:
+        assert umap.max_unexplored_subset_of(ConstraintSet.full(n)) is None
 
 
 REFERENCE_MAX_N = 12

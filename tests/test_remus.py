@@ -440,6 +440,22 @@ def test_map_block_log_replays_soundly_against_the_oracle():
         assert_block_log_replays(result, CnfOracle(num_vars, clauses))
 
 
+@pytest.mark.parametrize("algorithm", ["remus", "marco"])
+def test_block_log_replay_needs_every_up_block_of_a_complete_run(algorithm):
+    # without a MUS's up-block nothing in the replayed log settles that MUS:
+    # a down-block is satisfiable and another MUS does not lie inside it
+    num_vars, clauses = small_unsat_cnfs(1, 824)[0]
+    enumerate_ = enumerate_remus if algorithm == "remus" else enumerate_marco
+    result = enumerate_(CnfOracle(num_vars, clauses))
+    log = result.block_log
+    ups = [i for i, (kind, _) in enumerate(log) if kind == "up"]
+    assert result.complete and len(ups) >= 2
+    for i in ups:
+        dropped = dataclasses.replace(result, block_log=log[:i] + log[i + 1 :])
+        with pytest.raises(AssertionError):
+            assert_block_log_replays(dropped, CnfOracle(num_vars, clauses))
+
+
 @pytest.mark.parametrize("seed", [12, 13, 19, 46, 52])
 def test_remus_and_marco_agree_beyond_brute_force(seed):
     # 30 clauses put brute force out of reach; each of these has 90-442 MUSes

@@ -5,6 +5,7 @@ import pytest
 from musenum import CnfOracle, ConstraintSet, PreconditionError, UnexploredMap, is_mus, parse_dimacs, shrink
 from helpers import (
     EXAMPLE1_DIMACS,
+    RECORDED,
     CoreCnfOracle,
     cs,
     example1_table,
@@ -63,19 +64,32 @@ def test_rotation_proves_the_rest_of_example1_critical():
     assert found_sat == [cs("0111"), cs("1010"), cs("1001")]
 
 
-@pytest.mark.parametrize("holes, checks", [(3, 4), (4, 7)])
-def test_rotation_spares_most_checks_on_a_pigeonhole_formula(holes, checks):
-    # every clause of PHP(holes + 1, holes) is critical; rotation proves most
-    # of them from the models of a few satisfiable trials
+RECORDED_RUNS = ["shrink pigeonhole-3", "shrink pigeonhole-4"]
+
+
+def shrink_pigeonhole(holes: int):
+    """shrink of the whole of PHP(holes + 1, holes), every clause of which is critical."""
     num_vars, clauses = pigeonhole(holes)
     oracle = CnfOracle(num_vars, clauses)
     seed = ConstraintSet.full(len(clauses))
-    mus, found_sat = shrink(oracle, seed, ConstraintSet.empty(len(clauses)), seed, UnexploredMap(len(clauses)))
+    return oracle, seed, *shrink(oracle, seed, ConstraintSet.empty(len(clauses)), seed, UnexploredMap(len(clauses)))
+
+
+def figures(name: str) -> dict:
+    return {"checks": shrink_pigeonhole(int(name.rsplit("-", 1)[1]))[0].checks}
+
+
+# the ids keep the check counts of the first recording
+@pytest.mark.parametrize("name", RECORDED_RUNS, ids=["3-4", "4-7"])
+def test_rotation_spares_most_checks_on_a_pigeonhole_formula(name):
+    # rotation proves most clauses critical from the models of a few
+    # satisfiable trials
+    oracle, seed, mus, found_sat = shrink_pigeonhole(int(name.rsplit("-", 1)[1]))
     assert mus == seed
-    assert oracle.checks == checks < len(seed)
+    assert RECORDED[name]["checks"] == oracle.checks < len(seed)
     # one witness per clause: from its own trial or from the rotation that proved it
     assert len(found_sat) == len(seed)
-    verifier = CoreCnfOracle(num_vars, clauses)
+    verifier = CoreCnfOracle(oracle.num_vars, oracle.clauses)
     for s in found_sat:
         assert verifier.is_sat(s)
     assert all(verifier.is_sat(seed.remove(i)) for i in seed)
