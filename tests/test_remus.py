@@ -16,7 +16,6 @@ from musenum import (
     choose_p,
     enumerate_marco,
     enumerate_remus,
-    is_mus,
     parse_dimacs,
     shrink,
 )
@@ -43,28 +42,34 @@ from helpers import (
 RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
 
 
-def test_example1_emits_both_muses_once():
-    result = enumerate_remus(parse_dimacs(EXAMPLE1_DIMACS))
+@pytest.mark.parametrize("algorithm", RUNNERS)
+def test_example1_emits_both_muses_once(algorithm):
+    result = RUNNERS[algorithm](parse_dimacs(EXAMPLE1_DIMACS))
     assert bitsets(muses_of(result)) == EXAMPLE1_MUSES
     assert len(muses_of(result)) == 2
     assert result.complete
 
 
-def test_example1_on_the_status_table():
-    result = enumerate_remus(example1_table())
+@pytest.mark.parametrize("algorithm", RUNNERS)
+def test_example1_on_the_status_table(algorithm):
+    result = RUNNERS[algorithm](example1_table())
     assert bitsets(muses_of(result)) == EXAMPLE1_MUSES
 
 
-def test_single_unsatisfiable_constraint():
+@pytest.mark.parametrize("algorithm", RUNNERS)
+def test_single_unsatisfiable_constraint(algorithm):
     # one constraint that is itself unsatisfiable: the empty clause
-    result = enumerate_remus(parse_dimacs("p cnf 0 1\n0\n"))
+    result = RUNNERS[algorithm](parse_dimacs("p cnf 0 1\n0\n"))
     assert bitsets(muses_of(result)) == {"1"}
     assert result.complete
 
 
-def test_satisfiable_instance_is_rejected():
+@pytest.mark.parametrize(
+    "algorithm, dimacs", [("remus", "p cnf 2 2\n1 0\n2 0\n"), ("marco", "p cnf 1 1\n1 0\n")], ids=["remus", "marco"]
+)
+def test_satisfiable_instance_is_rejected(algorithm, dimacs):
     with pytest.raises(InstanceSatisfiableError):
-        enumerate_remus(parse_dimacs("p cnf 2 2\n1 0\n2 0\n"))
+        RUNNERS[algorithm](parse_dimacs(dimacs))
 
 
 def test_first_shrink_starts_from_the_full_universe():
@@ -128,10 +133,9 @@ def test_reduction_factor_validation():
         RemusConfig(reduction_factor=0.0)
 
 
-def test_mus_limit_stops_cleanly():
-    result = enumerate_remus(
-        parse_dimacs(EXAMPLE1_DIMACS), RemusConfig(mus_limit=1)
-    )
+@pytest.mark.parametrize("algorithm", RUNNERS)
+def test_mus_limit_stops_cleanly(algorithm):
+    result = RUNNERS[algorithm](parse_dimacs(EXAMPLE1_DIMACS), RemusConfig(mus_limit=1))
     assert len(result.records) == 1
     assert not result.complete
     assert muses_of(result)[0].bits() in EXAMPLE1_MUSES
@@ -426,27 +430,27 @@ def test_criticals_are_kept_and_sound():
     assert seen_nonempty_criticals
 
 
-def test_map_block_log_replays_soundly_against_the_oracle():
+@pytest.mark.parametrize("algorithm, seed, tables, cnf_seed", [("remus", 821, 25, 824), ("marco", 912, 15, 913)])
+def test_map_block_log_replays_soundly_against_the_oracle(algorithm, seed, tables, cnf_seed):
     # a table's witness is the query itself; a CNF formula's witness is the
     # clause set of a model, so its down-blocks reach beyond the queried sets
-    rng = random.Random(821)
-    for trial in range(25):
+    rng = random.Random(seed)
+    for trial in range(tables):
         n = rng.randint(2, 8)
         antichain = random_antichain(n, rng)
-        result = enumerate_remus(table_from_antichain(n, antichain))
+        result = RUNNERS[algorithm](table_from_antichain(n, antichain))
         assert_block_log_replays(result, table_from_antichain(n, antichain))
-    for num_vars, clauses in small_unsat_cnfs(15, 824):
-        result = enumerate_remus(CnfOracle(num_vars, clauses))
+    for num_vars, clauses in small_unsat_cnfs(15, cnf_seed):
+        result = RUNNERS[algorithm](CnfOracle(num_vars, clauses))
         assert_block_log_replays(result, CnfOracle(num_vars, clauses))
 
 
-@pytest.mark.parametrize("algorithm", ["remus", "marco"])
+@pytest.mark.parametrize("algorithm", RUNNERS)
 def test_block_log_replay_needs_every_up_block_of_a_complete_run(algorithm):
     # without a MUS's up-block nothing in the replayed log settles that MUS:
     # a down-block is satisfiable and another MUS does not lie inside it
     num_vars, clauses = small_unsat_cnfs(1, 824)[0]
-    enumerate_ = enumerate_remus if algorithm == "remus" else enumerate_marco
-    result = enumerate_(CnfOracle(num_vars, clauses))
+    result = RUNNERS[algorithm](CnfOracle(num_vars, clauses))
     log = result.block_log
     ups = [i for i, (kind, _) in enumerate(log) if kind == "up"]
     assert result.complete and len(ups) >= 2
@@ -461,7 +465,9 @@ def test_remus_and_marco_agree_beyond_brute_force(seed):
     # 30 clauses put brute force out of reach; each of these has 90-442 MUSes
     clauses = random_cnf(7, 30, 3, seed)
     results = [run(CnfOracle(7, clauses)) for run in RUNNERS.values()]
-    assert all(result.complete for result in results)
+    for result in results:
+        assert result.complete
+        assert_block_log_replays(result, CnfOracle(7, clauses))
     remus, marco = (set(muses_of(result)) for result in results)
     assert remus == marco and len(remus) == len(muses_of(results[0]))
 
@@ -509,34 +515,51 @@ def test_both_algorithms_finish_with_the_exact_muses_beyond_30_clauses(seed):
         result = run(CnfOracle(num_vars, clauses))
         assert result.complete
         assert set(muses_of(result)) == expected and len(muses_of(result)) == len(expected)
+        assert_block_log_replays(result, CnfOracle(num_vars, clauses))
 
 
-def test_emitted_muses_match_bruteforce_on_random_corpora():
-    rng = random.Random(822)
+@pytest.mark.parametrize("algorithm, seed", [("remus", 822), ("marco", 910)])
+def test_emitted_muses_match_bruteforce_on_random_corpora(algorithm, seed):
+    rng = random.Random(seed)
     for trial in range(30):
         n = rng.randint(1, 8)
         antichain = random_antichain(n, rng)
         expected = {ConstraintSet(n, a) for a in antichain}
-        result = enumerate_remus(table_from_antichain(n, antichain))
+        result = RUNNERS[algorithm](table_from_antichain(n, antichain))
         assert set(muses_of(result)) == expected
         assert len(muses_of(result)) == len(expected)
         assert result.complete
+        assert_block_log_replays(result, table_from_antichain(n, antichain))
 
     accepted = 0
-    seed = 0
+    cnf_seed = 0
     while accepted < 20:
-        seed += 1
+        cnf_seed += 1
         num_vars = rng.randint(2, 5)
-        clauses = random_cnf(num_vars, rng.randint(3, 10), rng.choice([1, 2, 3]), seed=seed)
+        clauses = random_cnf(num_vars, rng.randint(3, 10), rng.choice([1, 2, 3]), seed=cnf_seed)
         oracle = CnfOracle(num_vars, clauses)
         if oracle.is_sat(ConstraintSet.full(oracle.n)):
             continue
         accepted += 1
         expected = bruteforce_all_muses(CnfOracle(num_vars, clauses))
-        result = enumerate_remus(CnfOracle(num_vars, clauses))
+        result = RUNNERS[algorithm](CnfOracle(num_vars, clauses))
         assert set(muses_of(result)) == expected
-        for mus in muses_of(result):
-            assert is_mus(CnfOracle(num_vars, clauses), mus)
+        assert result.complete
+        assert_block_log_replays(result, CnfOracle(num_vars, clauses))
+
+
+def test_never_recurses_and_never_passes_criticals():
+    # the controlled difference against the recursive algorithm: all seeds
+    # come from the full universe, shrinks get no critical constraints
+    rng = random.Random(911)
+    oracles = [CnfOracle(num_vars, clauses) for num_vars, clauses in small_unsat_cnfs(15, 914)]
+    for trial in range(15):
+        n = rng.randint(2, 8)
+        oracles.append(table_from_antichain(n, random_antichain(n, rng)))
+    for oracle in oracles:
+        result = enumerate_marco(oracle)
+        assert all(record.depth == 0 for record in result.records)
+        assert all(len(record.criticals) == 0 for record in result.records)
 
 
 def test_runs_are_deterministic():

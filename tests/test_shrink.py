@@ -79,8 +79,7 @@ def figures(name: str) -> dict:
     return {"checks": shrink_pigeonhole(int(name.rsplit("-", 1)[1]))[0].checks}
 
 
-# the ids keep the check counts of the first recording
-@pytest.mark.parametrize("name", RECORDED_RUNS, ids=["3-4", "4-7"])
+@pytest.mark.parametrize("name", RECORDED_RUNS, ids=RECORDED_RUNS)
 def test_rotation_spares_most_checks_on_a_pigeonhole_formula(name):
     # rotation proves most clauses critical from the models of a few
     # satisfiable trials
