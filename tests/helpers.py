@@ -11,8 +11,21 @@ import math
 import random
 from pathlib import Path
 
-from musenum import CnfOracle, ConstraintSet, MusError, PreconditionError, SatOracle, UnexploredMap, is_mus
+from musenum import (
+    CnfOracle,
+    ConstraintSet,
+    MusError,
+    PreconditionError,
+    SatOracle,
+    UnexploredMap,
+    enumerate_marco,
+    enumerate_remus,
+    is_mus,
+)
 from musenum.oracles import random_cnf
+
+# the two enumerators, by the name a recorded run gives its algorithm
+RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
 
 # every pinned run figure, by run name; only tests/record.py writes the file
 RECORDED = json.loads(Path(__file__).with_name("recorded.json").read_text())

@@ -70,6 +70,12 @@ def test_from_indices_and_bits_roundtrip():
         cs("10x1")
 
 
+def test_repr_shows_the_bits_up_to_32_constraints_and_the_size_beyond():
+    assert repr(cs("101")) == "ConstraintSet('101')"
+    assert repr(ConstraintSet.full(32)) == f"ConstraintSet({'1' * 32!r})"
+    assert repr(from_indices(40, [0, 17, 39])) == "ConstraintSet(n=40, size=3)"
+
+
 def test_mask_bounds_checked():
     with pytest.raises(PreconditionError):
         ConstraintSet(2, 4)

@@ -35,12 +35,10 @@ import hashlib
 
 import pytest
 
-from musenum import CnfOracle, RemusConfig, enumerate_marco, enumerate_remus
+from musenum import CnfOracle, RemusConfig
 from musenum.oracles import random_cnf
 
-from helpers import RECORDED, CoreCnfOracle
-
-RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
+from helpers import RECORDED, RUNNERS, CoreCnfOracle
 
 
 class QueryCnfOracle(CoreCnfOracle):
@@ -89,51 +87,8 @@ BLOCK_LOG_STOPS = runs(
     ["4-16-5", "5-22-3", "6-24-1"],
     ["mus_limit=3", "check_limit=20", "time_limit=0.0", "mus_limit=2,check_limit=9"],
 )
+QUERY_AND_WITNESS = [name for oracle in ("query", "witness") for name in COMPLETE[oracle] + STOPPED[oracle]]
 RECORDED_RUNS = [name for oracle in ORACLES for name in COMPLETE[oracle] + STOPPED[oracle]] + BLOCK_LOG_STOPS
-
-# The tests of the query and witness runs keep the ids that pytest made from
-# their rows when they were first recorded, the row's index and that
-# recording's figures, so that no test id changed when the figures moved to
-# recorded.json. The figures in an id are not compared: recorded.json holds
-# the current ones. Run name: id of its test.
-FIRST_IDS = {
-    "query 4-16-5 mus_limit=None remus": "formula0-None-remus-641-430-48-9665394022921e74",
-    "query 4-16-5 mus_limit=None marco": "formula1-None-marco-681-57-48-704af43cea276b91",
-    "query 5-22-3 mus_limit=None remus": "formula2-None-remus-1085-964-56-952910cfd026a9fe",
-    "query 5-22-3 mus_limit=None marco": "formula3-None-marco-1050-72-56-c54e9940f9d69e96",
-    "query 6-24-1 mus_limit=None remus": "formula4-None-remus-1074-1034-34-830aa1bbcba57ff9",
-    "query 6-24-1 mus_limit=None marco": "formula5-None-marco-739-53-34-1d58988ed702b392",
-    "query 16-80-2 mus_limit=8 remus": "formula6-8-remus-428-54-8-c18b58218213fa94",
-    "query 16-80-2 mus_limit=8 marco": "formula7-8-marco-637-8-8-4981a1ae72c95929",
-    "query 20-100-1 mus_limit=8 remus": "formula8-8-remus-538-72-8-bcf08d91d7ff1ec8",
-    "query 20-100-1 mus_limit=8 marco": "formula9-8-marco-795-8-8-896d7ba410005ab2",
-    "query 5-22-3 check_limit=50 remus": "formula0-50-remus-50-9-2-eaf83872a9d58553-328a53247da838aa",
-    "query 5-22-3 check_limit=50 marco": "formula1-50-marco-68-4-3-4af6a7654773b1f6-bfc873a065bed7fe",
-    "query 5-22-3 check_limit=200 remus": "formula2-200-remus-200-150-12-1060f50a6fe7e5f7-db6fdf3e02e20be1",
-    "query 5-22-3 check_limit=200 marco": "formula3-200-marco-212-14-10-3cc28dd4c591e4d5-21eab1874c25f7b0",
-    "query 6-24-1 check_limit=50 remus": "formula4-50-remus-65-3-3-f890fcd85f928693-aa362176a92392f3",
-    "query 6-24-1 check_limit=50 marco": "formula5-50-marco-50-2-2-29f02501f905770f-d1cd7dcaf31eaf9d",
-    "query 6-24-1 check_limit=200 remus": "formula6-200-remus-200-100-9-b8d48ca3a2de7814-60f48422c673fb54",
-    "query 6-24-1 check_limit=200 marco": "formula7-200-marco-217-12-9-502fa553e2383ffd-5ee26ba220c3c8d9",
-    "witness 4-16-5 mus_limit=None remus": "formula0-None-remus-598-57-48-a9e97e57b99e26c7",
-    "witness 4-16-5 mus_limit=None marco": "formula1-None-marco-673-49-48-704af43cea276b91",
-    "witness 5-22-3 mus_limit=None remus": "formula2-None-remus-883-110-56-adcdd87974ae2ce6",
-    "witness 5-22-3 mus_limit=None marco": "formula3-None-marco-1037-59-56-c54e9940f9d69e96",
-    "witness 6-24-1 mus_limit=None remus": "formula4-None-remus-590-75-34-72afe07185a556eb",
-    "witness 6-24-1 mus_limit=None marco": "formula5-None-marco-724-38-34-1d58988ed702b392",
-    "witness 16-80-2 mus_limit=8 remus": "formula6-8-remus-434-32-8-c18b58218213fa94",
-    "witness 16-80-2 mus_limit=8 marco": "formula7-8-marco-637-8-8-4981a1ae72c95929",
-    "witness 20-100-1 mus_limit=8 remus": "formula8-8-remus-514-31-8-44e00e79275b9f33",
-    "witness 20-100-1 mus_limit=8 marco": "formula9-8-marco-795-8-8-896d7ba410005ab2",
-    "witness 5-22-3 check_limit=50 remus": "formula0-50-remus-50-10-2-eaf83872a9d58553-328a53247da838aa",
-    "witness 5-22-3 check_limit=50 marco": "formula1-50-marco-68-4-3-4af6a7654773b1f6-bfc873a065bed7fe",
-    "witness 5-22-3 check_limit=200 remus": "formula2-200-remus-200-33-12-41315fa973ffe464-a5cf5cf8f106f1ca",
-    "witness 5-22-3 check_limit=200 marco": "formula3-200-marco-209-11-10-3cc28dd4c591e4d5-eb1e5514c6f95316",
-    "witness 6-24-1 check_limit=50 remus": "formula4-50-remus-65-3-3-f890fcd85f928693-aa362176a92392f3",
-    "witness 6-24-1 check_limit=50 marco": "formula5-50-marco-50-2-2-29f02501f905770f-d1cd7dcaf31eaf9d",
-    "witness 6-24-1 check_limit=200 remus": "formula6-200-remus-209-26-11-f6b560c1fc15736c-11c473e021d8500d",
-    "witness 6-24-1 check_limit=200 marco": "formula7-200-marco-216-11-9-502fa553e2383ffd-8f7dd6c841262955",
-}
 
 
 def digest(text: str) -> str:
@@ -173,23 +128,8 @@ def stop_id(name: str) -> str:
     return f"{formula}-{budgets}-{algorithm}"
 
 
-@pytest.mark.parametrize("name", COMPLETE["query"], ids=map(FIRST_IDS.get, COMPLETE["query"]))
-def test_enumeration_matches_the_recorded_run(name):
-    assert figures(name) == RECORDED[name]
-
-
-@pytest.mark.parametrize("name", STOPPED["query"], ids=map(FIRST_IDS.get, STOPPED["query"]))
-def test_budget_stop_matches_the_recorded_run(name):
-    assert figures(name) == RECORDED[name]
-
-
-@pytest.mark.parametrize("name", COMPLETE["witness"], ids=map(FIRST_IDS.get, COMPLETE["witness"]))
-def test_witness_enumeration_matches_the_recorded_run(name):
-    assert figures(name) == RECORDED[name]
-
-
-@pytest.mark.parametrize("name", STOPPED["witness"], ids=map(FIRST_IDS.get, STOPPED["witness"]))
-def test_witness_budget_stop_matches_the_recorded_run(name):
+@pytest.mark.parametrize("name", QUERY_AND_WITNESS, ids=QUERY_AND_WITNESS)
+def test_run_matches_its_recording(name):
     assert figures(name) == RECORDED[name]
 
 

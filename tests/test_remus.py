@@ -25,6 +25,7 @@ from musenum.unexplored import UnexploredMap
 from helpers import (
     EXAMPLE1_DIMACS,
     EXAMPLE1_MUSES,
+    RUNNERS,
     assert_block_log_replays,
     bitsets,
     bruteforce_all_muses,
@@ -38,8 +39,6 @@ from helpers import (
     small_unsat_cnfs,
     table_from_antichain,
 )
-
-RUNNERS = {"remus": enumerate_remus, "marco": enumerate_marco}
 
 
 @pytest.mark.parametrize("algorithm", RUNNERS)

@@ -19,19 +19,8 @@ from helpers import (
 )
 
 
-def brute_force_sat(num_vars, clauses, assumptions=()):
-    """Independent oracle: try every assignment."""
-    fixed = {abs(lit): lit > 0 for lit in assumptions}
-    for bits in itertools.product([False, True], repeat=num_vars):
-        if any(bits[v - 1] != want for v, want in fixed.items()):
-            continue
-        if all(any((lit > 0) == bits[abs(lit) - 1] for lit in cl) for cl in clauses):
-            return True
-    return False
-
-
 def brute_force_first_model(num_vars, clauses, assumptions):
-    """First model in branching order (variable 1 first, false before true)."""
+    """First model in branching order (variable 1 first, false before true), or None: tries every assignment."""
     fixed = {abs(lit): lit > 0 for lit in assumptions}
     for bits in itertools.product([False, True], repeat=num_vars):
         if any(bits[v - 1] != want for v, want in fixed.items()):
@@ -73,7 +62,7 @@ def test_agrees_with_brute_force_incrementally():
         for _ in range(3):
             assumptions = rng.sample(range(1, num_vars + 1), rng.randint(0, num_vars))
             got = solver.solve(mask_of(assumptions))
-            assert got == brute_force_sat(num_vars, clauses, assumptions)
+            assert got == (brute_force_first_model(num_vars, clauses, assumptions) is not None)
             if got:
                 assert model_satisfies(solver.model_mask, num_vars, clauses, assumptions)
             if rng.random() < 0.7:
@@ -147,7 +136,7 @@ def test_kept_trail_returns_the_first_model_in_branching_order():
                 # clauses, are unsatisfiable under the plain assumptions
                 failed = solver.failed_selectors()
                 assert failed & ~selected == 0
-                assert not brute_force_sat(num_vars, switched_on(clauses, failed) + added, assumptions)
+                assert brute_force_first_model(num_vars, switched_on(clauses, failed) + added, assumptions) is None
                 cores += 1
                 smaller += failed.bit_count() < selected.bit_count()
             extra = clause_against_trail(rng, solver, num_vars)
@@ -173,7 +162,7 @@ def test_failed_selectors_with_plain_assumptions():
                 continue
             failed = solver.failed_selectors()
             assert failed & ~selected == 0
-            assert not brute_force_sat(num_vars, switched_on(clauses, failed), assumptions)
+            assert brute_force_first_model(num_vars, switched_on(clauses, failed), assumptions) is None
             cores += 1
             plain_false += abs(literal(solver._failed)) <= num_vars
     assert cores > 300 and plain_false > 100
