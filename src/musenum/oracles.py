@@ -29,10 +29,12 @@ class SatOracle:
     set's critical constraints, so a shrink may continue from the core.
 
     After a SAT answer to `work - {critical}` where `work` is unsatisfiable,
-    `rotate(work, critical, known)` may name further constraints of `work`
-    that the same answer proves critical, each with a satisfiable superset of
-    `work` without it. It evaluates constraints under what the answer already
-    found and makes no check; the base class names none.
+    `rotate(work, critical, known)` may return further constraints d of
+    `work` that the same answer proves critical, each with a satisfiable set
+    that holds `work - {d}` and not d. Constraints in `known` may come back
+    too, with a new satisfiable set; the others are newly proved critical. It
+    evaluates constraints under what the answer already found and makes no
+    check; the base class returns none.
     """
 
     def __init__(self, n: int):
@@ -57,11 +59,12 @@ class SatOracle:
     def rotate(
         self, work: ConstraintSet, critical: int, known: ConstraintSet
     ) -> list[tuple[int, ConstraintSet]]:
-        """Pairs (d, witness): d in work is critical for it, witness is satisfiable and holds work - {d}.
+        """Pairs (d, witness): d is critical for work; witness is satisfiable, holds work - {d}, lacks d.
 
         Valid right after a SAT answer to `work - {critical}`, with work
-        unsatisfiable. Neither `critical` nor a member of `known` (constraints
-        the caller already knows to be critical) is named.
+        unsatisfiable. `critical` is never returned; a member of `known`
+        (constraints the caller already knows to be critical) may be, and a
+        call may stop once every other member of work is returned or known.
         """
         return []
 
@@ -92,18 +95,27 @@ class CnfOracle(SatOracle):
     formula's variables only and satisfies work - {c} and falsifies c; after
     an UNSAT answer there is no model, and rotation raises RuntimeError.
     Flipping one variable of c satisfies c; if it falsifies exactly one clause
-    d of work, d is critical and the flipped model's clause set is its witness,
-    and rotation goes on from there. It goes on through clauses already known
-    to be critical (Wieringa, CP 2012) without naming them, visits each clause
-    at most once per call, and stops once every other clause of work is named
-    or known. For M the oracle keeps every clause's count of true variables as
-    bit planes (plane k holds bit k of each count), made by one pass over the
-    variables when the solver finds the model. A flip of v updates them from
-    the two masks of the clauses v occurs in: a borrow on the clauses whose
-    true literal of v turns false, a carry on those whose false literal of v
-    turns true, and a tautology on v keeps its count. "Exactly one true
-    variable" is plane 0 without the higher planes, so rotation reads each
-    model with a few operations on masks and never passes over the variables.
+    d of work, d is critical, and rotation goes on from the flipped model. It
+    goes on through clauses already known to be critical (Wieringa, CP 2012),
+    visits each clause at most once per call, and stops once every other
+    clause of work is named or known. Each clause it reaches, known or not,
+    comes back with a witness: the flipped model's clause set, grown by free
+    flips. A flip is free when it satisfies a clause that is still
+    unsatisfied and leaves every clause a true variable; the growth flips a
+    copy, and rotation goes on from the ungrown model. For M the oracle
+    keeps every clause's count of true variables as bit planes (plane k
+    holds bit k of each count), made by one pass over the variables when the
+    solver finds the model. A flip of v updates them from the two masks of
+    the clauses v occurs in: a borrow on the clauses whose true literal of v
+    turns false, a carry on those whose false literal of v turns true, and a
+    tautology on v keeps its count. "Exactly one true variable" is plane 0
+    without the higher planes, so rotation reads each model with a few
+    operations on masks and never passes over the variables.
+
+    Each witness is checked with one mask test: a SAT answer's must hold the
+    query, and a rotation's must hold work - {d} and not d. A witness that
+    fails, as a corrupted clause count would make one, raises RuntimeError
+    rather than reach the map.
     """
 
     def __init__(self, num_vars: int, clauses):
@@ -138,9 +150,9 @@ class CnfOracle(SatOracle):
         for t, f in self._occurrences():
             _carry(planes, t if bits & 1 else f)
             bits >>= 1
-        satisfied = 0
-        for plane in planes:
-            satisfied |= plane
+        satisfied, _ = _true_counts(planes)
+        if s.mask & ~satisfied:
+            raise RuntimeError(f"the model's clause set {satisfied:#x} misses a clause of {s.mask:#x}")
         return True, satisfied
 
     def _occurrences(self) -> list[list[int]]:
@@ -158,15 +170,15 @@ class CnfOracle(SatOracle):
         n = self.n
         occurrences = self._occurrences()
         wanted = work.mask & ~(1 << critical) & ~known.mask
+        # a free flip satisfying d would satisfy the unsatisfiable work, so
+        # only the clauses outside work can grow a witness
+        outside = (1 << n) - 1 & ~work.mask
         found = []
         seen = 1 << critical
         stack = [(self._solver.model_mask, self._planes, critical)]
         while stack and wanted & ~seen:
             model, planes, c = stack.pop()
-            twice = 0
-            for plane in planes[1:]:
-                twice |= plane
-            once = planes[0] | twice
+            once, twice = _true_counts(planes)
             for lit in self.clauses[c]:
                 v = abs(lit) - 1
                 t, f = occurrences[v]
@@ -177,14 +189,55 @@ class CnfOracle(SatOracle):
                     continue  # not exactly one clause of work, or one seen already
                 seen |= falsified
                 d = falsified.bit_length() - 1
-                if falsified & wanted:
-                    found.append((d, ConstraintSet(n, once & ~lost | flipped)))
                 # a clause holding both literals of v (a tautology) keeps its count
                 child = planes.copy()
                 _borrow(child, now & ~flipped)
                 _carry(child, flipped & ~now)
-                stack.append((model ^ (1 << v), child, d))
+                rotated = model ^ (1 << v)
+                witness = once & ~lost | flipped  # the clause set of the rotated model
+                if outside & ~witness:
+                    witness = self._grow(rotated, child, outside)
+                if witness & falsified or work.mask & ~witness & ~falsified:
+                    raise RuntimeError(f"rotation witness {witness:#x} is not {work.mask:#x} without {d}")
+                found.append((d, ConstraintSet(n, witness)))
+                stack.append((rotated, child, d))  # rotation goes on from the ungrown model
         return found
+
+    def _grow(self, model: int, planes: list[int], scan: int) -> int:
+        """The clause set of `model` after free flips, found among the clauses of `scan`.
+
+        A flip is free when it satisfies a clause that is still unsatisfied
+        and leaves no clause without a true variable. The first free flip in
+        clause order is made, on a copy of `planes`, until there is none;
+        only the literals of unsatisfied clauses in `scan` are read.
+        """
+        occurrences = self._satisfies  # built by rotate, the one caller
+        once, twice = _true_counts(planes)
+        unsatisfied = scan & ~once
+        while unsatisfied:
+            low = unsatisfied & -unsatisfied
+            unsatisfied ^= low
+            for lit in self.clauses[low.bit_length() - 1]:
+                v = abs(lit) - 1
+                t, f = occurrences[v]
+                now, gain = (t, f) if model >> v & 1 else (f, t)
+                if not now & ~(twice | gain):  # no clause has v as its only true variable
+                    planes = planes.copy()
+                    _borrow(planes, now & ~gain)
+                    _carry(planes, gain & ~now)
+                    model ^= 1 << v
+                    once, twice = _true_counts(planes)
+                    unsatisfied = scan & ~once  # from the first again: the flip may free a clause passed
+                    break
+        return once
+
+
+def _true_counts(planes: list[int]) -> tuple[int, int]:
+    """The clauses with at least one and with at least two true variables, from their bit planes."""
+    twice = 0
+    for plane in planes[1:]:
+        twice |= plane
+    return planes[0] | twice, twice
 
 
 def _carry(planes: list[int], gain: int) -> None:

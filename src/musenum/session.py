@@ -14,6 +14,13 @@ universe and every shrink starts with no criticals. Map, oracle, shrink,
 run record and budgets are the same code for both, so check-count
 comparisons isolate the seed-selection strategy.
 
+A satisfiable seed s_max of a frame over s has its witness down-blocked, and
+its model is then rotated (`SatOracle.rotate`) with no check: each c in
+s - s_max makes s_max + {c} unsatisfiable, as the map has it up-blocked, and
+the seed's check is still the oracle's last answer. Each distinct
+satisfiable set the rotations return is down-blocked too. For marco, s is
+the universe, so the rotations run through the whole complement of s_max.
+
 Every budget is one stop rule, `Session._spent`, which the loop tests
 between steps and right after each emit; a stopped loop returns, and the
 run's EnumerationResult says it is incomplete. Oracle checks and map calls
@@ -95,7 +102,8 @@ class EnumerationResult:
     block_log is the map's chronological ("down"|"up", subset mask) record;
     replaying it against the oracle is the standard soundness check. Each
     down-block is an oracle witness, a satisfiable superset of a set found
-    satisfiable; each up-block is an emitted MUS.
+    satisfiable, or a satisfiable set that rotation found from a model; each
+    up-block is an emitted MUS.
     """
 
     records: list[MusRecord]
@@ -153,8 +161,10 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
 
     Returns (mus, sat_discoveries) where sat_discoveries holds the oracle's
     witness (a satisfiable superset of the trial) of every satisfiable check,
-    and for every member that rotation proved critical, the satisfiable set
-    it came with.
+    and the satisfiable set of every member that rotation returned, newly
+    proved critical or not. Each mask is kept once, the first time it comes:
+    rotation passes again through members proved before, often to the same
+    set.
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
@@ -162,7 +172,7 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     work = core.mask
     covered = umap.covered_members(work)
     proven = criticals.mask
-    discoveries: list[ConstraintSet] = []
+    discoveries: dict[int, ConstraintSet] = {}  # by mask, so each set is kept once
     candidates = work & ~proven
     while candidates:
         bit = candidates & -candidates
@@ -174,15 +184,15 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
             umap.covered_trials += 1
         elif oracle.is_sat(ConstraintSet(n, work ^ bit)):
             proven |= bit
-            discoveries.append(oracle.witness)
+            discoveries.setdefault(oracle.witness.mask, oracle.witness)
             rotated = oracle.rotate(ConstraintSet(n, work), bit.bit_length() - 1, ConstraintSet(n, proven))
             for d, witness in rotated:
                 proven |= 1 << d
-                discoveries.append(witness)
+                discoveries.setdefault(witness.mask, witness)
         else:
             work = oracle.core.mask
             covered = umap.covered_members(work)
-    return ConstraintSet(n, work), discoveries
+    return ConstraintSet(n, work), list(discoveries.values())
 
 
 class Session:
@@ -266,9 +276,17 @@ class Session:
                 # the witness meets s in s_max, since every larger subset of s is
                 # up-blocked; beyond s it spares sibling frames and later seeds
                 self.map.block_down(self.oracle.witness)
+                # each s_max + {c} is up-blocked, so unsatisfiable, and s_max's check
+                # is still the oracle's last answer: its model rotates through every c
+                s_mcs = s - s_max
+                rotated = {}
+                for c in s_mcs:
+                    for _, witness in self.oracle.rotate(s_max.add(c), c, criticals.add(c)):
+                        rotated.setdefault(witness.mask, witness)
+                for witness in rotated.values():
+                    self.map.block_down(witness)
                 if not descend:
                     continue
-                s_mcs = s - s_max
                 if len(s_mcs) == 1:
                     stack[-1] = (s, criticals | s_mcs, depth)
                 else:

@@ -203,8 +203,10 @@ def full_pass_rotate(oracle: CnfOracle, work, critical, known):
     """CnfOracle.rotate by one pass over every variable per model: the reference it must match.
 
     It finds the clauses with at least one and with at least two true
-    variables afresh for every model it pops, where the oracle updates counts
-    per flip; both name the same pairs in the same order.
+    variables afresh for every model it meets, where the oracle updates counts
+    per flip. Returns triples (d, the flipped model's clause set, the witness
+    that free flips grow from it); the oracle's pairs are (d, witness), in
+    the same order.
     """
     satisfies = [[0, 0] for _ in range(oracle.num_vars)]  # per variable: [if true, if false]
     for i, cl in enumerate(oracle.clauses):
@@ -220,6 +222,26 @@ def full_pass_rotate(oracle: CnfOracle, work, critical, known):
             model >>= 1
         return once, twice
 
+    def free_flip(model, i):
+        """The model with a variable of unsatisfied clause i flipped, if one flip falsifies no clause."""
+        _, twice = true_in(model)
+        for lit in oracle.clauses[i]:
+            v = abs(lit) - 1
+            t, f = satisfies[v]
+            now, gain = (t, f) if model >> v & 1 else (f, t)
+            if not now & ~(twice | gain):
+                return model ^ (1 << v)
+        return None
+
+    def grown(model):
+        while True:  # the first free flip of any unsatisfied clause, in clause order, until none
+            for i in range(n):
+                if not true_in(model)[0] >> i & 1 and (flipped := free_flip(model, i)) is not None:
+                    model = flipped
+                    break
+            else:
+                return true_in(model)[0]
+
     n = oracle.n
     wanted = work.mask & ~(1 << critical) & ~known.mask
     found = []
@@ -227,7 +249,7 @@ def full_pass_rotate(oracle: CnfOracle, work, critical, known):
     stack = [(oracle._solver.model_mask, critical)]
     while stack and wanted & ~seen:
         model, c = stack.pop()
-        once, twice = true_in(model)
+        _, twice = true_in(model)
         for lit in oracle.clauses[c]:
             v = abs(lit) - 1
             t, f = satisfies[v]
@@ -237,10 +259,10 @@ def full_pass_rotate(oracle: CnfOracle, work, critical, known):
             if falsified & (falsified - 1) or not falsified & ~seen:
                 continue  # not exactly one clause of work, or one seen already
             seen |= falsified
+            rotated = model ^ (1 << v)
             d = falsified.bit_length() - 1
-            if falsified & wanted:
-                found.append((d, ConstraintSet(n, once & ~lost | flipped)))
-            stack.append((model ^ (1 << v), d))
+            found.append((d, ConstraintSet(n, true_in(rotated)[0]), ConstraintSet(n, grown(rotated))))
+            stack.append((rotated, d))
     return found
 
 
@@ -255,7 +277,7 @@ def per_trial_shrink(oracle, seed, criticals, core, known_sat):
         raise PreconditionError("criticals must be a subset of the seed")
     work = core
     proven = criticals.mask
-    discoveries = []
+    discoveries = {}  # by mask, the first of each
     for candidate in work - criticals:
         if candidate not in work or proven >> candidate & 1:
             continue
@@ -264,13 +286,13 @@ def per_trial_shrink(oracle, seed, criticals, core, known_sat):
             proven |= 1 << candidate
         elif oracle.is_sat(trial):
             proven |= 1 << candidate
-            discoveries.append(oracle.witness)
+            discoveries.setdefault(oracle.witness.mask, oracle.witness)
             for d, witness in oracle.rotate(work, candidate, ConstraintSet(work.n, proven)):
                 proven |= 1 << d
-                discoveries.append(witness)
+                discoveries.setdefault(witness.mask, witness)
         else:
             work = oracle.core
-    return work, discoveries
+    return work, list(discoveries.values())
 
 
 def per_member_choose_p(s_mus, s_max, factor):

@@ -314,4 +314,4 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     (tmp_path / "formula.cnf").write_text(EXAMPLE1_DIMACS)
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {})
-    assert capsys.readouterr().out.splitlines() == ["1 [1, 2] 2", "2 [1, 3, 4] 5", "True 5 2"]
+    assert capsys.readouterr().out.splitlines() == ["1 [1, 2] 2", "2 [1, 3, 4] 4", "True 4 2"]

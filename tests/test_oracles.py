@@ -9,10 +9,12 @@ from musenum import (
     ConstraintSet,
     DimacsParseError,
     PreconditionError,
+    UnexploredMap,
     UniverseMismatchError,
     enumerate_remus,
     is_mus,
     parse_dimacs,
+    shrink,
 )
 from musenum import satsolver
 from musenum.oracles import random_cnf
@@ -325,9 +327,27 @@ def test_rotation_after_a_repeated_answer_starts_from_its_model():
     assert oracle.is_sat(cs("1000"))  # solved again, to the same first model
     assert oracle.witness == cs("1001")
     # a true, b false falsifies only c2 of 1100; flipping a falsifies only c1,
-    # and a false, b false satisfies c2 and c4
-    assert oracle.rotate(cs("1100"), 1, ConstraintSet.empty(4)) == [(0, cs("0101"))]
+    # and a false, b false satisfies c2 and c4; flipping b then satisfies c3
+    # and falsifies nothing, so the witness grows to 0111
+    assert oracle.rotate(cs("1100"), 1, ConstraintSet.empty(4)) == [(0, cs("0111"))]
     assert oracle.checks == 3
+
+
+def test_a_witness_that_misses_a_clause_raises():
+    # corrupted occurrence masks: variable a no longer satisfies c1 when true,
+    # so the clause count of the model a true, b false misses c1
+    oracle = parse_dimacs(EXAMPLE1_DIMACS)
+    oracle._occurrences()[0][0] &= ~1
+    with pytest.raises(RuntimeError):
+        oracle.is_sat(cs("1000"))
+    # a model is found and counted right, then the masks rotation flips with
+    # are corrupted: flipping a to false no longer satisfies c2, so the
+    # rotated witness misses a clause of work - {c1}
+    oracle = parse_dimacs(EXAMPLE1_DIMACS)
+    assert oracle.is_sat(cs("1000"))
+    oracle._occurrences()[0][1] &= ~2
+    with pytest.raises(RuntimeError):
+        oracle.rotate(cs("1100"), 1, ConstraintSet.empty(4))
 
 
 @st.composite
@@ -394,7 +414,8 @@ def test_cnf_oracle_answers_match_truth_tables(case):
         assert is_sat(witness.mask)
         # the query is work - {c} for each c whose addition makes it UNSAT; every
         # constraint d that rotation names is critical for work, and its witness
-        # is a satisfiable set holding work - {d} but not d
+        # is a satisfiable set holding work - {d} but not d, grown by free flips
+        # from the clause set of the flipped model
         for c in range(n):
             work = mask | 1 << c
             if work == mask or is_sat(work):
@@ -406,11 +427,14 @@ def test_cnf_oracle_answers_match_truth_tables(case):
                 assert rotated.n == n and not rotated.mask >> d & 1
                 assert work & ~(1 << d) & ~rotated.mask == 0
                 assert is_sat(rotated.mask)
-            # constraints known to be critical are passed through, not named
             known = ConstraintSet(n, work & 0x5555)
-            assert oracle.rotate(ConstraintSet(n, work), c, known) == [
-                (d, rotated) for d, rotated in pairs if d not in known
-            ]
+            with_known = oracle.rotate(ConstraintSet(n, work), c, known)
+            # the pairs for constraints outside known are the ones named without it
+            assert [p for p in with_known if p[0] not in known] == [p for p in pairs if p[0] not in known]
+            # every witness is the flipped model's clause set or grows from it
+            reference = full_pass_rotate(oracle, ConstraintSet(n, work), c, known)
+            for (d, grown), (e, flipped, _) in zip(with_known, reference, strict=True):
+                assert d == e and flipped.is_subset_of(grown) and is_sat(grown.mask)
     assert oracle.checks == len(queries)
 
 
@@ -438,7 +462,7 @@ def test_rotation_matches_the_full_pass_reference():
     # every critical constraint c of an unsatisfiable work set, once answered
     # SAT without c, rotates from that answer's model, with and without known
     # criticals; the counts reach four true variables in one clause
-    calls = named = most_true = 0
+    calls = named = grew = most_true = 0
     for num_vars, clauses in rotation_formulas(200):
         n = len(clauses)
         oracle = CnfOracle(num_vars, clauses)
@@ -457,10 +481,40 @@ def test_rotation_matches_the_full_pass_reference():
                 )
                 for known in (ConstraintSet.empty(n), ConstraintSet(n, work.mask & rng.getrandbits(n))):
                     pairs = oracle.rotate(work, c, known)
-                    assert pairs == full_pass_rotate(oracle, work, c, known), (clauses, work, c, known)
+                    reference = full_pass_rotate(oracle, work, c, known)
+                    assert pairs == [(d, grown) for d, _, grown in reference], (clauses, work, c, known)
                     calls += 1
                     named += len(pairs)
-    assert calls > 1500 and named > 1200 and most_true >= 4
+                    grew += sum(grown != flipped for _, flipped, grown in reference)
+    assert calls > 1500 and named > 1200 and grew > 40 and most_true >= 4
+
+
+def test_shrink_keeps_the_first_of_each_discovered_set():
+    # rotation passes through clauses already proved critical and returns a
+    # witness for each; on PHP(5,4) some of those repeat an earlier witness
+    num_vars, clauses = rotation_formulas(1)[0]
+    n = len(clauses)
+    oracle = CnfOracle(num_vars, clauses)
+    returned = []
+    is_sat, rotate = oracle.is_sat, oracle.rotate
+
+    def recording_is_sat(s):
+        sat = is_sat(s)
+        if sat:
+            returned.append(oracle.witness.mask)
+        return sat
+
+    def recording_rotate(*args):
+        pairs = rotate(*args)
+        returned.extend(witness.mask for _, witness in pairs)
+        return pairs
+
+    oracle.is_sat, oracle.rotate = recording_is_sat, recording_rotate
+    seed = ConstraintSet.full(n)
+    mus, found = shrink(oracle, seed, ConstraintSet.empty(n), seed, UnexploredMap(n))
+    assert mus == seed
+    assert [s.mask for s in found] == list(dict.fromkeys(returned))
+    assert len(found) == n < len(returned)
 
 
 def guarded_formulas(count):

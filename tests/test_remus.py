@@ -244,31 +244,74 @@ def test_check_limit_overshoot_is_bounded(formula, algorithm, limit):
     assert checks <= max(limit, 1) + max(0, in_flight - 1)
 
 
-@pytest.mark.parametrize("algorithm", ["remus", "marco"])
-def test_shrink_discoveries_are_always_blocked(algorithm, monkeypatch):
+def record_discoveries(monkeypatch) -> tuple[list, dict]:
+    """Record shrink's discoveries, and the rotations of satisfiable seeds by the check they follow.
+
+    A rotation outside shrink is the frame loop's, of the model of the
+    satisfiable seed the oracle checked last. The dict maps the oracle's
+    check count at that seed to (its witness mask, the rotated witness masks).
+    """
     discovered = []
+    seeds: dict[int, tuple[int, set[int]]] = {}
+    shrinking = []
 
     def recording_shrink(*args):
-        mus, discoveries = shrink(*args)
+        shrinking.append(True)
+        try:
+            mus, discoveries = shrink(*args)
+        finally:
+            shrinking.pop()
         discovered.extend(discoveries)
         return mus, discoveries
 
+    rotate = CnfOracle.rotate
+
+    def recording_rotate(self, work, critical, known):
+        pairs = rotate(self, work, critical, known)
+        if not shrinking:
+            seeds.setdefault(self.checks, (self.witness.mask, set()))[1].update(w.mask for _, w in pairs)
+        return pairs
+
     monkeypatch.setattr(musenum.session, "shrink", recording_shrink)
+    monkeypatch.setattr(CnfOracle, "rotate", recording_rotate)
+    return discovered, seeds
+
+
+@pytest.mark.parametrize("algorithm", ["remus", "marco"])
+def test_shrink_discoveries_are_always_blocked(algorithm, monkeypatch):
+    discovered, seeds = record_discoveries(monkeypatch)
     # unsatisfiable 2-CNF formulas with 4, 12 and 14 MUSes
     for num_vars, num_clauses, seed in [(3, 8, 2), (4, 10, 0), (5, 14, 2)]:
         clauses = random_cnf(num_vars, num_clauses, 2, seed)
         discovered.clear()
+        seeds.clear()
         result = RUNNERS[algorithm](CnfOracle(num_vars, clauses))
         assert set(muses_of(result)) == bruteforce_all_muses(CnfOracle(num_vars, clauses))
-        # one down-block per satisfiable seed check (its MSS), one per shrink find;
-        # an unsatisfiable seed check leads to a shrink and is down-blocked by none,
-        # and the first seed's check is the run's check of the full set
+        # one down-block per satisfiable seed check (its MSS), one per distinct
+        # witness its model's rotation returns, one per shrink find; an
+        # unsatisfiable seed check leads to a shrink and is down-blocked by
+        # none, and the first seed's check is the run's check of the full set
         seed_checks = result.oracle_checks - sum(record.shrink_checks for record in result.records)
         sat_seed_checks = seed_checks - len(result.records)
+        rotated = [mask for _, masks in seeds.values() for mask in masks]
         downs = [mask for kind, mask in result.block_log if kind == "down"]
         assert discovered
-        assert len(downs) == sat_seed_checks + len(discovered)
-        assert {sat_set.mask for sat_set in discovered} <= set(downs)
+        assert len(downs) == sat_seed_checks + len(rotated) + len(discovered)
+        assert {sat_set.mask for sat_set in discovered} | set(rotated) <= set(downs)
+
+
+@pytest.mark.parametrize("algorithm", RUNNERS)
+def test_a_satisfiable_seed_rotates_into_more_down_blocks(algorithm, monkeypatch):
+    # each c outside a satisfiable seed makes it unsatisfiable, so its model
+    # rotates through c with no check, and the sets it proves satisfiable are
+    # down-blocked beside the seed's own witness
+    _, seeds = record_discoveries(monkeypatch)
+    clauses = random_cnf(5, 22, 3, 3)
+    result = RUNNERS[algorithm](CnfOracle(5, clauses))
+    downs = {mask for kind, mask in result.block_log if kind == "down"}
+    beyond = {mask for witness, masks in seeds.values() for mask in masks if mask != witness}
+    assert beyond and beyond <= downs
+    assert_block_log_replays(result, CnfOracle(5, clauses))
 
 
 @pytest.mark.parametrize("algorithm", ["remus", "marco"])
