@@ -29,12 +29,12 @@ class SatOracle:
     set's critical constraints, so a shrink may continue from the core.
 
     After a SAT answer to `work - {critical}` where `work` is unsatisfiable,
-    `rotate(work, critical, known)` may return further constraints d of
-    `work` that the same answer proves critical, each with a satisfiable set
-    that holds `work - {d}` and not d. Constraints in `known` may come back
-    too, with a new satisfiable set; the others are newly proved critical. It
-    evaluates constraints under what the answer already found and makes no
-    check; the base class returns none.
+    `rotate(work, critical)` may return further constraints d of `work` that
+    the same answer proves critical, each with a satisfiable set that holds
+    `work - {d}` and not d; a d the caller already knows to be critical may
+    come back too, with a new satisfiable set. It evaluates constraints under
+    what the answer already found and makes no check; the base class returns
+    none.
     """
 
     def __init__(self, n: int):
@@ -56,15 +56,11 @@ class SatOracle:
         """(True, mask of a satisfiable superset of s) or (False, mask of an unsatisfiable subset)."""
         raise NotImplementedError
 
-    def rotate(
-        self, work: ConstraintSet, critical: int, known: ConstraintSet
-    ) -> list[tuple[int, ConstraintSet]]:
+    def rotate(self, work: ConstraintSet, critical: int) -> list[tuple[int, ConstraintSet]]:
         """Pairs (d, witness): d is critical for work; witness is satisfiable, holds work - {d}, lacks d.
 
         Valid right after a SAT answer to `work - {critical}`, with work
-        unsatisfiable. `critical` is never returned; a member of `known`
-        (constraints the caller already knows to be critical) may be, and a
-        call may stop once every other member of work is returned or known.
+        unsatisfiable. `critical` is never returned.
         """
         return []
 
@@ -95,17 +91,16 @@ class CnfOracle(SatOracle):
     formula's variables only and satisfies work - {c} and falsifies c; after
     an UNSAT answer there is no model, and rotation raises RuntimeError.
     Flipping one variable of c satisfies c; if it falsifies exactly one clause
-    d of work, d is critical, and rotation goes on from the flipped model. It
-    goes on through clauses already known to be critical (Wieringa, CP 2012),
-    visits each clause at most once per call, and stops once every other
-    clause of work is named or known. Each clause it reaches, known or not,
-    comes back with a witness: the flipped model's clause set, grown by free
-    flips. A flip is free when it satisfies a clause that is still
-    unsatisfied and leaves every clause a true variable; the growth flips a
-    copy, and rotation goes on from the ungrown model. For M the oracle
-    keeps every clause's count of true variables as bit planes (plane k
-    holds bit k of each count), made by one pass over the variables when the
-    solver finds the model. A flip of v updates them from the two masks of
+    d of work, d is critical, and rotation goes on from the flipped model,
+    also through clauses the caller already knows to be critical (Wieringa,
+    CP 2012). It visits each clause at most once per call, and stops once it
+    has reached every clause of work. Each clause it reaches comes back with
+    a witness: the flipped model's clause set, grown by free flips. A flip is
+    free when it satisfies a clause that is still unsatisfied and leaves
+    every clause a true variable; the growth flips a copy, and rotation goes
+    on from the ungrown model. For M the oracle keeps every clause's count
+    of true variables as bit planes (plane k holds bit k of each count), made
+    by one pass over the variables when the solver finds the model. A flip of v updates them from the two masks of
     the clauses v occurs in: a borrow on the clauses whose true literal of v
     turns false, a carry on those whose false literal of v turns true, and a
     tautology on v keeps its count. "Exactly one true variable" is plane 0
@@ -164,46 +159,40 @@ class CnfOracle(SatOracle):
                     self._satisfies[abs(lit) - 1][lit < 0] |= 1 << i
         return self._satisfies
 
-    def rotate(
-        self, work: ConstraintSet, critical: int, known: ConstraintSet
-    ) -> list[tuple[int, ConstraintSet]]:
+    def rotate(self, work: ConstraintSet, critical: int) -> list[tuple[int, ConstraintSet]]:
         n = self.n
         occurrences = self._occurrences()
-        wanted = work.mask & ~(1 << critical) & ~known.mask
         # a free flip satisfying d would satisfy the unsatisfiable work, so
         # only the clauses outside work can grow a witness
         outside = (1 << n) - 1 & ~work.mask
         found = []
         seen = 1 << critical
         stack = [(self._solver.model_mask, self._planes, critical)]
-        while stack and wanted & ~seen:
+        while stack and work.mask & ~seen:
             model, planes, c = stack.pop()
             once, twice = _true_counts(planes)
             for lit in self.clauses[c]:
                 v = abs(lit) - 1
                 t, f = occurrences[v]
-                now, flipped = (t, f) if model >> v & 1 else (f, t)
-                lost = now & ~(twice | flipped)  # clauses whose only true variable is v
+                now, gain = (t, f) if model >> v & 1 else (f, t)
+                lost = now & ~(twice | gain)  # clauses whose only true variable is v
                 falsified = work.mask & lost
                 if falsified & (falsified - 1) or not falsified & ~seen:
                     continue  # not exactly one clause of work, or one seen already
                 seen |= falsified
                 d = falsified.bit_length() - 1
-                # a clause holding both literals of v (a tautology) keeps its count
-                child = planes.copy()
-                _borrow(child, now & ~flipped)
-                _carry(child, flipped & ~now)
+                child = _flip(planes, now, gain)
                 rotated = model ^ (1 << v)
-                witness = once & ~lost | flipped  # the clause set of the rotated model
+                witness = once & ~lost | gain  # the clause set of the rotated model
                 if outside & ~witness:
-                    witness = self._grow(rotated, child, outside)
+                    witness = self._grow(rotated, child, outside, occurrences)
                 if witness & falsified or work.mask & ~witness & ~falsified:
                     raise RuntimeError(f"rotation witness {witness:#x} is not {work.mask:#x} without {d}")
                 found.append((d, ConstraintSet(n, witness)))
                 stack.append((rotated, child, d))  # rotation goes on from the ungrown model
         return found
 
-    def _grow(self, model: int, planes: list[int], scan: int) -> int:
+    def _grow(self, model: int, planes: list[int], scan: int, occurrences: list[list[int]]) -> int:
         """The clause set of `model` after free flips, found among the clauses of `scan`.
 
         A flip is free when it satisfies a clause that is still unsatisfied
@@ -211,7 +200,6 @@ class CnfOracle(SatOracle):
         clause order is made, on a copy of `planes`, until there is none;
         only the literals of unsatisfied clauses in `scan` are read.
         """
-        occurrences = self._satisfies  # built by rotate, the one caller
         once, twice = _true_counts(planes)
         unsatisfied = scan & ~once
         while unsatisfied:
@@ -222,9 +210,7 @@ class CnfOracle(SatOracle):
                 t, f = occurrences[v]
                 now, gain = (t, f) if model >> v & 1 else (f, t)
                 if not now & ~(twice | gain):  # no clause has v as its only true variable
-                    planes = planes.copy()
-                    _borrow(planes, now & ~gain)
-                    _carry(planes, gain & ~now)
+                    planes = _flip(planes, now, gain)
                     model ^= 1 << v
                     once, twice = _true_counts(planes)
                     unsatisfied = scan & ~once  # from the first again: the flip may free a clause passed
@@ -248,6 +234,17 @@ def _carry(planes: list[int], gain: int) -> None:
         if not gain:
             return
     planes.append(gain)
+
+
+def _flip(planes: list[int], now: int, gain: int) -> list[int]:
+    """`planes` after a flip, on a copy: the clauses of `now` lose a true variable, those of `gain` win one.
+
+    A clause in both (a tautology on the variable) keeps its count.
+    """
+    planes = planes.copy()
+    _borrow(planes, now & ~gain)
+    _carry(planes, gain & ~now)
+    return planes
 
 
 def _borrow(planes: list[int], lose: int) -> None:

@@ -153,18 +153,18 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     only after a shrink returns; each one the loop reaches is counted in
     `umap.covered_trials`.
 
-    After each satisfiable check the oracle's `rotate` may prove further
-    members of the working set critical without a check; they are skipped
-    like the given criticals, and stay critical in every later working set,
-    which is a subset holding them. Uses at most
-    |core \\ criticals| <= |seed \\ criticals| oracle checks.
+    After each satisfiable check the oracle's `rotate`, given the working set
+    and the trial's candidate, may prove further members of the working set
+    critical without a check; they are skipped like the given criticals, and
+    stay critical in every later working set, which is a subset holding them.
+    Uses at most |core \\ criticals| <= |seed \\ criticals| oracle checks.
 
     Returns (mus, sat_discoveries) where sat_discoveries holds the oracle's
     witness (a satisfiable superset of the trial) of every satisfiable check,
     and the satisfiable set of every member that rotation returned, newly
     proved critical or not. Each mask is kept once, the first time it comes:
-    rotation passes again through members proved before, often to the same
-    set.
+    rotation is not told which members are proved, and passes again through
+    them, often to the same set.
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
@@ -185,8 +185,7 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
         elif oracle.is_sat(ConstraintSet(n, work ^ bit)):
             proven |= bit
             discoveries.setdefault(oracle.witness.mask, oracle.witness)
-            rotated = oracle.rotate(ConstraintSet(n, work), bit.bit_length() - 1, ConstraintSet(n, proven))
-            for d, witness in rotated:
+            for d, witness in oracle.rotate(ConstraintSet(n, work), bit.bit_length() - 1):
                 proven |= 1 << d
                 discoveries.setdefault(witness.mask, witness)
         else:
@@ -281,7 +280,7 @@ class Session:
                 s_mcs = s - s_max
                 rotated = {}
                 for c in s_mcs:
-                    for _, witness in self.oracle.rotate(s_max.add(c), c, criticals.add(c)):
+                    for _, witness in self.oracle.rotate(s_max.add(c), c):
                         rotated.setdefault(witness.mask, witness)
                 for witness in rotated.values():
                     self.map.block_down(witness)

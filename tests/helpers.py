@@ -195,18 +195,19 @@ def example1_table() -> TableOracle:
 class CoreCnfOracle(CnfOracle):
     """CnfOracle that rotates no model: shrink learns a constraint is critical only by a check."""
 
-    def rotate(self, work, critical, known):
+    def rotate(self, work, critical):
         return []
 
 
-def full_pass_rotate(oracle: CnfOracle, work, critical, known):
+def full_pass_rotate(oracle: CnfOracle, work, critical):
     """CnfOracle.rotate by one pass over every variable per model: the reference it must match.
 
     It finds the clauses with at least one and with at least two true
     variables afresh for every model it meets, where the oracle updates counts
-    per flip. Returns triples (d, the flipped model's clause set, the witness
-    that free flips grow from it); the oracle's pairs are (d, witness), in
-    the same order.
+    per flip, and it walks until no model is left, where the oracle stops
+    once it has reached every clause of work. Returns triples (d, the flipped
+    model's clause set, the witness that free flips grow from it); the
+    oracle's pairs are (d, witness), in the same order.
     """
     satisfies = [[0, 0] for _ in range(oracle.num_vars)]  # per variable: [if true, if false]
     for i, cl in enumerate(oracle.clauses):
@@ -243,11 +244,10 @@ def full_pass_rotate(oracle: CnfOracle, work, critical, known):
                 return true_in(model)[0]
 
     n = oracle.n
-    wanted = work.mask & ~(1 << critical) & ~known.mask
     found = []
     seen = 1 << critical
     stack = [(oracle._solver.model_mask, critical)]
-    while stack and wanted & ~seen:
+    while stack:
         model, c = stack.pop()
         _, twice = true_in(model)
         for lit in oracle.clauses[c]:
@@ -287,7 +287,7 @@ def per_trial_shrink(oracle, seed, criticals, core, known_sat):
         elif oracle.is_sat(trial):
             proven |= 1 << candidate
             discoveries.setdefault(oracle.witness.mask, oracle.witness)
-            for d, witness in oracle.rotate(work, candidate, ConstraintSet(work.n, proven)):
+            for d, witness in oracle.rotate(work, candidate):
                 proven |= 1 << d
                 discoveries.setdefault(witness.mask, witness)
         else:

@@ -87,8 +87,8 @@ BLOCK_LOG_STOPS = runs(
     ["4-16-5", "5-22-3", "6-24-1"],
     ["mus_limit=3", "check_limit=20", "time_limit=0.0", "mus_limit=2,check_limit=9"],
 )
-QUERY_AND_WITNESS = [name for oracle in ("query", "witness") for name in COMPLETE[oracle] + STOPPED[oracle]]
-RECORDED_RUNS = [name for oracle in ORACLES for name in COMPLETE[oracle] + STOPPED[oracle]] + BLOCK_LOG_STOPS
+ORACLE_RUNS = [name for oracle in ORACLES for name in COMPLETE[oracle] + STOPPED[oracle]]
+RECORDED_RUNS = ORACLE_RUNS + BLOCK_LOG_STOPS
 
 
 def digest(text: str) -> str:
@@ -116,40 +116,14 @@ def figures(name: str) -> dict:
     }
 
 
-def run_id(name: str) -> str:
-    """Test id from a run's formula, budget value and algorithm: "5-22-3-70-marco"."""
-    _, formula, budgets, algorithm = name.split()
-    return f"{formula}-{budgets.split('=')[1]}-{algorithm}"
-
-
 def stop_id(name: str) -> str:
     """Test id from a run's formula, budgets and algorithm: "5-22-3-mus_limit=2,check_limit=9-remus"."""
     _, formula, budgets, algorithm = name.split()
     return f"{formula}-{budgets}-{algorithm}"
 
 
-@pytest.mark.parametrize("name", QUERY_AND_WITNESS, ids=QUERY_AND_WITNESS)
+@pytest.mark.parametrize("name", ORACLE_RUNS, ids=ORACLE_RUNS)
 def test_run_matches_its_recording(name):
-    assert figures(name) == RECORDED[name]
-
-
-@pytest.mark.parametrize("name", COMPLETE["core"], ids=map(run_id, COMPLETE["core"]))
-def test_core_enumeration_matches_the_recorded_run(name):
-    assert figures(name) == RECORDED[name]
-
-
-@pytest.mark.parametrize("name", STOPPED["core"], ids=map(run_id, STOPPED["core"]))
-def test_core_budget_stop_matches_the_recorded_run(name):
-    assert figures(name) == RECORDED[name]
-
-
-@pytest.mark.parametrize("name", COMPLETE["cnf"], ids=map(run_id, COMPLETE["cnf"]))
-def test_rotation_enumeration_matches_the_recorded_run(name):
-    assert figures(name) == RECORDED[name]
-
-
-@pytest.mark.parametrize("name", STOPPED["cnf"], ids=map(run_id, STOPPED["cnf"]))
-def test_rotation_budget_stop_matches_the_recorded_run(name):
     assert figures(name) == RECORDED[name]
 
 

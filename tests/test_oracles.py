@@ -316,7 +316,7 @@ def test_rotation_right_after_an_unsat_answer_raises():
     assert oracle.is_sat(cs("1000"))
     assert not oracle.is_sat(cs("1100"))
     with pytest.raises(RuntimeError):
-        oracle.rotate(cs("1100"), 1, ConstraintSet.empty(4))
+        oracle.rotate(cs("1100"), 1)
     assert oracle.checks == 2
 
 
@@ -329,7 +329,7 @@ def test_rotation_after_a_repeated_answer_starts_from_its_model():
     # a true, b false falsifies only c2 of 1100; flipping a falsifies only c1,
     # and a false, b false satisfies c2 and c4; flipping b then satisfies c3
     # and falsifies nothing, so the witness grows to 0111
-    assert oracle.rotate(cs("1100"), 1, ConstraintSet.empty(4)) == [(0, cs("0111"))]
+    assert oracle.rotate(cs("1100"), 1) == [(0, cs("0111"))]
     assert oracle.checks == 3
 
 
@@ -347,7 +347,7 @@ def test_a_witness_that_misses_a_clause_raises():
     assert oracle.is_sat(cs("1000"))
     oracle._occurrences()[0][1] &= ~2
     with pytest.raises(RuntimeError):
-        oracle.rotate(cs("1100"), 1, ConstraintSet.empty(4))
+        oracle.rotate(cs("1100"), 1)
 
 
 @st.composite
@@ -420,20 +420,16 @@ def test_cnf_oracle_answers_match_truth_tables(case):
             work = mask | 1 << c
             if work == mask or is_sat(work):
                 continue
-            assert table.rotate(ConstraintSet(n, work), c, ConstraintSet.empty(n)) == []
-            pairs = oracle.rotate(ConstraintSet(n, work), c, ConstraintSet.empty(n))
+            assert table.rotate(ConstraintSet(n, work), c) == []
+            pairs = oracle.rotate(ConstraintSet(n, work), c)
             for d, rotated in pairs:
                 assert d != c and work >> d & 1
                 assert rotated.n == n and not rotated.mask >> d & 1
                 assert work & ~(1 << d) & ~rotated.mask == 0
                 assert is_sat(rotated.mask)
-            known = ConstraintSet(n, work & 0x5555)
-            with_known = oracle.rotate(ConstraintSet(n, work), c, known)
-            # the pairs for constraints outside known are the ones named without it
-            assert [p for p in with_known if p[0] not in known] == [p for p in pairs if p[0] not in known]
             # every witness is the flipped model's clause set or grows from it
-            reference = full_pass_rotate(oracle, ConstraintSet(n, work), c, known)
-            for (d, grown), (e, flipped, _) in zip(with_known, reference, strict=True):
+            reference = full_pass_rotate(oracle, ConstraintSet(n, work), c)
+            for (d, grown), (e, flipped, _) in zip(pairs, reference, strict=True):
                 assert d == e and flipped.is_subset_of(grown) and is_sat(grown.mask)
     assert oracle.checks == len(queries)
 
@@ -460,10 +456,10 @@ def rotation_formulas(count):
 
 def test_rotation_matches_the_full_pass_reference():
     # every critical constraint c of an unsatisfiable work set, once answered
-    # SAT without c, rotates from that answer's model, with and without known
-    # criticals; the counts reach four true variables in one clause
+    # SAT without c, rotates from that answer's model; the counts reach four
+    # true variables in one clause
     calls = named = grew = most_true = 0
-    for num_vars, clauses in rotation_formulas(200):
+    for num_vars, clauses in rotation_formulas(600):
         n = len(clauses)
         oracle = CnfOracle(num_vars, clauses)
         rng = random.Random(n)
@@ -479,13 +475,12 @@ def test_rotation_matches_the_full_pass_reference():
                     most_true,
                     *(len({abs(lit) for lit in cl if (model >> (abs(lit) - 1) & 1) == (lit > 0)}) for cl in clauses),
                 )
-                for known in (ConstraintSet.empty(n), ConstraintSet(n, work.mask & rng.getrandbits(n))):
-                    pairs = oracle.rotate(work, c, known)
-                    reference = full_pass_rotate(oracle, work, c, known)
-                    assert pairs == [(d, grown) for d, _, grown in reference], (clauses, work, c, known)
-                    calls += 1
-                    named += len(pairs)
-                    grew += sum(grown != flipped for _, flipped, grown in reference)
+                pairs = oracle.rotate(work, c)
+                reference = full_pass_rotate(oracle, work, c)
+                assert pairs == [(d, grown) for d, _, grown in reference], (clauses, work, c)
+                calls += 1
+                named += len(pairs)
+                grew += sum(grown != flipped for _, flipped, grown in reference)
     assert calls > 1500 and named > 1200 and grew > 40 and most_true >= 4
 
 

@@ -266,8 +266,8 @@ def record_discoveries(monkeypatch) -> tuple[list, dict]:
 
     rotate = CnfOracle.rotate
 
-    def recording_rotate(self, work, critical, known):
-        pairs = rotate(self, work, critical, known)
+    def recording_rotate(self, work, critical):
+        pairs = rotate(self, work, critical)
         if not shrinking:
             seeds.setdefault(self.checks, (self.witness.mask, set()))[1].update(w.mask for _, w in pairs)
         return pairs

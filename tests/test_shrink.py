@@ -31,8 +31,10 @@ def test_known_critical_skips_its_check():
     mus, found_sat = shrink(oracle, cs("1100"), cs("1000"), cs("1100"), UnexploredMap(4))
     assert mus == cs("1100")
     assert oracle.checks == 1  # only c2 was a candidate
-    # the witness of 1000: the clauses its model (a true, b false) satisfies
-    assert found_sat == [cs("1001")]
+    # the witness of 1000: the clauses its model (a true, b false) satisfies;
+    # rotation goes on through the known c1 (a false, b false), and a free
+    # flip of b grows that witness to 0111
+    assert found_sat == [cs("1001"), cs("0111")]
 
 
 def test_unsat_trial_jumps_to_its_core():
