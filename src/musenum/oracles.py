@@ -29,12 +29,11 @@ class SatOracle:
     set's critical constraints, so a shrink may continue from the core.
 
     After a SAT answer to `work - {critical}` where `work` is unsatisfiable,
-    `rotate(work, critical)` may return further constraints d of `work` that
-    the same answer proves critical, each with a satisfiable set that holds
-    `work - {d}` and not d; a d the caller already knows to be critical may
-    come back too, with a new satisfiable set. It evaluates constraints under
-    what the answer already found and makes no check; the base class returns
-    none.
+    `rotate(work, critical)` may return satisfiable sets that the same answer
+    proves, each holding all of `work` but one member d, which is therefore
+    critical for `work`; a d the caller already knows to be critical may
+    come back too, in a new set. It evaluates constraints under what the
+    answer already found and makes no check; the base class returns none.
     """
 
     def __init__(self, n: int):
@@ -56,11 +55,11 @@ class SatOracle:
         """(True, mask of a satisfiable superset of s) or (False, mask of an unsatisfiable subset)."""
         raise NotImplementedError
 
-    def rotate(self, work: ConstraintSet, critical: int) -> list[tuple[int, ConstraintSet]]:
-        """Pairs (d, witness): d is critical for work; witness is satisfiable, holds work - {d}, lacks d.
+    def rotate(self, work: ConstraintSet, critical: int) -> list[ConstraintSet]:
+        """Satisfiable sets, each holding all of work but one member d, which is critical for work.
 
         Valid right after a SAT answer to `work - {critical}`, with work
-        unsatisfiable. `critical` is never returned.
+        unsatisfiable. No set lacks `critical`.
         """
         return []
 
@@ -94,18 +93,20 @@ class CnfOracle(SatOracle):
     d of work, d is critical, and rotation goes on from the flipped model,
     also through clauses the caller already knows to be critical (Wieringa,
     CP 2012). It visits each clause at most once per call, and stops once it
-    has reached every clause of work. Each clause it reaches comes back with
-    a witness: the flipped model's clause set, grown by free flips. A flip is
-    free when it satisfies a clause that is still unsatisfied and leaves
-    every clause a true variable; the growth flips a copy, and rotation goes
-    on from the ungrown model. For M the oracle keeps every clause's count
-    of true variables as bit planes (plane k holds bit k of each count), made
-    by one pass over the variables when the solver finds the model. A flip of v updates them from the two masks of
-    the clauses v occurs in: a borrow on the clauses whose true literal of v
-    turns false, a carry on those whose false literal of v turns true, and a
-    tautology on v keeps its count. "Exactly one true variable" is plane 0
-    without the higher planes, so rotation reads each model with a few
-    operations on masks and never passes over the variables.
+    has reached every clause of work. For each clause d it reaches it
+    returns a witness, which holds work - {d} and lacks d: the flipped
+    model's clause set, grown by free flips. A flip is free when it
+    satisfies a clause that is still unsatisfied and leaves every clause a
+    true variable; the growth flips a copy, and rotation goes on from the
+    ungrown model. For M the oracle keeps every clause's count of true
+    variables as bit planes (plane k holds bit k of each count), made by one
+    pass over the variables when the solver finds the model. A flip of v
+    updates them from the two masks of the clauses v occurs in: a borrow on
+    the clauses whose true literal of v turns false, a carry on those whose
+    false literal of v turns true, and a tautology on v keeps its count.
+    "Exactly one true variable" is plane 0 without the higher planes, so
+    rotation reads each model with a few operations on masks and never
+    passes over the variables.
 
     Each witness is checked with one mask test: a SAT answer's must hold the
     query, and a rotation's must hold work - {d} and not d. A witness that
@@ -159,7 +160,7 @@ class CnfOracle(SatOracle):
                     self._satisfies[abs(lit) - 1][lit < 0] |= 1 << i
         return self._satisfies
 
-    def rotate(self, work: ConstraintSet, critical: int) -> list[tuple[int, ConstraintSet]]:
+    def rotate(self, work: ConstraintSet, critical: int) -> list[ConstraintSet]:
         n = self.n
         occurrences = self._occurrences()
         # a free flip satisfying d would satisfy the unsatisfiable work, so
@@ -188,7 +189,7 @@ class CnfOracle(SatOracle):
                     witness = self._grow(rotated, child, outside, occurrences)
                 if witness & falsified or work.mask & ~witness & ~falsified:
                     raise RuntimeError(f"rotation witness {witness:#x} is not {work.mask:#x} without {d}")
-                found.append((d, ConstraintSet(n, witness)))
+                found.append(ConstraintSet(n, witness))
                 stack.append((rotated, child, d))  # rotation goes on from the ungrown model
         return found
 

@@ -17,15 +17,16 @@ comparisons isolate the seed-selection strategy.
 A satisfiable seed s_max of a frame over s has its witness down-blocked, and
 its model is then rotated (`SatOracle.rotate`) with no check: each c in
 s - s_max makes s_max + {c} unsatisfiable, as the map has it up-blocked, and
-the seed's check is still the oracle's last answer. Each distinct
-satisfiable set the rotations return is down-blocked too. For marco, s is
-the universe, so the rotations run through the whole complement of s_max.
+the seed's check is still the oracle's last answer. Each set the rotations
+return is down-blocked as it comes. For marco, s is the universe, so the
+rotations run through the whole complement of s_max.
 
-Every budget is one stop rule, `Session._spent`, which the loop tests
-between steps and right after each emit; a stopped loop returns, and the
-run's EnumerationResult says it is incomplete. Oracle checks and map calls
-are counted only by the oracle and the map; the session reads them there,
-and builds the result once, when the run ends.
+Every budget is one stop rule, `Session._spent`, which the loop tests at the
+top of each step and before each shrink, never between an emit and the
+blocks that follow it; a stopped loop returns, and the run's
+EnumerationResult says it is incomplete. Oracle checks and map calls are
+counted only by the oracle and the map; the session reads them there, and
+builds the result once, when the run ends.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class RemusConfig:
     reduction_factor sizes the reduced search space after each found MUS (only
     the recursive algorithm uses it).
 
-    All budgets are optional and form one stop rule, tested between steps
-    and right after each emit, so mus_limit is exact. check_limit caps
+    All budgets are optional and form one stop rule, tested at the top of
+    each step and before each shrink, so mus_limit is exact. check_limit caps
     cumulative oracle checks deterministically, where wall-clock limits would
     make runs irreproducible, but it may be overshot: the full-set check
     always runs, and a shrink in flight is never cut. A run ends with at most
@@ -99,11 +100,11 @@ class EnumerationResult:
     with no check; and `elapsed_s` is the run's time from the session's start
     to its end, at least the last record's.
 
-    block_log is the map's chronological ("down"|"up", subset mask) record;
-    replaying it against the oracle is the standard soundness check. Each
-    down-block is an oracle witness, a satisfiable superset of a set found
-    satisfiable, or a satisfiable set that rotation found from a model; each
-    up-block is an emitted MUS.
+    block_log is the map's chronological ("down"|"up", subset mask) record,
+    one entry per clause the map was given; replaying it against the oracle
+    is the standard soundness check. Each down-block is an oracle witness
+    (a satisfiable superset of a set found satisfiable) or a satisfiable set
+    that rotation found from a model; the up-blocks are all emitted MUSes.
     """
 
     records: list[MusRecord]
@@ -154,17 +155,18 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     `umap.covered_trials`.
 
     After each satisfiable check the oracle's `rotate`, given the working set
-    and the trial's candidate, may prove further members of the working set
-    critical without a check; they are skipped like the given criticals, and
-    stay critical in every later working set, which is a subset holding them.
-    Uses at most |core \\ criticals| <= |seed \\ criticals| oracle checks.
+    and the trial's candidate, may return more satisfiable sets with no
+    check. Each satisfiable set met, the trial's witness too, lacks one
+    member of the working set and so proves it critical; such members are
+    skipped like the given criticals, and stay critical in every later
+    working set, which is a subset holding them. Uses at most
+    |core \\ criticals| <= |seed \\ criticals| oracle checks.
 
-    Returns (mus, sat_discoveries) where sat_discoveries holds the oracle's
-    witness (a satisfiable superset of the trial) of every satisfiable check,
-    and the satisfiable set of every member that rotation returned, newly
-    proved critical or not. Each mask is kept once, the first time it comes:
-    rotation is not told which members are proved, and passes again through
-    them, often to the same set.
+    Returns (mus, sat_discoveries), those sets: the witness (a satisfiable
+    superset of the trial) of every satisfiable check and every set rotation
+    returned. Each mask is kept once, the first time it comes: rotation is
+    not told which members are proved, and passes again through them, often
+    to the same set.
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
@@ -183,11 +185,9 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
             proven |= bit
             umap.covered_trials += 1
         elif oracle.is_sat(ConstraintSet(n, work ^ bit)):
-            proven |= bit
-            discoveries.setdefault(oracle.witness.mask, oracle.witness)
-            for d, witness in oracle.rotate(ConstraintSet(n, work), bit.bit_length() - 1):
-                proven |= 1 << d
-                discoveries.setdefault(witness.mask, witness)
+            for sat_set in [oracle.witness, *oracle.rotate(ConstraintSet(n, work), bit.bit_length() - 1)]:
+                proven |= work & ~sat_set.mask
+                discoveries.setdefault(sat_set.mask, sat_set)
         else:
             work = oracle.core.mask
             covered = umap.covered_members(work)
@@ -278,12 +278,9 @@ class Session:
                 # each s_max + {c} is up-blocked, so unsatisfiable, and s_max's check
                 # is still the oracle's last answer: its model rotates through every c
                 s_mcs = s - s_max
-                rotated = {}
                 for c in s_mcs:
-                    for _, witness in self.oracle.rotate(s_max.add(c), c):
-                        rotated.setdefault(witness.mask, witness)
-                for witness in rotated.values():
-                    self.map.block_down(witness)
+                    for witness in self.oracle.rotate(s_max.add(c), c):
+                        self.map.block_down(witness)
                 if not descend:
                     continue
                 if len(s_mcs) == 1:
@@ -299,8 +296,6 @@ class Session:
                 before = self.oracle_checks()
                 mus, discoveries = shrink(self.oracle, s_max, criticals, self.oracle.core, self.map)
                 self.emit(mus, depth, s_max, criticals, self.oracle_checks() - before)
-                if self._spent():
-                    return False
                 # down-block the witness of every satisfiable set the shrink met, so
                 # later seeds skip them; after the emit, so the MUS is out first
                 for sat_set in discoveries:

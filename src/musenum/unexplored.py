@@ -19,16 +19,16 @@ class UnexploredMap:
     """The map over n constraints, on one incremental solver.
 
     Down-blocks are kept as a set of masks of which none lies inside
-    another, the maximal blocked sets: a block inside a stored set adds no
-    clause, since a stored clause implies it. A block containing stored sets
+    another, the maximal blocked sets: a block inside a stored set is
+    dropped, since a stored clause implies it. A block containing stored sets
     replaces them in the set, adds its clause and leaves theirs in the
     solver; they are implied now, so the solver's models do not change.
-    Up-blocks are kept as they come, in `block_log`, which holds every block
-    in order; the enumerators block up only MUSes, which form an antichain
-    already. A query assumes the constraints outside p left out, as one mask
-    whose set bits the solver orders for its kept trail; its answer is p
-    less the solver's model, maximal because the solver decides every
-    variable false first, whatever the order it branches in.
+    Up-blocks are kept as they come; the enumerators block up only MUSes,
+    which form an antichain already. `block_log` holds one entry per clause
+    given to the solver, in order. A query assumes the constraints outside p
+    left out, as one mask whose set bits the solver orders for its kept
+    trail; its answer is p less the solver's model, maximal because the
+    solver decides every variable false first, whatever its branching order.
     """
 
     def __init__(self, n: int):
@@ -45,21 +45,21 @@ class UnexploredMap:
         self._down: set[int] = set()  # the maximal down-blocked masks
 
     def block_down(self, sat_set: ConstraintSet) -> None:
-        """Remove sat_set and all of its subsets from the map."""
+        """Remove sat_set and all of its subsets from the map; a set inside a down-block is dropped."""
         require_universe(sat_set, self.n)
         mask = sat_set.mask
-        self.block_log.append(("down", mask))
         # one pass decides both whether mask lies inside a stored set and
         # which stored sets lie inside it, as none lies inside another
         inside = []
         for d in self._down:
             common = mask & d
             if common == mask:
-                return  # a stored clause implies this block's
+                return  # a stored clause implies this block's; nothing is logged
             if common == d:
                 inside.append(d)
         self._down.difference_update(inside)
         self._down.add(mask)
+        self.block_log.append(("down", mask))
         self._solver.add_clause([-v for v in set_bits(self._full & ~mask)])
 
     def covered_members(self, work: int) -> int:

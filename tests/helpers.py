@@ -207,7 +207,8 @@ def full_pass_rotate(oracle: CnfOracle, work, critical):
     per flip, and it walks until no model is left, where the oracle stops
     once it has reached every clause of work. Returns triples (d, the flipped
     model's clause set, the witness that free flips grow from it); the
-    oracle's pairs are (d, witness), in the same order.
+    oracle returns the witnesses alone, in the same order, each lacking d
+    alone of work.
     """
     satisfies = [[0, 0] for _ in range(oracle.num_vars)]  # per variable: [if true, if false]
     for i, cl in enumerate(oracle.clauses):
@@ -287,8 +288,8 @@ def per_trial_shrink(oracle, seed, criticals, core, known_sat):
         elif oracle.is_sat(trial):
             proven |= 1 << candidate
             discoveries.setdefault(oracle.witness.mask, oracle.witness)
-            for d, witness in oracle.rotate(work, candidate):
-                proven |= 1 << d
+            for witness in oracle.rotate(work, candidate):
+                proven |= (work - witness).mask
                 discoveries.setdefault(witness.mask, witness)
         else:
             work = oracle.core

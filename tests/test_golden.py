@@ -4,8 +4,8 @@ A run is named "<oracle> <vars>-<clauses>-<seed> <budgets> <algorithm>": it
 enumerates random_cnf(vars, clauses, 3, seed) on that oracle kind under
 RemusConfig(budgets). Its figures are whether it completed, its oracle
 checks, map calls and MUSes, and the sha256 prefixes of its MUS sequence, of
-its per-MUS counters and of its block log. `python tests/record.py` rewrites
-them.
+its per-MUS counters and of its block log, which holds one entry per clause
+the map was given. `python tests/record.py` rewrites them.
 
 The oracle kinds know more and more beyond the query:
 - query: the witness and the core are the query itself, as for any oracle
@@ -25,9 +25,9 @@ move the core and cnf runs.
 
 Each kind runs to completion on three small formulas, to 8 MUSes on two wider
 ones, and to two check limits on two formulas. The cnf kind is also stopped by
-each budget and by two together: a stop one step earlier or later can move a
-block across it and leave the other figures as they are, which the block log
-shows.
+each budget and by two together: a stopped run's log ends with the blocks of
+its last step, and a stop one step earlier or later can move those blocks
+across it and leave the other figures as they are, which the block log shows.
 """
 
 import ast
@@ -87,22 +87,26 @@ BLOCK_LOG_STOPS = runs(
     ["4-16-5", "5-22-3", "6-24-1"],
     ["mus_limit=3", "check_limit=20", "time_limit=0.0", "mus_limit=2,check_limit=9"],
 )
-ORACLE_RUNS = [name for oracle in ORACLES for name in COMPLETE[oracle] + STOPPED[oracle]]
-RECORDED_RUNS = ORACLE_RUNS + BLOCK_LOG_STOPS
+RECORDED_RUNS = [name for oracle in ORACLES for name in COMPLETE[oracle] + STOPPED[oracle]] + BLOCK_LOG_STOPS
 
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def figures(name: str) -> dict:
-    """The figures of a named run."""
+def run(name: str):
+    """The result of a named run."""
     oracle, formula, budgets, algorithm = name.split()
     num_vars, num_clauses, seed = map(int, formula.split("-"))
     config = {key: ast.literal_eval(value) for key, value in (b.split("=") for b in budgets.split(","))}
-    result = RUNNERS[algorithm](
+    return RUNNERS[algorithm](
         ORACLES[oracle](num_vars, random_cnf(num_vars, num_clauses, 3, seed)), RemusConfig(**config)
     )
+
+
+def figures(name: str) -> dict:
+    """The figures of a named run."""
+    result = run(name)
     return {
         "complete": result.complete,
         "checks": result.oracle_checks,
@@ -116,17 +120,6 @@ def figures(name: str) -> dict:
     }
 
 
-def stop_id(name: str) -> str:
-    """Test id from a run's formula, budgets and algorithm: "5-22-3-mus_limit=2,check_limit=9-remus"."""
-    _, formula, budgets, algorithm = name.split()
-    return f"{formula}-{budgets}-{algorithm}"
-
-
-@pytest.mark.parametrize("name", ORACLE_RUNS, ids=ORACLE_RUNS)
+@pytest.mark.parametrize("name", RECORDED_RUNS, ids=RECORDED_RUNS)
 def test_run_matches_its_recording(name):
-    assert figures(name) == RECORDED[name]
-
-
-@pytest.mark.parametrize("name", BLOCK_LOG_STOPS, ids=map(stop_id, BLOCK_LOG_STOPS))
-def test_stopped_run_keeps_the_recorded_block_log(name):
     assert figures(name) == RECORDED[name]

@@ -329,7 +329,7 @@ def test_rotation_after_a_repeated_answer_starts_from_its_model():
     # a true, b false falsifies only c2 of 1100; flipping a falsifies only c1,
     # and a false, b false satisfies c2 and c4; flipping b then satisfies c3
     # and falsifies nothing, so the witness grows to 0111
-    assert oracle.rotate(cs("1100"), 1) == [(0, cs("0111"))]
+    assert oracle.rotate(cs("1100"), 1) == [cs("0111")]
     assert oracle.checks == 3
 
 
@@ -413,24 +413,23 @@ def test_cnf_oracle_answers_match_truth_tables(case):
         assert witness.n == n and mask & witness.mask == mask
         assert is_sat(witness.mask)
         # the query is work - {c} for each c whose addition makes it UNSAT; every
-        # constraint d that rotation names is critical for work, and its witness
-        # is a satisfiable set holding work - {d} but not d, grown by free flips
-        # from the clause set of the flipped model
+        # set that rotation returns is satisfiable and holds all of work but
+        # one constraint d other than c, which is then critical for work, and
+        # it grows by free flips from the clause set of the flipped model
         for c in range(n):
             work = mask | 1 << c
             if work == mask or is_sat(work):
                 continue
             assert table.rotate(ConstraintSet(n, work), c) == []
-            pairs = oracle.rotate(ConstraintSet(n, work), c)
-            for d, rotated in pairs:
-                assert d != c and work >> d & 1
-                assert rotated.n == n and not rotated.mask >> d & 1
-                assert work & ~(1 << d) & ~rotated.mask == 0
+            sets = oracle.rotate(ConstraintSet(n, work), c)
+            for rotated in sets:
+                lacks = work & ~rotated.mask
+                assert rotated.n == n and lacks and not lacks & (lacks - 1) and not lacks >> c & 1
                 assert is_sat(rotated.mask)
             # every witness is the flipped model's clause set or grows from it
             reference = full_pass_rotate(oracle, ConstraintSet(n, work), c)
-            for (d, grown), (e, flipped, _) in zip(pairs, reference, strict=True):
-                assert d == e and flipped.is_subset_of(grown) and is_sat(grown.mask)
+            for grown, (d, flipped, _) in zip(sets, reference, strict=True):
+                assert work & ~grown.mask == 1 << d and flipped.is_subset_of(grown) and is_sat(grown.mask)
     assert oracle.checks == len(queries)
 
 
@@ -475,11 +474,14 @@ def test_rotation_matches_the_full_pass_reference():
                     most_true,
                     *(len({abs(lit) for lit in cl if (model >> (abs(lit) - 1) & 1) == (lit > 0)}) for cl in clauses),
                 )
-                pairs = oracle.rotate(work, c)
+                sets = oracle.rotate(work, c)
                 reference = full_pass_rotate(oracle, work, c)
-                assert pairs == [(d, grown) for d, _, grown in reference], (clauses, work, c)
+                # each set lacks the one member of work that the reference reached
+                assert [(work - s, s) for s in sets] == [
+                    (ConstraintSet(n, 1 << d), grown) for d, _, grown in reference
+                ], (clauses, work, c)
                 calls += 1
-                named += len(pairs)
+                named += len(sets)
                 grew += sum(grown != flipped for _, flipped, grown in reference)
     assert calls > 1500 and named > 1200 and grew > 40 and most_true >= 4
 
@@ -500,9 +502,9 @@ def test_shrink_keeps_the_first_of_each_discovered_set():
         return sat
 
     def recording_rotate(*args):
-        pairs = rotate(*args)
-        returned.extend(witness.mask for _, witness in pairs)
-        return pairs
+        sets = rotate(*args)
+        returned.extend(witness.mask for witness in sets)
+        return sets
 
     oracle.is_sat, oracle.rotate = recording_is_sat, recording_rotate
     seed = ConstraintSet.full(n)

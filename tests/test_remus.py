@@ -7,6 +7,7 @@ import time
 import pytest
 
 import musenum.session
+import musenum.unexplored
 from musenum import (
     CnfOracle,
     ConstraintSet,
@@ -20,6 +21,7 @@ from musenum import (
     shrink,
 )
 from musenum.oracles import random_cnf
+from musenum.satsolver import SatSolver
 from musenum.unexplored import UnexploredMap
 
 from helpers import (
@@ -39,6 +41,7 @@ from helpers import (
     small_unsat_cnfs,
     table_from_antichain,
 )
+from test_golden import BLOCK_LOG_STOPS, run
 
 
 @pytest.mark.parametrize("algorithm", RUNNERS)
@@ -249,10 +252,10 @@ def record_discoveries(monkeypatch) -> tuple[list, dict]:
 
     A rotation outside shrink is the frame loop's, of the model of the
     satisfiable seed the oracle checked last. The dict maps the oracle's
-    check count at that seed to (its witness mask, the rotated witness masks).
+    check count at that seed to (its witness mask, every rotated set's mask).
     """
     discovered = []
-    seeds: dict[int, tuple[int, set[int]]] = {}
+    seeds: dict[int, tuple[int, list[int]]] = {}
     shrinking = []
 
     def recording_shrink(*args):
@@ -267,10 +270,10 @@ def record_discoveries(monkeypatch) -> tuple[list, dict]:
     rotate = CnfOracle.rotate
 
     def recording_rotate(self, work, critical):
-        pairs = rotate(self, work, critical)
+        sets = rotate(self, work, critical)
         if not shrinking:
-            seeds.setdefault(self.checks, (self.witness.mask, set()))[1].update(w.mask for _, w in pairs)
-        return pairs
+            seeds.setdefault(self.checks, (self.witness.mask, []))[1].extend(w.mask for w in sets)
+        return sets
 
     monkeypatch.setattr(musenum.session, "shrink", recording_shrink)
     monkeypatch.setattr(CnfOracle, "rotate", recording_rotate)
@@ -280,24 +283,35 @@ def record_discoveries(monkeypatch) -> tuple[list, dict]:
 @pytest.mark.parametrize("algorithm", ["remus", "marco"])
 def test_shrink_discoveries_are_always_blocked(algorithm, monkeypatch):
     discovered, seeds = record_discoveries(monkeypatch)
+    made = []  # every down-block the run makes, in order
+    block_down = UnexploredMap.block_down
+
+    def recording_block_down(umap, sat_set):
+        made.append(sat_set.mask)
+        block_down(umap, sat_set)
+
+    monkeypatch.setattr(UnexploredMap, "block_down", recording_block_down)
     # unsatisfiable 2-CNF formulas with 4, 12 and 14 MUSes
     for num_vars, num_clauses, seed in [(3, 8, 2), (4, 10, 0), (5, 14, 2)]:
         clauses = random_cnf(num_vars, num_clauses, 2, seed)
         discovered.clear()
         seeds.clear()
+        made.clear()
         result = RUNNERS[algorithm](CnfOracle(num_vars, clauses))
         assert set(muses_of(result)) == bruteforce_all_muses(CnfOracle(num_vars, clauses))
-        # one down-block per satisfiable seed check (its MSS), one per distinct
-        # witness its model's rotation returns, one per shrink find; an
-        # unsatisfiable seed check leads to a shrink and is down-blocked by
-        # none, and the first seed's check is the run's check of the full set
+        # one down-block per satisfiable seed check (its MSS), one per set its
+        # model's rotation returns, one per shrink find; an unsatisfiable seed
+        # check leads to a shrink and is down-blocked by none, and the first
+        # seed's check is the run's check of the full set. The log keeps the
+        # blocks that lie inside no earlier one.
         seed_checks = result.oracle_checks - sum(record.shrink_checks for record in result.records)
         sat_seed_checks = seed_checks - len(result.records)
         rotated = [mask for _, masks in seeds.values() for mask in masks]
         downs = [mask for kind, mask in result.block_log if kind == "down"]
         assert discovered
-        assert len(downs) == sat_seed_checks + len(rotated) + len(discovered)
-        assert {sat_set.mask for sat_set in discovered} | set(rotated) <= set(downs)
+        assert len(made) == sat_seed_checks + len(rotated) + len(discovered)
+        assert len(downs) == sum(not any(m & ~e == 0 for e in made[:i]) for i, m in enumerate(made))
+        assert all(any(m & ~d == 0 for d in downs) for m in [s.mask for s in discovered] + rotated)
 
 
 @pytest.mark.parametrize("algorithm", RUNNERS)
@@ -308,9 +322,9 @@ def test_a_satisfiable_seed_rotates_into_more_down_blocks(algorithm, monkeypatch
     _, seeds = record_discoveries(monkeypatch)
     clauses = random_cnf(5, 22, 3, 3)
     result = RUNNERS[algorithm](CnfOracle(5, clauses))
-    downs = {mask for kind, mask in result.block_log if kind == "down"}
+    downs = [mask for kind, mask in result.block_log if kind == "down"]
     beyond = {mask for witness, masks in seeds.values() for mask in masks if mask != witness}
-    assert beyond and beyond <= downs
+    assert beyond and all(any(m & ~d == 0 for d in downs) for m in beyond)
     assert_block_log_replays(result, CnfOracle(5, clauses))
 
 
@@ -500,6 +514,44 @@ def test_block_log_replay_needs_every_up_block_of_a_complete_run(algorithm):
         dropped = dataclasses.replace(result, block_log=log[:i] + log[i + 1 :])
         with pytest.raises(AssertionError):
             assert_block_log_replays(dropped, CnfOracle(num_vars, clauses))
+
+
+@pytest.mark.parametrize("name", BLOCK_LOG_STOPS, ids=BLOCK_LOG_STOPS)
+def test_a_stopped_run_logs_what_its_last_step_learnt(name):
+    # no stop falls between an emit and the blocks of its step: the log's
+    # up-blocks are the emitted MUSes, and a map rebuilt from the log, as a
+    # resumed run would rebuild it, holds no subset of any of them
+    result = run(name)
+    n = int(name.split()[1].split("-")[1])  # the formula's clause count
+    assert not result.complete
+    assert [mask for kind, mask in result.block_log if kind == "up"] == [mus.mask for mus in muses_of(result)]
+    replayed = UnexploredMap(n)
+    for kind, mask in result.block_log:
+        (replayed.block_down if kind == "down" else replayed.block_up)(ConstraintSet(n, mask))
+    assert all(replayed.max_unexplored_subset_of(mus) is None for mus in muses_of(result))
+
+
+@pytest.mark.parametrize("algorithm", RUNNERS)
+def test_the_block_log_holds_one_entry_per_clause_the_map_is_given(algorithm, monkeypatch):
+    # a down-block inside an earlier one is implied, so the map neither logs
+    # it nor gives its clause to the solver
+    given = []
+
+    class CountingSolver(SatSolver):
+        def add_clause(self, lits):
+            given.append(lits)
+            return super().add_clause(lits)
+
+    monkeypatch.setattr(musenum.unexplored, "SatSolver", CountingSolver)
+    runs = [(num_vars, clauses, None) for num_vars, clauses in small_unsat_cnfs(15, 2101)]
+    runs.append((7, random_cnf(7, 30, 3, 12), RemusConfig(mus_limit=20)))  # 90 MUSes, stopped at 20
+    for num_vars, clauses, config in runs:
+        given.clear()
+        result = RUNNERS[algorithm](CnfOracle(num_vars, clauses), config)
+        assert result.complete == (config is None)
+        assert len(given) == len(result.block_log)
+        downs = [mask for kind, mask in result.block_log if kind == "down"]
+        assert not any(m & ~e == 0 for i, m in enumerate(downs) for e in downs[:i])
 
 
 @pytest.mark.parametrize("seed", [12, 13, 19, 46, 52])
