@@ -162,11 +162,11 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     working set, which is a subset holding them. Uses at most
     |core \\ criticals| <= |seed \\ criticals| oracle checks.
 
-    Returns (mus, sat_discoveries), those sets: the witness (a satisfiable
-    superset of the trial) of every satisfiable check and every set rotation
-    returned. Each mask is kept once, the first time it comes: rotation is
-    not told which members are proved, and passes again through them, often
-    to the same set.
+    Returns (mus, sat_sets), those sets in the order they came: the witness
+    (a satisfiable superset of the trial) of every satisfiable check and
+    every set rotation returned. Repeats stay in: rotation is not told which
+    members are proved, and passes again through them, often to the same
+    set, which the map drops when the frame loop blocks it.
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
@@ -174,7 +174,7 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     work = core.mask
     covered = umap.covered_members(work)
     proven = criticals.mask
-    discoveries: dict[int, ConstraintSet] = {}  # by mask, so each set is kept once
+    sat_sets: list[ConstraintSet] = []
     candidates = work & ~proven
     while candidates:
         bit = candidates & -candidates
@@ -187,11 +187,11 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
         elif oracle.is_sat(ConstraintSet(n, work ^ bit)):
             for sat_set in [oracle.witness, *oracle.rotate(ConstraintSet(n, work), bit.bit_length() - 1)]:
                 proven |= work & ~sat_set.mask
-                discoveries.setdefault(sat_set.mask, sat_set)
+                sat_sets.append(sat_set)
         else:
             work = oracle.core.mask
             covered = umap.covered_members(work)
-    return ConstraintSet(n, work), list(discoveries.values())
+    return ConstraintSet(n, work), sat_sets
 
 
 class Session:
@@ -294,11 +294,11 @@ class Session:
                     return False
                 # s_max's check, unsatisfiable, is the oracle's last: shrink starts from its core
                 before = self.oracle_checks()
-                mus, discoveries = shrink(self.oracle, s_max, criticals, self.oracle.core, self.map)
+                mus, sat_sets = shrink(self.oracle, s_max, criticals, self.oracle.core, self.map)
                 self.emit(mus, depth, s_max, criticals, self.oracle_checks() - before)
-                # down-block the witness of every satisfiable set the shrink met, so
-                # later seeds skip them; after the emit, so the MUS is out first
-                for sat_set in discoveries:
+                # down-block every satisfiable set the shrink met, so later seeds
+                # skip them; after the emit, so the MUS is out first
+                for sat_set in sat_sets:
                     self.map.block_down(sat_set)
                 # no down-block: a proper subset lies in the blocked witness that proved a member critical
                 self.map.block_up(mus)

@@ -18,16 +18,14 @@ from .satsolver import SatSolver
 class UnexploredMap:
     """The map over n constraints, on one incremental solver.
 
-    Down-blocks are kept as a set of masks of which none lies inside
-    another, the maximal blocked sets: a block inside a stored set is
-    dropped, since a stored clause implies it. A block containing stored sets
-    replaces them in the set, adds its clause and leaves theirs in the
-    solver; they are implied now, so the solver's models do not change.
-    Up-blocks are kept as they come; the enumerators block up only MUSes,
-    which form an antichain already. `block_log` holds one entry per clause
-    given to the solver, in order. A query assumes the constraints outside p
-    left out, as one mask whose set bits the solver orders for its kept
-    trail; its answer is p less the solver's model, maximal because the
+    Down-blocks are kept as the set of masks the map has logged, one per
+    clause given to the solver: a block inside a stored set is dropped, since
+    a stored clause implies it, and a repeat of a stored mask is dropped at
+    once. Up-blocks are kept as they come; the enumerators block up only
+    MUSes, which form an antichain already. `block_log` holds one entry per
+    clause given to the solver, in order. A query assumes the constraints
+    outside p left out, as one mask whose set bits the solver orders for its
+    kept trail; its answer is p less the solver's model, maximal because the
     solver decides every variable false first, whatever its branching order.
     """
 
@@ -42,22 +40,17 @@ class UnexploredMap:
         self.grow_evals = 0
         self._full = (1 << n) - 1
         self._solver = SatSolver(n)
-        self._down: set[int] = set()  # the maximal down-blocked masks
+        self._down: set[int] = set()  # the logged down-block masks
 
     def block_down(self, sat_set: ConstraintSet) -> None:
         """Remove sat_set and all of its subsets from the map; a set inside a down-block is dropped."""
         require_universe(sat_set, self.n)
         mask = sat_set.mask
-        # one pass decides both whether mask lies inside a stored set and
-        # which stored sets lie inside it, as none lies inside another
-        inside = []
+        if mask in self._down:
+            return  # a repeat, as shrink and rotation often meet the same set
         for d in self._down:
-            common = mask & d
-            if common == mask:
+            if mask & d == mask:
                 return  # a stored clause implies this block's; nothing is logged
-            if common == d:
-                inside.append(d)
-        self._down.difference_update(inside)
         self._down.add(mask)
         self.block_log.append(("down", mask))
         self._solver.add_clause([-v for v in set_bits(self._full & ~mask)])
@@ -65,9 +58,10 @@ class UnexploredMap:
     def covered_members(self, work: int) -> int:
         """The members c of the mask work whose trial work - {c} lies inside a down-blocked set.
 
-        Such a trial is satisfiable. One pass over the maximal down-blocked
+        Such a trial is satisfiable. One pass over the logged down-blocked
         sets D, with no solver call: work - {c} lies inside D exactly when
-        work - D is {c} or empty. Returns a mask.
+        work - D is {c} or empty. A logged set inside another D covers no
+        member that D does not. Returns a mask.
         """
         found = 0
         for d in self._down:

@@ -46,8 +46,6 @@ EXAMPLE1_STATUSES = {
 }
 
 EXAMPLE1_MUSES = {"1100", "1011"}
-EXAMPLE1_MSSES = {"1010", "1001", "0111"}
-EXAMPLE1_MCSES = {"0110", "0101", "1000"}
 
 
 def cs(bits: str) -> ConstraintSet:
@@ -272,13 +270,14 @@ def per_trial_shrink(oracle, seed, criticals, core, known_sat):
 
     `known_sat` is a predicate on the trial set; a True answer keeps its
     candidate with no check. `musenum.shrink` asks the map once per working
-    set instead, and must make the same checks, discoveries and MUS.
+    set instead, and must make the same checks, satisfiable sets in order and
+    MUS.
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
     work = core
     proven = criticals.mask
-    discoveries = {}  # by mask, the first of each
+    sat_sets = []
     for candidate in work - criticals:
         if candidate not in work or proven >> candidate & 1:
             continue
@@ -287,13 +286,13 @@ def per_trial_shrink(oracle, seed, criticals, core, known_sat):
             proven |= 1 << candidate
         elif oracle.is_sat(trial):
             proven |= 1 << candidate
-            discoveries.setdefault(oracle.witness.mask, oracle.witness)
+            sat_sets.append(oracle.witness)
             for witness in oracle.rotate(work, candidate):
                 proven |= (work - witness).mask
-                discoveries.setdefault(witness.mask, witness)
+                sat_sets.append(witness)
         else:
             work = oracle.core
-    return work, list(discoveries.values())
+    return work, sat_sets
 
 
 def per_member_choose_p(s_mus, s_max, factor):
@@ -389,22 +388,19 @@ def explicit_map_reference(n: int, block_log) -> set[int]:
 
 
 def map_clauses(umap: UnexploredMap) -> list[list[int]]:
-    """A formula equivalent to the map solver's blocking clauses, read from what the map stores.
+    """The map solver's blocking clauses, read from `block_log` in order, one per entry.
 
     Variable i+1 here is true when constraint i is in the subset, so each
     clause is the negation, literal by literal, of the solver's, whose
-    variable i+1 means constraint i is left out. The up-blocks of `block_log` in order, each as the negative clause over
-    its members, then the maximal down-blocked sets the map keeps, each as the
-    positive clause over its complement. The solver also holds the clauses of
-    down-blocks that a later block came to contain.
+    variable i+1 means constraint i is left out: an up-block is the negative
+    clause over its members, a down-block the positive clause over its
+    complement.
     """
     def members(mask: int) -> list[int]:
         return [i + 1 for i in range(umap.n) if mask >> i & 1]
 
     full = (1 << umap.n) - 1
-    return [[-v for v in members(m)] for kind, m in umap.block_log if kind == "up"] + [
-        members(full & ~m) for m in umap._down
-    ]
+    return [[-v for v in members(m)] if kind == "up" else members(full & ~m) for kind, m in umap.block_log]
 
 
 def enumerate_map_models(umap: UnexploredMap) -> set[int]:

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from musenum import ConstraintSet, PreconditionError, UnexploredMap, parse_dimacs
+from musenum import ConstraintSet, PreconditionError, parse_dimacs
 from musenum.oracles import random_cnf, to_dimacs
 
 from helpers import (
     EXAMPLE1_STATUSES,
     bruteforce_all_muses,
     cs,
-    enumerate_map_models,
     explicit_map_reference,
     random_antichain,
     random_monotone_table,
@@ -77,23 +76,6 @@ def test_random_monotone_table_bounds():
         random_monotone_table(0, 1)
     with pytest.raises(PreconditionError):
         random_monotone_table(13, 1)
-
-
-def test_map_models_agree_with_reference_on_random_logs():
-    rng = random.Random(1002)
-    for _ in range(150):
-        n = rng.randint(1, 9)
-        umap = UnexploredMap(n)
-        log = []
-        for _ in range(rng.randint(0, 10)):
-            mask = rng.randrange(1 << n)
-            if rng.random() < 0.5:
-                umap.block_down(ConstraintSet(n, mask))
-                log.append(("down", mask))
-            else:
-                umap.block_up(ConstraintSet(n, mask))
-                log.append(("up", mask))
-        assert enumerate_map_models(umap) == explicit_map_reference(n, log)
 
 
 def test_random_cnf_is_deterministic_and_well_formed():

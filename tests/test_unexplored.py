@@ -71,19 +71,20 @@ def test_block_up_adds_negative_clause_over_members():
     assert map_clauses(umap) == [[-1, -3]]
 
 
-def test_block_down_keeps_only_the_maximal_sets_as_clauses():
+def test_block_down_adds_a_clause_only_for_a_set_inside_no_stored_one():
     umap = UnexploredMap(3)
     umap.block_down(cs("100"))
-    umap.block_down(cs("110"))  # contains {c1}: its clause replaces {c1}'s
+    umap.block_down(cs("110"))  # contains {c1}: adds its clause beside {c1}'s
     umap.block_down(cs("010"))  # inside {c1,c2}: adds no clause and no log entry
-    assert map_clauses(umap) == [[3]]
+    umap.block_down(cs("110"))  # a repeat: the same
+    assert map_clauses(umap) == [[2, 3], [3]]
     assert umap.block_log == [("down", cs(b).mask) for b in ("100", "110")]
     assert enumerate_map_models(umap) == {cs(b).mask for b in ("001", "101", "011", "111")}
 
 
-def test_block_down_keeps_the_maximal_masks():
-    # a block inside a stored mask stores nothing and adds no clause; any
-    # other block drops the stored masks inside it and adds its clause
+def test_block_down_stores_each_logged_mask():
+    # a block inside a stored mask, a repeat too, stores nothing and adds no
+    # clause; any other block is stored and logged and adds its clause
     rng = random.Random(11)
     for _ in range(200):
         umap = UnexploredMap(6)
@@ -98,10 +99,9 @@ def test_block_down_keeps_the_maximal_masks():
             if any(mask & m == mask for m in before):
                 assert umap._down == before and len(clauses) == count
                 continue
-            assert umap._down == {m for m in before if m & mask != m} | {mask}
+            assert umap._down == before | {mask}
             assert len(clauses) == count + 1
-        maximal = {m for m in added if not any(m & o == m and m != o for o in added)}
-        assert umap._down == maximal
+        assert umap._down == {m for kind, m in umap.block_log if kind == "down"}
         # a mask lies inside an added mask exactly when it lies inside a stored one
         for probe in range(1 << 6):
             assert any(probe & m == probe for m in umap._down) == any(probe & m == probe for m in added)
@@ -192,9 +192,9 @@ def test_map_matches_explicit_reference_on_random_logs():
         apply_log(umap, log)
         assert enumerate_map_models(umap) == explicit_map_reference(n, log)
         assert umap.block_log == logged(log)
-        downs = [set(clause) for clause in map_clauses(umap) if clause and clause[0] > 0]
-        for i, a in enumerate(downs):
-            assert not any(a <= b for b in downs[:i] + downs[i + 1:])
+        # one stored mask per logged down-block, each logged once
+        downs = [mask for kind, mask in umap.block_log if kind == "down"]
+        assert umap._down == set(downs) and len(umap._down) == len(downs)
 
 
 def test_covered_members_match_brute_force_on_every_probe():
