@@ -32,8 +32,9 @@ class SatOracle:
     `rotate(work, critical)` may return satisfiable sets that the same answer
     proves, each holding all of `work` but one member d, which is therefore
     critical for `work`; a d the caller already knows to be critical may
-    come back too, in a new set. It evaluates constraints under what the
-    answer already found and makes no check; the base class returns none.
+    come back too, in a new set or in one returned before. It evaluates
+    constraints under what the answer already found and makes no check; the
+    base class returns none.
     """
 
     def __init__(self, n: int):

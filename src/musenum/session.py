@@ -162,11 +162,12 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     working set, which is a subset holding them. Uses at most
     |core \\ criticals| <= |seed \\ criticals| oracle checks.
 
-    Returns (mus, sat_sets), those sets in the order they came: the witness
+    Returns (mus, sat_sets), those sets in the order first met: the witness
     (a satisfiable superset of the trial) of every satisfiable check and
-    every set rotation returned. Repeats stay in: rotation is not told which
-    members are proved, and passes again through them, often to the same
-    set, which the map drops when the frame loop blocks it.
+    every set rotation returned. Each distinct set comes back once: rotation
+    is not told which members are proved, and passes again through them,
+    often to a set it returned before, so a shrink holds one copy of each
+    set and drops the repeats as they come.
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
@@ -174,7 +175,7 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
     work = core.mask
     covered = umap.covered_members(work)
     proven = criticals.mask
-    sat_sets: list[ConstraintSet] = []
+    found: dict[int, ConstraintSet] = {}  # by mask, so each set is held once
     candidates = work & ~proven
     while candidates:
         bit = candidates & -candidates
@@ -187,11 +188,11 @@ def shrink(oracle, seed: ConstraintSet, criticals: ConstraintSet, core: Constrai
         elif oracle.is_sat(ConstraintSet(n, work ^ bit)):
             for sat_set in [oracle.witness, *oracle.rotate(ConstraintSet(n, work), bit.bit_length() - 1)]:
                 proven |= work & ~sat_set.mask
-                sat_sets.append(sat_set)
+                found.setdefault(sat_set.mask, sat_set)
         else:
             work = oracle.core.mask
             covered = umap.covered_members(work)
-    return ConstraintSet(n, work), sat_sets
+    return ConstraintSet(n, work), list(found.values())
 
 
 class Session:

@@ -47,7 +47,7 @@ class UnexploredMap:
         require_universe(sat_set, self.n)
         mask = sat_set.mask
         if mask in self._down:
-            return  # a repeat, as shrink and rotation often meet the same set
+            return  # a repeat: the seed rotation's sets, or sets met again in later steps
         for d in self._down:
             if mask & d == mask:
                 return  # a stored clause implies this block's; nothing is logged

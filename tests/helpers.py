@@ -270,14 +270,14 @@ def per_trial_shrink(oracle, seed, criticals, core, known_sat):
 
     `known_sat` is a predicate on the trial set; a True answer keeps its
     candidate with no check. `musenum.shrink` asks the map once per working
-    set instead, and must make the same checks, satisfiable sets in order and
-    MUS.
+    set instead, and must make the same checks, satisfiable sets (each the
+    first time it is met) and MUS.
     """
     if not criticals.is_subset_of(seed):
         raise PreconditionError("criticals must be a subset of the seed")
     work = core
     proven = criticals.mask
-    sat_sets = []
+    sat_sets = {}  # by mask, first occurrence kept
     for candidate in work - criticals:
         if candidate not in work or proven >> candidate & 1:
             continue
@@ -286,13 +286,13 @@ def per_trial_shrink(oracle, seed, criticals, core, known_sat):
             proven |= 1 << candidate
         elif oracle.is_sat(trial):
             proven |= 1 << candidate
-            sat_sets.append(oracle.witness)
+            sat_sets.setdefault(oracle.witness.mask, oracle.witness)
             for witness in oracle.rotate(work, candidate):
                 proven |= (work - witness).mask
-                sat_sets.append(witness)
+                sat_sets.setdefault(witness.mask, witness)
         else:
             work = oracle.core
-    return work, sat_sets
+    return work, list(sat_sets.values())
 
 
 def per_member_choose_p(s_mus, s_max, factor):

@@ -88,9 +88,10 @@ def test_rotation_spares_most_checks_on_a_pigeonhole_formula(name):
     oracle, seed, mus, found_sat = shrink_pigeonhole(int(name.rsplit("-", 1)[1]))
     assert mus == seed
     assert RECORDED[name]["checks"] == oracle.checks < len(seed)
-    # one distinct set per clause, lacking that clause alone: from its own
-    # trial or from the rotation that proved it
+    # one set per clause, lacking that clause alone: from its own trial or
+    # from the rotation that proved it; the repeats are not held
     assert {s.mask for s in found_sat} == {seed.remove(i).mask for i in seed}
+    assert len(found_sat) == len(seed)
     verifier = CoreCnfOracle(oracle.num_vars, oracle.clauses)
     for s in found_sat:
         assert verifier.is_sat(s)
